@@ -99,6 +99,9 @@ class CompiledGraph:
     # --- execution ---
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        # free the previous pass before this one allocates, and leave no
+        # activations behind for backward if this pass raises
+        self._acts = None
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4 or x.shape[1:] != tuple(self.spec.input_shape):
             raise ShapeMismatch(
@@ -230,7 +233,11 @@ def compile_arch(spec: ArchitectureSpec | ValidatedArch, seed: int, *,
 
 def save_checkpoint(g: CompiledGraph, path) -> None:
     """Magic, 4-byte spec-JSON length, spec JSON, then every parameter as
-    little-endian float32 in slot order."""
+    little-endian float32 in slot order.  Only float32 graphs are saved,
+    so no parameter loses precision on the way to disk."""
+    if g.dtype != np.float32:
+        raise CheckpointError(
+            f"{path}: checkpoints store float32, graph is {g.dtype}")
     doc = g.spec.to_json().encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)

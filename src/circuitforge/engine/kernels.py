@@ -34,55 +34,70 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int) -> np.ndarray:
     """x (N,Cin,H,W) * w (Cout,Cin,k,k) + b (Cout,) -> (N,Cout,Ho,Wo)."""
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeMismatch(f"conv input {x.shape} vs kernel {w.shape}")
+    n, cout = x.shape[0], w.shape[0]
     cols = _patches(x, w.shape[2], pad)
-    y = np.tensordot(cols, w, axes=([1, 2, 3], [1, 2, 3]))
-    return np.ascontiguousarray(y.transpose(0, 3, 1, 2)) + b[None, :, None, None]
+    ho, wo = cols.shape[4:]
+    # one GEMM per example: W (Co, C*k*k) @ cols (C*k*k, Ho*Wo) lands in NCHW
+    y = np.matmul(w.reshape(cout, -1), cols.reshape(n, -1, ho * wo))
+    y += b[:, None]
+    return y.reshape(n, cout, ho, wo)
 
 
 def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (gx, gw, gb) for conv2d."""
-    k = w.shape[2]
-    cols = _patches(x, k, pad)
-    gb = gy.sum(axis=(0, 2, 3))
-    # gy (N,Co,Ho,Wo) x cols (N,Ci,k,k,Ho,Wo) contracted over N,Ho,Wo
-    gw = np.tensordot(gy, cols, axes=([0, 2, 3], [0, 4, 5]))
-    # spread each output gradient back over its kxk window
-    gcols = np.tensordot(w, gy, axes=([0], [1]))  # (Ci,k,k,N,Ho,Wo)
+    cout, cin, k, _ = w.shape
     n, _, h, wdt = x.shape
     ho, wo = gy.shape[2], gy.shape[3]
-    gxp = np.zeros((n, x.shape[1], h + 2 * pad, wdt + 2 * pad), dtype=gy.dtype)
+    cols = _patches(x, k, pad).reshape(n, cin * k * k, ho * wo)
+    g = gy.reshape(n, cout, ho * wo)
+    gb = gy.sum(axis=(0, 2, 3))
+    gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    # spread each output gradient back over its kxk window
+    gcols = np.matmul(w.reshape(cout, -1).T, g).reshape(n, cin, k, k, ho, wo)
+    gxp = np.zeros((n, cin, h + 2 * pad, wdt + 2 * pad), dtype=gy.dtype)
     for di in range(k):
         for dj in range(k):
-            gxp[:, :, di:di + ho, dj:dj + wo] += gcols[:, di, dj].transpose(1, 0, 2, 3)
+            gxp[:, :, di:di + ho, dj:dj + wo] += gcols[:, :, di, dj]
     gx = gxp[:, :, pad:pad + h, pad:pad + wdt] if pad else gxp
-    return gx, gw.astype(gy.dtype, copy=False), gb
+    return gx, gw, gb
+
+
+def _pool_offsets(x: np.ndarray, p: int):
+    """Yield the strided (N, C, Ho, Wo) view of each window offset, in
+    row-major order within the pxp window."""
+    ho, wo = x.shape[2] // p, x.shape[3] // p
+    for di in range(p):
+        for dj in range(p):
+            yield x[:, :, di:ho * p:p, dj:wo * p:p]
 
 
 def maxpool(x: np.ndarray, p: int) -> np.ndarray:
     """Non-overlapping pxp max pooling; trailing rows/cols that do not
     fill a window are dropped (floor semantics)."""
-    n, c, h, w = x.shape
-    ho, wo = h // p, w // p
-    if ho < 1 or wo < 1:
+    h, w = x.shape[2:]
+    if h // p < 1 or w // p < 1:
         raise ShapeMismatch(f"pool {p} does not fit {h}x{w} input")
-    tiles = x[:, :, :ho * p, :wo * p].reshape(n, c, ho, p, wo, p)
-    return tiles.max(axis=(3, 5))
+    views = _pool_offsets(x, p)
+    out = next(views).copy()
+    for v in views:
+        np.maximum(out, v, out=out)
+    return out
 
 
 def maxpool_backward(gy: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
-    """Routes each gradient to the first maximum of its window, so ties
-    break identically on every run."""
-    n, c, h, w = x.shape
-    ho, wo = h // p, w // p
-    tiles = x[:, :, :ho * p, :wo * p].reshape(n, c, ho, p, wo, p)
-    flat = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, p * p)
-    winner = flat.argmax(axis=-1)  # argmax picks the first max
-    gflat = np.zeros_like(flat)
-    np.put_along_axis(gflat, winner[..., None], gy[..., None], axis=-1)
-    gtiles = gflat.reshape(n, c, ho, wo, p, p).transpose(0, 1, 2, 4, 3, 5)
+    """Routes each gradient to the first maximum of its window in
+    row-major order, so ties break identically on every run.  The other
+    cells get gy * 0, which is NaN where gy is not finite."""
+    m = maxpool(x, p)
     gx = np.zeros_like(x)
-    gx[:, :, :ho * p, :wo * p] = gtiles.reshape(n, c, ho * p, wo * p)
+    taken = np.zeros(m.shape, dtype=bool)
+    for xv, gv in zip(_pool_offsets(x, p), _pool_offsets(gx, p)):
+        hit = xv == m
+        hit &= ~taken
+        # a multiply into the strided view runs ~2.5x faster than copyto(where=)
+        np.multiply(gy, hit, out=gv)
+        taken |= hit
     return gx
 
 

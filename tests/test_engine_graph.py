@@ -91,6 +91,11 @@ def test_backward_requires_fresh_forward():
     g.backward(grad)
     with pytest.raises(StaleActivation):  # activations are consumed
         g.backward(grad)
+    g.forward(np.zeros((2, 1, 12, 12), dtype=np.float32))
+    with pytest.raises(NonFiniteActivation):
+        g.forward(np.full((2, 1, 12, 12), np.inf, dtype=np.float32))
+    with pytest.raises(StaleActivation):  # a failed forward leaves nothing behind
+        g.backward(grad)
 
 
 def test_whole_graph_gradient_check_float64():
@@ -131,6 +136,13 @@ def test_checkpoint_round_trip(tmp_path):
     for (sa, va, _), (sb, vb, _) in zip(g.param_slots(), back.param_slots()):
         assert sa == sb and np.array_equal(va, vb)
     assert np.array_equal(back.forward(x), before)
+
+
+def test_checkpoint_refuses_non_float32(tmp_path):
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(CheckpointError, match=r"model\.ckpt.*float64"):
+        save_checkpoint(tiny_graph(dtype=np.float64), path)
+    assert not path.exists()
 
 
 def test_checkpoint_bad_magic(tmp_path):

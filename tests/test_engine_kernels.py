@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -43,14 +44,31 @@ def naive_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int) -> np.ndar
     return out
 
 
-def test_conv_forward_matches_naive_oracle():
+def naive_conv_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n, _, h, wdt = x.shape
+    cout, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    gb = np.zeros(cout, dtype=gy.dtype)
+    for ni in range(n):
+        for co in range(cout):
+            for i in range(gy.shape[2]):
+                for j in range(gy.shape[3]):
+                    g = gy[ni, co, i, j]
+                    gb[co] += g
+                    gw[co] += g * xp[ni, :, i:i + k, j:j + k]
+                    gxp[ni, :, i:i + k, j:j + k] += g * w[co]
+    return gxp[:, :, pad:pad + h, pad:pad + wdt], gw, gb
+
+
+def test_conv_forward_and_backward_match_naive_oracle():
     rng = np.random.default_rng(0)
-    for case in range(12):
+    grid = itertools.product((1, 3, 5), (0, 1), (1, 3, 8))
+    for case, (k, pad, cin) in enumerate(grid):
         n = int(rng.integers(1, 3))
-        cin = int(rng.integers(1, 4))
         cout = int(rng.integers(1, 4))
-        k = int(rng.choice([1, 3, 5]))
-        pad = int(rng.integers(0, 2))
         side = int(rng.integers(k, k + 4))
         x = rng.normal(size=(n, cin, side, side))
         w = rng.normal(size=(cout, cin, k, k))
@@ -58,6 +76,10 @@ def test_conv_forward_matches_naive_oracle():
         got = conv2d(x, w, b, pad)
         want = naive_conv(x, w, b, pad)
         assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.max(np.abs(want))), case
+        gy = rng.normal(size=want.shape)
+        for g, h in zip(conv2d_backward(gy, x, w, pad), naive_conv_backward(gy, x, w, pad)):
+            assert g.shape == h.shape, case
+            assert np.max(np.abs(g - h)) <= 1e-9 * max(1.0, np.max(np.abs(h))), case
 
 
 def central_diff(f, arr: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -112,6 +134,56 @@ def test_maxpool_backward_routes_to_first_max_on_ties():
     assert np.sum(gx) == 5.0 and np.count_nonzero(gx) == 1
 
 
+def naive_maxpool(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled values plus, per window, the flat index into x of its first
+    maximum in row-major order."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h // p, w // p), dtype=x.dtype)
+    where = np.zeros(out.shape, dtype=np.int64)
+    for ni in range(n):
+        for ci in range(c):
+            for i in range(h // p):
+                for j in range(w // p):
+                    best = (i * p, j * p)
+                    for di in range(p):
+                        for dj in range(p):
+                            if x[ni, ci, i * p + di, j * p + dj] > x[(ni, ci) + best]:
+                                best = (i * p + di, j * p + dj)
+                    out[ni, ci, i, j] = x[(ni, ci) + best]
+                    where[ni, ci, i, j] = np.ravel_multi_index((ni, ci) + best, x.shape)
+    return out, where
+
+
+def naive_maxpool_backward(gy: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    _, where = naive_maxpool(x, p)
+    gx = np.zeros_like(x)
+    gx.reshape(-1)[where.reshape(-1)] = gy.reshape(-1)
+    return gx
+
+
+def test_maxpool_and_backward_match_first_max_oracle():
+    rng = np.random.default_rng(7)
+    grid = itertools.product((2, 3), ("relu", "quantized", "late_tie"))
+    for case, (p, inputs) in enumerate(grid):
+        h, w = (int(v) for v in rng.integers(p, 4 * p, size=2))
+        x = rng.normal(size=(2, 3, h, w))
+        if inputs == "relu":  # many all-zero windows after a ReLU
+            x = np.maximum(x - 0.7, 0.0)
+            x[:, :, :p, :p] = 0.0
+        elif inputs == "quantized":
+            x = np.round(x)
+        else:  # two equal maxima at non-first offsets of every window
+            for i in range(h // p):
+                for j in range(w // p):
+                    top = x[:, :, i * p:(i + 1) * p, j * p:(j + 1) * p].max() + 1.0
+                    x[:, :, i * p, j * p + p - 1] = top
+                    x[:, :, i * p + p - 1, j * p + 1] = top
+        want, _ = naive_maxpool(x, p)
+        assert np.array_equal(maxpool(x, p), want), case
+        gy = rng.normal(size=want.shape)
+        assert np.array_equal(maxpool_backward(gy, x, p), naive_maxpool_backward(gy, x, p)), case
+
+
 def test_maxpool_backward_finite_difference():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(2, 2, 6, 6))  # distinct values, ties improbable
@@ -119,6 +191,17 @@ def test_maxpool_backward_finite_difference():
     loss = lambda: float(np.sum(maxpool(x, 2) * proj))
     gx = maxpool_backward(proj, x, 2)
     assert rel_err(gx, central_diff(loss, x)) <= 1e-4
+
+
+def test_hot_kernels_keep_float32():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, 3, 7, 7)).astype(np.float32)
+    w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+    b = np.zeros(4, dtype=np.float32)
+    y = conv2d(x, w, b, 1)
+    outs = [y, *conv2d_backward(y, x, w, 1), maxpool(x, 2),
+            maxpool_backward(maxpool(x, 2), x, 2)]
+    assert [o.dtype for o in outs] == [np.float32] * len(outs)
 
 
 def test_relu_and_backward():
