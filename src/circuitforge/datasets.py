@@ -95,7 +95,9 @@ def load_idx(images_path, labels_path,
     if len(img_blob) < expected:
         raise TruncatedFile(images_path, expected, len(img_blob))
     pixels = np.frombuffer(img_blob, dtype=np.uint8, count=n * rows * cols, offset=16)
-    images = pixels.reshape(n, 1, rows, cols).astype(np.float32) / 255.0
+    # scale in place: a second full-size float array would double the peak
+    images = pixels.reshape(n, 1, rows, cols).astype(np.float32)
+    images /= 255.0
 
     lab_blob = _read_binary(labels_path)
     magic, (n_labels,) = _idx_header(lab_blob, labels_path, 1)
@@ -122,7 +124,8 @@ def _read_cifar_records(path, label_bytes: int) -> tuple[np.ndarray, np.ndarray]
             f"{path}: {len(blob)} bytes is not a multiple of the {record}-byte record")
     raw = np.frombuffer(blob, dtype=np.uint8).reshape(-1, record)
     labels = raw[:, label_bytes - 1].astype(np.int64)  # fine label is the last one
-    images = raw[:, label_bytes:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
+    images = raw[:, label_bytes:].reshape(-1, 3, 32, 32).astype(np.float32)
+    images /= 255.0
     return images, labels
 
 

@@ -120,7 +120,7 @@ class CompiledGraph:
                 a = K.relu(z)
                 pool = block.params["pool"]
                 out = K.maxpool(a, pool) if pool > 1 else a
-                cache = {"x": xin, "z": z, "a": a}
+                cache = {"x": xin, "a": a}
             elif block.kind is BlockKind.MERGE:
                 parts = [acts[s]["out"] for s in srcs]
                 cat = K.concat_channels(parts)
@@ -143,7 +143,7 @@ class CompiledGraph:
                     a1 = K.relu(h1)
                     out = K.dense(a1, self.params[f"{block_id}/w2"],
                                   self.params[f"{block_id}/b2"])
-                    cache = {"flat": flat, "h1": h1, "a1": a1}
+                    cache = {"flat": flat, "a1": a1}
                 else:
                     out = K.dense(flat, self.params[f"{block_id}/w"],
                                   self.params[f"{block_id}/b"])
@@ -185,19 +185,18 @@ class CompiledGraph:
             if block.kind is BlockKind.CONV:
                 pool = block.params["pool"]
                 ga = K.maxpool_backward(gout, cache["a"], pool) if pool > 1 else gout
-                gz = K.relu_backward(ga, cache["z"])
+                # relu(z) > 0 exactly where z > 0, so the output stands in for z
+                gz = K.relu_backward(ga, cache["a"])
                 gx, gw, gb = K.conv2d_backward(gz, cache["x"],
                                                self.params[f"{block_id}/w"],
                                                block.params["pad"])
-                self.grads[f"{block_id}/w"][...] = gw
-                self.grads[f"{block_id}/b"][...] = gb
+                self._set_grads(block_id, w=gw, b=gb)
                 push(srcs[0], gx)
             elif block.kind is BlockKind.MERGE:
                 if block.params["project"]:
                     gcat, gw, gb = K.conv2d_backward(gout, cache["cat"],
                                                      self.params[f"{block_id}/w"], 0)
-                    self.grads[f"{block_id}/w"][...] = gw
-                    self.grads[f"{block_id}/b"][...] = gb
+                    self._set_grads(block_id, w=gw, b=gb)
                 else:
                     gcat = gout
                 for src, g in zip(srcs, K.concat_channels_backward(gcat, cache["channels"])):
@@ -208,19 +207,24 @@ class CompiledGraph:
                 if block.params["hidden"] > 0:
                     ga1, gw2, gb2 = K.dense_backward(gout, cache["a1"],
                                                      self.params[f"{block_id}/w2"])
-                    gh1 = K.relu_backward(ga1, cache["h1"])
+                    gh1 = K.relu_backward(ga1, cache["a1"])
                     gflat, gw1, gb1 = K.dense_backward(gh1, cache["flat"],
                                                        self.params[f"{block_id}/w1"])
-                    self.grads[f"{block_id}/w1"][...] = gw1
-                    self.grads[f"{block_id}/b1"][...] = gb1
-                    self.grads[f"{block_id}/w2"][...] = gw2
-                    self.grads[f"{block_id}/b2"][...] = gb2
+                    self._set_grads(block_id, w1=gw1, b1=gb1, w2=gw2, b2=gb2)
                 else:
                     gflat, gw, gb = K.dense_backward(gout, cache["flat"],
                                                      self.params[f"{block_id}/w"])
-                    self.grads[f"{block_id}/w"][...] = gw
-                    self.grads[f"{block_id}/b"][...] = gb
+                    self._set_grads(block_id, w=gw, b=gb)
                 push(srcs[0], gflat.reshape(cache["in_shape"]))
+
+    def _set_grads(self, block_id: str, **grads: np.ndarray) -> None:
+        """Store one block's parameter gradients, refusing non-finite ones
+        when check_finite is set."""
+        for name, g in grads.items():
+            self.grads[f"{block_id}/{name}"][...] = g
+        if self.check_finite and not all(np.isfinite(g).all() for g in grads.values()):
+            raise NonFiniteActivation(
+                f"block {block_id!r} produced a non-finite parameter gradient")
 
 
 def compile_arch(spec: ArchitectureSpec | ValidatedArch, seed: int, *,

@@ -6,6 +6,20 @@ upstream gradient plus whatever the forward pass needs again, and
 recomputes cheap intermediates instead of caching them.  All kernels
 preserve the input dtype so the same code runs the float32 training
 path and the float64 gradient-check path.
+
+Convolutions (stride 1) take one of two layouts, chosen by the input
+channel count alone:
+
+  * Cin < SHIFT_MIN_CIN (the 1- and 3-channel stems): im2col.  `_patches`
+    stacks every kxk window into (N, Cin, k, k, Ho, Wo) and one batched
+    GEMM contracts it; backward adds the window gradients back (col2im).
+  * Cin >= SHIFT_MIN_CIN: shifted GEMMs.  The input is padded once into a
+    per-channel flat buffer (N, Cin, Hp*Wp + k-1) in which every tap of
+    every output is a contiguous slice, so forward is a sum of k*k
+    batched GEMMs on views and backward adds k*k GEMMs into the same
+    layout.  No kxk-times-larger buffer is built.  With few channels
+    those GEMMs are too thin for the large stem maps, which is why the
+    stems stay on im2col.
 """
 
 from __future__ import annotations
@@ -13,6 +27,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import LabelOutOfRange, ShapeMismatch
+
+
+# Smallest input channel count that takes the shifted-GEMM path.  For a
+# 3x3 pad-1 conv at batch 64, forward + backward is faster shifted from
+# Cin 3 at 28x28 (a tie at 32x32) and from Cin 2 at 14x14, but forward
+# alone, all that evaluation runs, stays faster on im2col up to Cin 4 on
+# the large maps.  4 keeps the 1- and 3-channel stems on im2col.
+SHIFT_MIN_CIN = 4
 
 
 def _patches(x: np.ndarray, k: int, pad: int) -> np.ndarray:
@@ -30,36 +52,95 @@ def _patches(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     return out
 
 
+def _flat_padded(x: np.ndarray, k: int, pad: int) -> tuple[np.ndarray, int, int, int]:
+    """Pad x once into (N, C, Hp*Wp + k-1) and return it with (Ho, Wo, Wp).
+
+    Output (i, j) sits at flat i*Wp + j, and tap (di, dj) of every output
+    is the contiguous slice starting at di*Wp + dj.  Each output row thus
+    spans Wp columns, of which the last k-1 are junk."""
+    n, c, h, w = x.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho, wo = hp - k + 1, wp - k + 1
+    if ho < 1 or wo < 1:
+        raise ShapeMismatch(f"{k}x{k} kernel does not fit {hp}x{wp} input")
+    if k == 1 and not pad:  # already in the flat layout
+        return x.reshape(n, c, h * w), ho, wo, wp
+    xf = np.zeros((n, c, hp * wp + k - 1), dtype=x.dtype)
+    xf[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, pad:pad + h, pad:pad + w] = x
+    return xf, ho, wo, wp
+
+
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int) -> np.ndarray:
     """x (N,Cin,H,W) * w (Cout,Cin,k,k) + b (Cout,) -> (N,Cout,Ho,Wo)."""
     if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeMismatch(f"conv input {x.shape} vs kernel {w.shape}")
-    n, cout = x.shape[0], w.shape[0]
-    cols = _patches(x, w.shape[2], pad)
-    ho, wo = cols.shape[4:]
-    # one GEMM per example: W (Co, C*k*k) @ cols (C*k*k, Ho*Wo) lands in NCHW
-    y = np.matmul(w.reshape(cout, -1), cols.reshape(n, -1, ho * wo))
+    n, cin = x.shape[:2]
+    cout, _, k, _ = w.shape
+    if cin < SHIFT_MIN_CIN:
+        cols = _patches(x, k, pad)
+        ho, wo = cols.shape[4:]
+        # one GEMM per example: W (Co, C*k*k) @ cols (C*k*k, Ho*Wo) lands in NCHW
+        y = np.matmul(w.reshape(cout, -1), cols.reshape(n, -1, ho * wo))
+        y += b[:, None]
+        return y.reshape(n, cout, ho, wo)
+    xf, ho, wo, wp = _flat_padded(x, k, pad)
+    span = ho * wp
+    taps = w.transpose(2, 3, 0, 1).copy()  # (k, k, Cout, Cin)
+    y = np.empty((n, cout, span), dtype=np.result_type(x, w))
+    part = np.empty_like(y)
+    for t in range(k * k):
+        di, dj = divmod(t, k)
+        start = di * wp + dj
+        np.matmul(taps[di, dj], xf[:, :, start:start + span], out=part if t else y)
+        if t:
+            y += part
     y += b[:, None]
-    return y.reshape(n, cout, ho, wo)
+    return y.reshape(n, cout, ho, wp)[:, :, :, :wo]
 
 
 def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (gx, gw, gb) for conv2d."""
+    """Returns (gx, gw, gb) for conv2d, on the same path conv2d takes."""
     cout, cin, k, _ = w.shape
     n, _, h, wdt = x.shape
     ho, wo = gy.shape[2], gy.shape[3]
-    cols = _patches(x, k, pad).reshape(n, cin * k * k, ho * wo)
-    g = gy.reshape(n, cout, ho * wo)
     gb = gy.sum(axis=(0, 2, 3))
-    gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    # spread each output gradient back over its kxk window
-    gcols = np.matmul(w.reshape(cout, -1).T, g).reshape(n, cin, k, k, ho, wo)
-    gxp = np.zeros((n, cin, h + 2 * pad, wdt + 2 * pad), dtype=gy.dtype)
-    for di in range(k):
-        for dj in range(k):
-            gxp[:, :, di:di + ho, dj:dj + wo] += gcols[:, :, di, dj]
-    gx = gxp[:, :, pad:pad + h, pad:pad + wdt] if pad else gxp
+    if cin < SHIFT_MIN_CIN:
+        cols = _patches(x, k, pad).reshape(n, cin * k * k, ho * wo)
+        g = gy.reshape(n, cout, ho * wo)
+        gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        # spread each output gradient back over its kxk window
+        gcols = np.matmul(w.reshape(cout, -1).T, g).reshape(n, cin, k, k, ho, wo)
+        gxp = np.zeros((n, cin, h + 2 * pad, wdt + 2 * pad), dtype=gy.dtype)
+        for di in range(k):
+            for dj in range(k):
+                gxp[:, :, di:di + ho, dj:dj + wo] += gcols[:, :, di, dj]
+        gx = gxp[:, :, pad:pad + h, pad:pad + wdt] if pad else gxp
+        return gx, gw, gb
+    xf, _, _, wp = _flat_padded(x, k, pad)
+    span = ho * wp
+    if wo == wp:
+        gf = gy.reshape(n, cout, span)
+    else:  # zero junk columns keep them out of gw and gx
+        gf = np.zeros((n, cout, ho, wp), dtype=gy.dtype)
+        gf[:, :, :, :wo] = gy
+        gf = gf.reshape(n, cout, span)
+    taps_t = w.transpose(2, 3, 1, 0).copy()  # (k, k, Cin, Cout)
+    gw = np.empty(w.shape, dtype=gy.dtype)
+    # tap (0, 0) writes gxf's first span cells; only the cells past it need zeros
+    gxf = np.empty(xf.shape, dtype=gy.dtype)
+    gxf[:, :, span:] = 0
+    part = np.empty((n, cin, span), dtype=gy.dtype)
+    for t in range(k * k):
+        di, dj = divmod(t, k)
+        start = di * wp + dj
+        gw[:, :, di, dj] = np.matmul(
+            gf, xf[:, :, start:start + span].transpose(0, 2, 1)).sum(axis=0)
+        np.matmul(taps_t[di, dj], gf, out=part if t else gxf[:, :, :span])
+        if t:
+            gxf[:, :, start:start + span] += part
+    hp = h + 2 * pad
+    gx = gxf[:, :, :hp * wp].reshape(n, cin, hp, wp)[:, :, pad:pad + h, pad:pad + wdt]
     return gx, gw, gb
 
 

@@ -44,6 +44,18 @@ def test_load_idx_values_and_scaling(tmp_path):
     assert ds.input_shape == (1, 6, 6)
 
 
+def test_every_byte_scales_to_float32_quotient(tmp_path):
+    want = np.arange(256, dtype=np.float32) / np.float32(255)
+    img, lbl = write_idx_pair(tmp_path, "train", np.arange(256).reshape(4, 8, 8),
+                              np.zeros(4, dtype=np.uint8))
+    assert np.array_equal(load_idx(img, lbl).images.reshape(-1), want)
+    pixels = np.arange(3072) % 256
+    (tmp_path / "test_batch.bin").write_bytes(bytes([0]) + pixels.astype(np.uint8).tobytes())
+    got = load_cifar(tmp_path, "C10", "test").images.reshape(-1)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, want[pixels])
+
+
 def test_load_idx_gzip_autodetect(tmp_path):
     images = np.zeros((4, 5, 5), dtype=np.uint8)
     labels = np.zeros(4, dtype=np.uint8)

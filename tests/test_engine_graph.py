@@ -98,6 +98,15 @@ def test_backward_requires_fresh_forward():
         g.backward(grad)
 
 
+def test_backward_rejects_non_finite_gradient():
+    g = tiny_graph()
+    g.forward(np.zeros((2, 1, 12, 12), dtype=np.float32))
+    grad = np.zeros((2, 4), dtype=np.float32)
+    grad[1, 2] = np.nan
+    with pytest.raises(NonFiniteActivation, match="'head'"):
+        g.backward(grad)
+
+
 def test_whole_graph_gradient_check_float64():
     rng = np.random.default_rng(9)
     g = tiny_graph(seed=1, side=8, dtype=np.float64)

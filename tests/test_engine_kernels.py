@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from circuitforge.engine.kernels import (
+    SHIFT_MIN_CIN,
     concat_channels,
     concat_channels_backward,
     conv2d,
@@ -26,7 +27,7 @@ from circuitforge.errors import LabelOutOfRange, ShapeMismatch
 
 
 def naive_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int) -> np.ndarray:
-    n, cin, h, wdt = x.shape
+    n, _, h, wdt = x.shape
     cout, _, k, _ = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     ho, wo = h + 2 * pad - k + 1, wdt + 2 * pad - k + 1
@@ -35,12 +36,7 @@ def naive_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int) -> np.ndar
         for co in range(cout):
             for i in range(ho):
                 for j in range(wo):
-                    acc = 0.0
-                    for ci in range(cin):
-                        for di in range(k):
-                            for dj in range(k):
-                                acc += xp[ni, ci, i + di, j + dj] * w[co, ci, di, dj]
-                    out[ni, co, i, j] = acc + b[co]
+                    out[ni, co, i, j] = np.sum(xp[ni, :, i:i + k, j:j + k] * w[co]) + b[co]
     return out
 
 
@@ -65,12 +61,14 @@ def naive_conv_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int
 
 def test_conv_forward_and_backward_match_naive_oracle():
     rng = np.random.default_rng(0)
-    grid = itertools.product((1, 3, 5), (0, 1), (1, 3, 8))
-    for case, (k, pad, cin) in enumerate(grid):
+    cins = (1, 2, 3, 4, 8, 16)  # both conv paths, and both sides of the switch
+    assert cins[0] < SHIFT_MIN_CIN <= cins[-1]
+    # H != W: the shifted path's flat layout depends on the padded width
+    grid = itertools.product((1, 3, 5), (0, 1, 2), cins, ((5, 9), (9, 5), (7, 7)))
+    for case, (k, pad, cin, (h, wdt)) in enumerate(grid):
         n = int(rng.integers(1, 3))
         cout = int(rng.integers(1, 4))
-        side = int(rng.integers(k, k + 4))
-        x = rng.normal(size=(n, cin, side, side))
+        x = rng.normal(size=(n, cin, h, wdt))
         w = rng.normal(size=(cout, cin, k, k))
         b = rng.normal(size=cout)
         got = conv2d(x, w, b, pad)
@@ -195,13 +193,14 @@ def test_maxpool_backward_finite_difference():
 
 def test_hot_kernels_keep_float32():
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(2, 3, 7, 7)).astype(np.float32)
-    w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-    b = np.zeros(4, dtype=np.float32)
-    y = conv2d(x, w, b, 1)
-    outs = [y, *conv2d_backward(y, x, w, 1), maxpool(x, 2),
-            maxpool_backward(maxpool(x, 2), x, 2)]
-    assert [o.dtype for o in outs] == [np.float32] * len(outs)
+    for cin in (SHIFT_MIN_CIN - 1, SHIFT_MIN_CIN):  # im2col and shifted conv paths
+        x = rng.normal(size=(2, cin, 7, 7)).astype(np.float32)
+        w = rng.normal(size=(4, cin, 3, 3)).astype(np.float32)
+        b = np.zeros(4, dtype=np.float32)
+        y = conv2d(x, w, b, 1)
+        outs = [y, *conv2d_backward(y, x, w, 1), maxpool(x, 2),
+                maxpool_backward(maxpool(x, 2), x, 2)]
+        assert [o.dtype for o in outs] == [np.float32] * len(outs), cin
 
 
 def test_relu_and_backward():
