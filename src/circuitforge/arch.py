@@ -119,12 +119,14 @@ class ArchitectureSpec:
                 f"need >= 2 categories, got {self.num_categories}")
         if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
             raise InvalidArchitecture(f"bad input shape {self.input_shape}")
+        # not a field, so equality and the JSON form are unaffected
+        object.__setattr__(self, "_by_id", {b.id: b for b in self.blocks})
 
     def block(self, block_id: str) -> LayerBlock:
-        for b in self.blocks:
-            if b.id == block_id:
-                return b
-        raise InvalidArchitecture(f"no block {block_id!r}")
+        try:
+            return self._by_id[block_id]
+        except KeyError:
+            raise InvalidArchitecture(f"no block {block_id!r}") from None
 
     # --- json interchange ---
 
@@ -189,7 +191,7 @@ def validate(spec: ArchitectureSpec) -> ValidatedArch:
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise InvalidArchitecture(f"duplicate block ids: {', '.join(dupes)}")
-    by_id = {b.id: b for b in spec.blocks}
+    by_id = spec._by_id
 
     stems = [b for b in spec.blocks if b.kind is BlockKind.STEM]
     heads = [b for b in spec.blocks if b.kind is BlockKind.DENSE_HEAD]

@@ -183,7 +183,10 @@ def maxpool_backward(gy: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+    """Rectifies x in place and returns it.  Callers pass a temporary
+    they own (a fresh conv or dense output, or a view of one), so no
+    second array is allocated."""
+    return np.maximum(x, 0, out=x)
 
 
 def relu_backward(gy: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,10 +1,22 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from circuitforge.arch import param_count, synthesize_circuit_arch, validate
+from circuitforge.arch import (
+    ArchitectureSpec,
+    BlockKind,
+    LayerBlock,
+    param_count,
+    synthesize_circuit_arch,
+    synthesize_randomized_arch,
+    synthesize_sequential_arch,
+    validate,
+)
 from circuitforge.connectome import Role
+from circuitforge.engine import kernels as K
 from circuitforge.engine.graph import (
     CompiledGraph,
     compile_arch,
@@ -24,6 +36,7 @@ from circuitforge.errors import (
     TruncatedFile,
 )
 from circuitforge.extraction import FunctionalCircuit
+from circuitforge.reference import reference_circuit
 from conftest import synthetic_dataset
 
 TINY = FunctionalCircuit(
@@ -224,3 +237,222 @@ def test_fit_is_deterministic():
         fit(g, ds, TrainConfig(epochs=2, batch_size=16, seed=2))
         outs.append(np.concatenate([v.reshape(-1) for _, v, _ in g.param_slots()]))
     assert np.array_equal(outs[0], outs[1])
+
+
+# --- sibling conv groups -----------------------------------------------------
+
+class ReferenceGraph:
+    """Per-block executor, one conv at a time: the oracle for the
+    compiled plan, which runs sibling convs as one.  It holds its own
+    copies of a compiled graph's parameters, in the same slots."""
+
+    def __init__(self, g: CompiledGraph):
+        self.v = g.v
+        self.params = {slot: value.copy() for slot, value, _ in g.param_slots()}
+        self.grads = {slot: np.zeros_like(value) for slot, value in self.params.items()}
+
+    def param_slots(self):
+        for slot, value in self.params.items():
+            yield slot, value, self.grads[slot]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        acts: dict[str, dict] = {}
+        for block_id in self.v.order:
+            block = self.v.spec.block(block_id)
+            srcs = self.v.inputs[block_id]
+            p = {name.split("/")[1]: value for name, value in self.params.items()
+                 if name.startswith(block_id + "/")}
+            cache: dict = {}
+            if block.kind is BlockKind.STEM:
+                out = x
+            elif block.kind is BlockKind.CONV:
+                xin = acts[srcs[0]]["out"]
+                a = K.relu(K.conv2d(xin, p["w"], p["b"], block.params["pad"]))
+                pool = block.params["pool"]
+                out = K.maxpool(a, pool) if pool > 1 else a
+                cache = {"x": xin, "a": a}
+            elif block.kind is BlockKind.MERGE:
+                parts = [acts[s]["out"] for s in srcs]
+                cat = K.concat_channels(parts)
+                out = K.conv2d(cat, p["w"], p["b"], 0) if block.params["project"] else cat
+                cache = {"cat": cat, "channels": [part.shape[1] for part in parts]}
+            elif block.kind is BlockKind.GLOBAL_POOL:
+                xin = acts[srcs[0]]["out"]
+                out = K.global_avg_pool(xin)
+                cache = {"x_shape": xin.shape}
+            else:
+                xin = acts[srcs[0]]["out"]
+                flat = xin.reshape(x.shape[0], -1)
+                cache = {"flat": flat, "in_shape": xin.shape}
+                if block.params["hidden"] > 0:
+                    cache["a1"] = K.relu(K.dense(flat, p["w1"], p["b1"]))
+                    out = K.dense(cache["a1"], p["w2"], p["b2"])
+                else:
+                    out = K.dense(flat, p["w"], p["b"])
+            cache["out"] = out
+            acts[block_id] = cache
+        self.acts = acts
+        return out
+
+    def backward(self, grad_logits: np.ndarray) -> None:
+        agrad = {self.v.order[-1]: grad_logits}
+
+        def push(src: str, g: np.ndarray) -> None:
+            agrad[src] = agrad[src] + g if src in agrad else g
+
+        for block_id in reversed(self.v.order):
+            block = self.v.spec.block(block_id)
+            srcs = self.v.inputs[block_id]
+            gout, cache = agrad[block_id], self.acts[block_id]
+            w = self.params.get(f"{block_id}/w")
+            grads: dict[str, np.ndarray] = {}
+            if block.kind is BlockKind.CONV:
+                pool = block.params["pool"]
+                ga = K.maxpool_backward(gout, cache["a"], pool) if pool > 1 else gout
+                gx, grads["w"], grads["b"] = K.conv2d_backward(
+                    K.relu_backward(ga, cache["a"]), cache["x"], w, block.params["pad"])
+                push(srcs[0], gx)
+            elif block.kind is BlockKind.MERGE:
+                gcat = gout
+                if block.params["project"]:
+                    gcat, grads["w"], grads["b"] = K.conv2d_backward(gout, cache["cat"], w, 0)
+                for src, g in zip(srcs, K.concat_channels_backward(gcat, cache["channels"])):
+                    push(src, g)
+            elif block.kind is BlockKind.GLOBAL_POOL:
+                push(srcs[0], K.global_avg_pool_backward(gout, cache["x_shape"]))
+            elif block.kind is BlockKind.DENSE_HEAD:
+                if block.params["hidden"] > 0:
+                    ga1, grads["w2"], grads["b2"] = K.dense_backward(
+                        gout, cache["a1"], self.params[f"{block_id}/w2"])
+                    gflat, grads["w1"], grads["b1"] = K.dense_backward(
+                        K.relu_backward(ga1, cache["a1"]), cache["flat"],
+                        self.params[f"{block_id}/w1"])
+                else:
+                    gflat, grads["w"], grads["b"] = K.dense_backward(gout, cache["flat"], w)
+                push(srcs[0], gflat.reshape(cache["in_shape"]))
+            for name, g in grads.items():
+                self.grads[f"{block_id}/{name}"][...] = g
+
+
+def sibling_spec(channels: int) -> ArchitectureSpec:
+    """conv:a and conv:b read the stem alike but for `multiplier`, so they
+    fuse; conv:c differs from them in `pool` only, so it stays apart."""
+    def conv(block_id: str, multiplier: int, pool: int) -> LayerBlock:
+        return LayerBlock(block_id, BlockKind.CONV,
+                          {"kernel": 3, "multiplier": multiplier, "pad": 1, "pool": pool})
+
+    blocks = (LayerBlock("stem", BlockKind.STEM), conv("conv:a", 1, 2), conv("conv:b", 2, 2),
+              conv("conv:c", 1, 1), conv("conv:d", 1, 2),
+              LayerBlock("merge", BlockKind.MERGE, {"project": True}),
+              LayerBlock("pool", BlockKind.GLOBAL_POOL),
+              LayerBlock("head", BlockKind.DENSE_HEAD, {"hidden": 3}))
+    wires = (("stem", "conv:a"), ("stem", "conv:b"), ("stem", "conv:c"),
+             ("conv:c", "conv:d"), ("conv:a", "merge"), ("conv:b", "merge"),
+             ("conv:d", "merge"), ("merge", "pool"), ("pool", "head"))
+    return ArchitectureSpec(blocks=blocks, wires=wires, input_shape=(channels, 12, 12),
+                            num_categories=4, c=2, topology_source="siblings")
+
+
+def conv_groups(g: CompiledGraph) -> list[list[str]]:
+    return [[member for member, _, _ in step.members] for step in g._plan if step.members]
+
+
+@pytest.fixture(scope="module")
+def ref_circuit() -> FunctionalCircuit:
+    return reference_circuit()
+
+
+SPECS = {
+    "circuit": lambda circ, ch: synthesize_circuit_arch(circ, 2, (ch, 12, 12), 4),
+    "randomized": lambda circ, ch: synthesize_randomized_arch(circ, 2, 1, (ch, 12, 12), 4),
+    "free_dag": lambda circ, ch: synthesize_randomized_arch(
+        circ, 2, 1, (ch, 12, 12), 4, role_preserving=False),
+    # two 5x5 valid convs with 2x pooling need at least 16x16
+    "sequential": lambda circ, ch: synthesize_sequential_arch(2, (ch, 16, 16), 4),
+    "siblings": lambda circ, ch: sibling_spec(ch),
+}
+
+
+def rel_diff(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-300)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("style", sorted(SPECS))
+def test_grouped_plan_matches_per_block_reference(ref_circuit, style, channels):
+    spec = SPECS[style](ref_circuit, channels)
+    g = compile_arch(validate(spec), seed=7, dtype=np.float64)
+    ref = ReferenceGraph(g)
+    rng = np.random.default_rng(channels)
+    x = rng.normal(size=(3,) + spec.input_shape)
+    labels = np.array([0, 3, 1])
+    g_opt, ref_opt = Adam(lr=1e-2), Adam(lr=1e-2)
+    for _ in range(3):
+        logits, want = g.forward(x), ref.forward(x)
+        assert rel_diff(logits, want) <= 1e-12
+        g.backward(softmax_xent(logits, labels)[1])
+        ref.backward(softmax_xent(want, labels)[1])
+        for (slot, _, grad), (ref_slot, _, ref_grad) in zip(g.param_slots(), ref.param_slots()):
+            assert slot == ref_slot
+            assert rel_diff(grad, ref_grad) <= 1e-12, slot
+        g_opt.step(g)
+        ref_opt.step(ref)
+    # the updates went through the slot views into the group buffers
+    for (slot, value, _), (_, ref_value, _) in zip(g.param_slots(), ref.param_slots()):
+        assert rel_diff(value, ref_value) <= 1e-12, slot
+    assert rel_diff(g.forward(x), ref.forward(x)) <= 1e-12
+
+
+def test_siblings_group_by_source_kernel_pad_and_pool(ref_circuit):
+    assert conv_groups(compile_arch(sibling_spec(1), 0)) == [
+        ["conv:a", "conv:b"], ["conv:c"], ["conv:d"]]
+    sensory = [f"conv:{n}" for n in ref_circuit.nodes_with_role(Role.SENSORY)]
+    fused = {style: [grp for grp in conv_groups(compile_arch(
+        SPECS[style](ref_circuit, 1), 0)) if len(grp) > 1]
+        for style in ("circuit", "randomized", "sequential")}
+    assert len(sensory) == 10
+    assert fused == {"circuit": [sorted(sensory), ["conv:RME_DV", "conv:SMB"]],
+                     "randomized": [sorted(sensory)],
+                     "sequential": []}
+
+
+# sha256 prefixes of the seed-0 float32 1x28x28 c=8 checkpoints as written
+# when every conv ran on its own
+GOLDEN_CHECKPOINTS = {
+    "circuit": "60b3c7e82be47798",
+    "randomized": "72640793b516de3a",
+    "sequential": "91cc259b592224a2",
+}
+
+
+@pytest.mark.parametrize("style", sorted(GOLDEN_CHECKPOINTS))
+def test_seed0_checkpoints_are_unchanged_by_grouping(ref_circuit, tmp_path, style):
+    spec = {"circuit": lambda: synthesize_circuit_arch(ref_circuit, 8, (1, 28, 28), 10),
+            "randomized": lambda: synthesize_randomized_arch(ref_circuit, 8, 0, (1, 28, 28), 10),
+            "sequential": lambda: synthesize_sequential_arch(8, (1, 28, 28), 10)}[style]()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(compile_arch(validate(spec), 0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest().startswith(GOLDEN_CHECKPOINTS[style])
+
+
+def test_non_finite_sibling_is_named(monkeypatch):
+    g = tiny_graph()
+    assert conv_groups(g)[0] == ["conv:S1", "conv:S2"]
+    x = np.random.default_rng(2).normal(size=(2, 1, 12, 12)).astype(np.float32)
+    g.params["conv:S2/b"][0] = np.nan  # lands in the group's bias buffer
+    with pytest.raises(NonFiniteActivation, match="'conv:S2'"):
+        g.forward(x)
+
+    g = tiny_graph()
+    conv2d_backward = K.conv2d_backward
+
+    def poisoned(gy, xin, w, pad):
+        gx, gw, gb = conv2d_backward(gy, xin, w, pad)
+        if w.shape[:2] == (4, 1):  # the stem group; rows 2: belong to conv:S2
+            gw[2:] = np.nan
+        return gx, gw, gb
+
+    monkeypatch.setattr(K, "conv2d_backward", poisoned)
+    g.forward(x)
+    with pytest.raises(NonFiniteActivation, match="'conv:S2'"):
+        g.backward(np.ones((2, 4), dtype=np.float32))

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import importlib.util
+import inspect
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from circuitforge.engine import kernels
 from circuitforge.engine.kernels import (
     SHIFT_MIN_CIN,
     concat_channels,
@@ -205,7 +210,10 @@ def test_hot_kernels_keep_float32():
 
 def test_relu_and_backward():
     x = np.array([-2.0, -0.5, 0.5, 3.0])
-    assert relu(x).tolist() == [0.0, 0.0, 0.5, 3.0]
+    out = relu(x)
+    assert out is x  # rectified in place
+    assert out.tolist() == [0.0, 0.0, 0.5, 3.0]
+    x = np.array([-2.0, -0.5, 0.5, 3.0])
     gy = np.ones_like(x)
     assert relu_backward(gy, x).tolist() == [0.0, 0.0, 1.0, 1.0]
 
@@ -288,3 +296,22 @@ def test_softmax_xent_validates_inputs():
         softmax_xent(np.zeros((2, 3)), np.array([0]))
     with pytest.raises(ShapeMismatch):
         softmax_xent(np.zeros(3), np.array([0]))
+
+
+def test_kernel_signatures_match_perfbench_flop_table(monkeypatch):
+    """perfbench/spans.py wraps each kernel named in KERNEL_FLOP and calls
+    its FLOP lambda with the kernel's arguments, so a renamed kernel or a
+    changed positional signature breaks traced benchmark runs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look the module up
+    spec.loader.exec_module(spans)
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    for name, flop in spans.KERNEL_FLOP.items():
+        kernel = getattr(kernels, name, None)
+        assert callable(kernel), name
+        params = [p.name for p in inspect.signature(kernel).parameters.values()
+                  if p.kind in positional]
+        assert params == list(inspect.signature(flop).parameters), name
