@@ -8,21 +8,29 @@ Three generators share one block vocabulary:
     1x1 convolution), motor outputs are concatenated, average-pooled
     and fed to a dense head;
   * randomized style: same node and edge counts, wiring drawn from a
-    seeded generator (role-preserving tripartite by default);
+    seeded generator (role-preserving tripartite by default), mapped
+    onto blocks by the same DAG compiler as the circuit style;
   * sequential style: a LeNet-like chain of two 5x5 valid convolutions
     with 2x pooling and a hidden dense layer.
 
+Each block kind's required params, input count, output-shape rule and
+parameter slots live in one table, `_OPS`, which block construction,
+validation, `param_count` and the engine's compiler all read.
+
 The block graph serializes to a small JSON document; validation
 topologically sorts the graph and annotates every block with its output
-shape, failing loudly on cycles, unreachable blocks or exhausted
-spatial dims.
+shape and parameter slots, failing loudly on cycles, unreachable blocks
+or exhausted spatial dims.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,6 +47,7 @@ from .errors import (
 from .extraction import FunctionalCircuit
 
 Shape = tuple[int, int, int]
+Slot = tuple[str, tuple[int, ...], int]  # (name, shape, fan_in); fan_in 0 marks a bias
 
 
 class BlockKind(enum.Enum):
@@ -56,13 +65,72 @@ class BlockKind(enum.Enum):
         raise InvalidArchitecture(f"unknown block kind {text!r}")
 
 
-_REQUIRED_PARAMS = {
-    BlockKind.STEM: frozenset(),
-    BlockKind.CONV: frozenset({"kernel", "multiplier", "pad", "pool"}),
-    BlockKind.MERGE: frozenset({"project"}),
-    BlockKind.GLOBAL_POOL: frozenset(),
-    BlockKind.DENSE_HEAD: frozenset({"hidden"}),
+# --- the op table ---
+
+class _Op(NamedTuple):
+    """The rules of one block kind.  Which kernels run it is the engine's
+    business (one branch per kind in `CompiledGraph.forward`/`backward`)."""
+    params: dict[str, int | type[bool]]  # required param -> its minimum, or bool for a flag
+    n_in: tuple[int, float]  # fewest and most inputs
+    shape: Callable[[LayerBlock, list[Shape], ArchitectureSpec], Shape]
+    # (block, input shapes, output shape) -> slots, named in initialization order
+    slots: Callable[[LayerBlock, list[Shape], Shape], list[Slot]]
+
+
+def _conv_shape(b: LayerBlock, ins: list[Shape], spec: ArchitectureSpec) -> Shape:
+    _, h, w = ins[0]
+    k, pad, pool = b.params["kernel"], b.params["pad"], b.params["pool"]
+    h2, w2 = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    if h2 < 1 or w2 < 1:
+        raise ShapeInferenceFailure(f"block {b.id!r}: {k}x{k} kernel exhausts {h}x{w} input")
+    if h2 < pool or w2 < pool:
+        raise ShapeInferenceFailure(f"block {b.id!r}: pool {pool} exhausts {h2}x{w2}")
+    return (b.params["multiplier"] * spec.c, h2 // pool, w2 // pool)
+
+
+def _merge_shape(b: LayerBlock, ins: list[Shape], spec: ArchitectureSpec) -> Shape:
+    hw = {s[1:] for s in ins}
+    if len(hw) != 1:
+        raise ShapeMismatchAtMerge(f"merge {b.id!r} inputs disagree spatially: {sorted(hw)}")
+    return (spec.c if b.params["project"] else sum(s[0] for s in ins),) + hw.pop()
+
+
+def _conv_slots(out_ch: int, in_ch: int, k: int) -> list[Slot]:
+    return [("b", (out_ch,), 0), ("w", (out_ch, in_ch, k, k), in_ch * k * k)]
+
+
+def _dense_slots(b: LayerBlock, ins: list[Shape], out: Shape) -> list[Slot]:
+    flat, hidden, n_out = math.prod(ins[0]), b.params["hidden"], out[0]
+    if hidden == 0:
+        return [("b", (n_out,), 0), ("w", (flat, n_out), flat)]
+    return [("b1", (hidden,), 0), ("b2", (n_out,), 0),
+            ("w1", (flat, hidden), flat), ("w2", (hidden, n_out), hidden)]
+
+
+def _no_slots(b: LayerBlock, ins: list[Shape], out: Shape) -> list[Slot]:
+    return []
+
+
+_OPS: dict[BlockKind, _Op] = {
+    BlockKind.STEM: _Op({}, (0, 0), lambda b, ins, spec: spec.input_shape, _no_slots),
+    BlockKind.CONV: _Op(
+        {"kernel": 1, "multiplier": 1, "pad": 0, "pool": 1}, (1, 1), _conv_shape,
+        lambda b, ins, out: _conv_slots(out[0], ins[0][0], b.params["kernel"])),
+    BlockKind.MERGE: _Op(
+        {"project": bool}, (2, math.inf), _merge_shape,
+        lambda b, ins, out: (_conv_slots(out[0], sum(s[0] for s in ins), 1)
+                             if b.params["project"] else [])),
+    BlockKind.GLOBAL_POOL: _Op({}, (1, 1), lambda b, ins, spec: (ins[0][0], 1, 1), _no_slots),
+    BlockKind.DENSE_HEAD: _Op({"hidden": 0}, (1, 1),
+                              lambda b, ins, spec: (spec.num_categories, 1, 1), _dense_slots),
 }
+
+
+def _check_int(what: str, value, low: int) -> None:
+    """A Python int (what JSON round-trips) of at least `low`; a bool, a
+    float such as 5.0 or a numpy integer is refused."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
+        raise InvalidArchitecture(f"{what} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,20 +140,17 @@ class LayerBlock:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        want = _REQUIRED_PARAMS[self.kind]
-        got = frozenset(self.params)
-        if got != want:
+        want = _OPS[self.kind].params
+        if set(self.params) != set(want):
             raise InvalidArchitecture(
-                f"block {self.id!r} ({self.kind.value}) has params {sorted(got)}, "
+                f"block {self.id!r} ({self.kind.value}) has params {sorted(self.params)}, "
                 f"expected {sorted(want)}")
-        if self.kind is BlockKind.CONV:
-            for key in ("kernel", "multiplier", "pool"):
-                if self.params[key] < 1:
-                    raise InvalidArchitecture(f"block {self.id!r}: {key} must be >= 1")
-            if self.params["pad"] < 0:
-                raise InvalidArchitecture(f"block {self.id!r}: pad must be >= 0")
-        if self.kind is BlockKind.DENSE_HEAD and self.params["hidden"] < 0:
-            raise InvalidArchitecture(f"block {self.id!r}: hidden must be >= 0")
+        for key, low in want.items():
+            value = self.params[key]
+            if low is not bool:
+                _check_int(f"block {self.id!r}: {key}", value, low)
+            elif not isinstance(value, bool):
+                raise InvalidArchitecture(f"block {self.id!r}: {key} must be a bool, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,13 +177,12 @@ class ArchitectureSpec:
         object.__setattr__(self, "blocks", tuple(sorted(self.blocks, key=lambda b: b.id)))
         object.__setattr__(self, "wires", tuple(sorted(tuple(w) for w in self.wires)))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        if self.c < 1:
-            raise InvalidArchitecture(f"c must be >= 1, got {self.c}")
-        if self.num_categories < 2:
-            raise InvalidArchitecture(
-                f"need >= 2 categories, got {self.num_categories}")
-        if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
+        _check_int("c", self.c, 1)
+        _check_int("num_categories", self.num_categories, 2)
+        if len(self.input_shape) != 3:
             raise InvalidArchitecture(f"bad input shape {self.input_shape}")
+        for d in self.input_shape:
+            _check_int(f"input_shape {self.input_shape} entry", d, 1)
         # not a field, so equality and the JSON form are unaffected
         object.__setattr__(self, "_by_id", {b.id: b for b in self.blocks})
 
@@ -176,14 +240,13 @@ def load_arch(path) -> ArchitectureSpec:
 
 @dataclass(frozen=True)
 class ValidatedArch:
-    """Architecture plus its topological order and per-block shapes."""
+    """Architecture plus its topological order and, per block, its sorted
+    inputs, output shape and parameter slots."""
     spec: ArchitectureSpec
     order: tuple[str, ...]
     inputs: dict[str, tuple[str, ...]]
     out_shape: dict[str, Shape]
-
-    def in_shapes(self, block_id: str) -> list[Shape]:
-        return [self.out_shape[src] for src in self.inputs[block_id]]
+    slots: dict[str, tuple[Slot, ...]]
 
 
 def validate(spec: ArchitectureSpec) -> ValidatedArch:
@@ -193,13 +256,13 @@ def validate(spec: ArchitectureSpec) -> ValidatedArch:
         raise InvalidArchitecture(f"duplicate block ids: {', '.join(dupes)}")
     by_id = spec._by_id
 
-    stems = [b for b in spec.blocks if b.kind is BlockKind.STEM]
-    heads = [b for b in spec.blocks if b.kind is BlockKind.DENSE_HEAD]
-    if len(stems) != 1:
-        raise InvalidArchitecture(f"need exactly one Stem, found {len(stems)}")
-    if len(heads) != 1:
-        raise InvalidArchitecture(f"need exactly one DenseHead, found {len(heads)}")
-    stem, head = stems[0], heads[0]
+    def only(kind: BlockKind) -> str:
+        found = [b.id for b in spec.blocks if b.kind is kind]
+        if len(found) != 1:
+            raise InvalidArchitecture(f"need exactly one {kind.value}, found {len(found)}")
+        return found[0]
+
+    stem, head = only(BlockKind.STEM), only(BlockKind.DENSE_HEAD)
 
     if len(set(spec.wires)) != len(spec.wires):
         raise InvalidArchitecture("duplicate wires")
@@ -212,15 +275,13 @@ def validate(spec: ArchitectureSpec) -> ValidatedArch:
         outputs[a].append(b)
 
     for b in spec.blocks:
+        lo, hi = _OPS[b.kind].n_in
         n_in = len(inputs[b.id])
-        if b.kind is BlockKind.STEM and n_in != 0:
-            raise InvalidArchitecture(f"Stem {b.id!r} must have no inputs")
-        if b.kind is BlockKind.MERGE and n_in < 2:
-            raise InvalidArchitecture(f"Merge {b.id!r} needs >= 2 inputs, has {n_in}")
-        if b.kind in (BlockKind.CONV, BlockKind.GLOBAL_POOL, BlockKind.DENSE_HEAD) and n_in != 1:
+        if not lo <= n_in <= hi:
+            want = f"exactly {lo}" if lo == hi else f">= {lo}"
             raise InvalidArchitecture(
-                f"{b.kind.value} {b.id!r} needs exactly 1 input, has {n_in}")
-    if outputs[head.id]:
+                f"{b.kind.value} {b.id!r} needs {want} inputs, has {n_in}")
+    if outputs[head]:
         raise InvalidArchitecture("DenseHead must be terminal")
 
     # deterministic Kahn order: smallest ready id first
@@ -243,14 +304,14 @@ def validate(spec: ArchitectureSpec) -> ValidatedArch:
         raise CycleDetected(f"cycle through blocks: {', '.join(stuck)}")
 
     # reachability both ways
-    fwd = {stem.id}
+    fwd = {stem}
     for i in order:
         if i in fwd:
             fwd.update(outputs[i])
     missing = sorted(set(ids) - fwd)
     if missing:
         raise UnreachableBlock(f"not reachable from stem: {', '.join(missing)}")
-    back = {head.id}
+    back = {head}
     for i in reversed(order):
         if i in back:
             back.update(inputs[i])
@@ -258,67 +319,25 @@ def validate(spec: ArchitectureSpec) -> ValidatedArch:
     if dead:
         raise UnreachableBlock(f"dense head not reachable from: {', '.join(dead)}")
 
-    # shape inference along the order
+    # shapes and parameter slots along the order
+    srcs = {i: tuple(sorted(inputs[i])) for i in ids}
     shapes: dict[str, Shape] = {}
+    slots: dict[str, tuple[Slot, ...]] = {}
     for i in order:
-        b = by_id[i]
-        srcs = tuple(sorted(inputs[i]))
-        if b.kind is BlockKind.STEM:
-            shapes[i] = spec.input_shape
-        elif b.kind is BlockKind.CONV:
-            ch, h, w = shapes[srcs[0]]
-            k, pad, pool = b.params["kernel"], b.params["pad"], b.params["pool"]
-            h2, w2 = h + 2 * pad - k + 1, w + 2 * pad - k + 1
-            if h2 < 1 or w2 < 1:
-                raise ShapeInferenceFailure(
-                    f"block {i!r}: {k}x{k} kernel exhausts {h}x{w} input")
-            h3, w3 = h2 // pool, w2 // pool
-            if h3 < 1 or w3 < 1:
-                raise ShapeInferenceFailure(
-                    f"block {i!r}: pool {pool} exhausts {h2}x{w2}")
-            shapes[i] = (b.params["multiplier"] * spec.c, h3, w3)
-        elif b.kind is BlockKind.MERGE:
-            hw = {shapes[s][1:] for s in srcs}
-            if len(hw) != 1:
-                raise ShapeMismatchAtMerge(
-                    f"merge {i!r} inputs disagree spatially: {sorted(hw)}")
-            total_ch = sum(shapes[s][0] for s in srcs)
-            out_ch = spec.c if b.params["project"] else total_ch
-            shapes[i] = (out_ch,) + next(iter(hw))
-        elif b.kind is BlockKind.GLOBAL_POOL:
-            shapes[i] = (shapes[srcs[0]][0], 1, 1)
-        else:
-            shapes[i] = (spec.num_categories, 1, 1)
-
-    return ValidatedArch(spec=spec, order=tuple(order),
-                         inputs={i: tuple(sorted(inputs[i])) for i in ids},
-                         out_shape=shapes)
+        b, op = by_id[i], _OPS[by_id[i].kind]
+        ins = [shapes[s] for s in srcs[i]]
+        shapes[i] = op.shape(b, ins, spec)
+        slots[i] = tuple(op.slots(b, ins, shapes[i]))
+    return ValidatedArch(spec=spec, order=tuple(order), inputs=srcs,
+                         out_shape=shapes, slots=slots)
 
 
 def param_count(v: ValidatedArch) -> int:
-    """Exact trainable parameter total: kernels, biases, dense weights."""
-    total = 0
-    for block_id in v.order:
-        b = v.spec.block(block_id)
-        if b.kind is BlockKind.CONV:
-            in_ch = v.in_shapes(block_id)[0][0]
-            out_ch = b.params["multiplier"] * v.spec.c
-            total += b.params["kernel"] ** 2 * in_ch * out_ch + out_ch
-        elif b.kind is BlockKind.MERGE and b.params["project"]:
-            in_ch = sum(s[0] for s in v.in_shapes(block_id))
-            total += in_ch * v.spec.c + v.spec.c
-        elif b.kind is BlockKind.DENSE_HEAD:
-            ch, h, w = v.in_shapes(block_id)[0]
-            flat = ch * h * w
-            hidden = b.params["hidden"]
-            if hidden > 0:
-                total += flat * hidden + hidden + hidden * v.spec.num_categories + v.spec.num_categories
-            else:
-                total += flat * v.spec.num_categories + v.spec.num_categories
-    return total
+    """Exact trainable parameter total: the sizes of every block's slots."""
+    return sum(math.prod(shape) for slots in v.slots.values() for _, shape, _ in slots)
 
 
-# --- synthesis: circuit style ---
+# --- synthesis: circuit style, through the DAG compiler it shares with randomized ---
 
 def _conv_id(node: str) -> str:
     return f"conv:{node}"
@@ -328,58 +347,52 @@ def _merge_id(node: str) -> str:
     return f"merge:{node}"
 
 
-def synthesize_circuit_arch(circuit: FunctionalCircuit, c: int, input_shape: Shape,
-                            num_categories: int, *, topology_source: str = "circuit"
-                            ) -> ArchitectureSpec:
-    """Map a circuit one-to-one onto a block graph.
+def _compile_dag(nodes: list[str], edges: list[tuple[str, str]], entries: list[str],
+                 exits: list[str], c: int, input_shape: Shape, num_categories: int,
+                 topology_source: str) -> ArchitectureSpec:
+    """Map a DAG one-to-one onto a block graph.
 
-    Nodes become 3x3 ConvBlocks (sensory ones downsample by 2), edges
-    become wires, fan-in goes through concat Merges projected back to c
-    channels, and motor outputs feed concat -> global average pool ->
-    dense head.
+    Nodes become 3x3 ConvBlocks, edges become wires, and fan-in goes
+    through concat Merges projected back to c channels.  Entry nodes read
+    the stem and downsample by 2; exit outputs feed concat -> global
+    average pool -> dense head.  The caller picks entries and exits: by
+    neuron role for circuits, by degree for free DAGs.
     """
-    if not circuit.edges:
-        raise EmptyCircuit("cannot synthesize from a circuit with no edges")
-    blocks: list[LayerBlock] = [LayerBlock("stem", BlockKind.STEM)]
-    wires: list[tuple[str, str]] = []
-
-    indeg: dict[str, int] = {}
-    for (_, j) in circuit.edges:
-        indeg[j] = indeg.get(j, 0) + 1
-
-    for node in sorted(circuit.nodes):
-        pool = 2 if circuit.roles[node] is Role.SENSORY else 1
-        blocks.append(LayerBlock(_conv_id(node), BlockKind.CONV,
-                                 {"kernel": 3, "multiplier": 1, "pad": 1, "pool": pool}))
-        if indeg.get(node, 0) >= 2:
-            blocks.append(LayerBlock(_merge_id(node), BlockKind.MERGE, {"project": True}))
-            wires.append((_merge_id(node), _conv_id(node)))
-
-    for node in circuit.nodes_with_role(Role.SENSORY):
-        wires.append(("stem", _conv_id(node)))
-    for (i, j) in circuit.edges:
-        target = _merge_id(j) if indeg.get(j, 0) >= 2 else _conv_id(j)
-        wires.append((_conv_id(i), target))
-
-    motors = circuit.nodes_with_role(Role.MOTOR)
-    if not motors:
-        raise InvalidArchitecture("circuit has no motor nodes to collect outputs from")
-    if len(motors) >= 2:
-        blocks.append(LayerBlock("merge:out", BlockKind.MERGE, {"project": False}))
-        for m in motors:
-            wires.append((_conv_id(m), "merge:out"))
+    if not exits:
+        raise InvalidArchitecture(f"{topology_source}: no exit nodes to collect outputs from")
+    fan_in = Counter(b for _, b in edges)
+    merged = [n for n in nodes if fan_in[n] >= 2]
+    blocks = [LayerBlock("stem", BlockKind.STEM), LayerBlock("pool:out", BlockKind.GLOBAL_POOL),
+              LayerBlock("head", BlockKind.DENSE_HEAD, {"hidden": 0})]
+    blocks += [LayerBlock(_conv_id(n), BlockKind.CONV, {
+        "kernel": 3, "multiplier": 1, "pad": 1, "pool": 2 if n in entries else 1}) for n in nodes]
+    blocks += [LayerBlock(_merge_id(n), BlockKind.MERGE, {"project": True}) for n in merged]
+    wires = [("stem", _conv_id(n)) for n in entries]
+    wires += [(_merge_id(n), _conv_id(n)) for n in merged]
+    wires += [(_conv_id(a), _merge_id(b) if fan_in[b] >= 2 else _conv_id(b)) for a, b in edges]
+    pool_src = _conv_id(exits[0])
+    if len(exits) >= 2:
         pool_src = "merge:out"
-    else:
-        pool_src = _conv_id(motors[0])
-    blocks.append(LayerBlock("pool:out", BlockKind.GLOBAL_POOL))
-    blocks.append(LayerBlock("head", BlockKind.DENSE_HEAD, {"hidden": 0}))
-    wires.append((pool_src, "pool:out"))
-    wires.append(("pool:out", "head"))
-
+        blocks.append(LayerBlock(pool_src, BlockKind.MERGE, {"project": False}))
+        wires += [(_conv_id(n), pool_src) for n in exits]
+    wires += [(pool_src, "pool:out"), ("pool:out", "head")]
     return ArchitectureSpec(blocks=tuple(blocks), wires=tuple(wires),
                             input_shape=tuple(input_shape),
                             num_categories=num_categories, c=c,
                             topology_source=topology_source)
+
+
+def synthesize_circuit_arch(circuit: FunctionalCircuit, c: int, input_shape: Shape,
+                            num_categories: int, *, topology_source: str = "circuit"
+                            ) -> ArchitectureSpec:
+    """Map a circuit one-to-one onto a block graph: sensory nodes are the
+    entries and motor nodes the exits of `_compile_dag`."""
+    if not circuit.edges:
+        raise EmptyCircuit("cannot synthesize from a circuit with no edges")
+    return _compile_dag(sorted(circuit.nodes), list(circuit.edges),
+                        circuit.nodes_with_role(Role.SENSORY),
+                        circuit.nodes_with_role(Role.MOTOR),
+                        c, input_shape, num_categories, topology_source)
 
 
 def circuit_wires(spec: ArchitectureSpec) -> frozenset[tuple[str, str]]:
@@ -459,6 +472,7 @@ def synthesize_randomized_arch(circuit: FunctionalCircuit, c: int, seed: int | R
     key = seed.seed if isinstance(seed, RandomizationSeed) else int(seed)
     rng = np.random.Generator(np.random.Philox(key=key))
     n_edges = circuit.n_edges
+    nodes = sorted(circuit.nodes)
 
     if role_preserving:
         sensory = circuit.nodes_with_role(Role.SENSORY)
@@ -478,9 +492,8 @@ def synthesize_randomized_arch(circuit: FunctionalCircuit, c: int, seed: int | R
         free = [slot for slot in all_slots if slot not in edges]
         extra = rng.choice(len(free), size=n_edges - len(edges), replace=False)
         edges.update(free[t] for t in sorted(extra))
-        roles = dict(circuit.roles)
+        entries, exits = sensory, motor
     else:
-        nodes = sorted(circuit.nodes)
         n = len(nodes)
         if n_edges > n * (n - 1) // 2:
             raise ConstraintUnsatisfiable(
@@ -498,56 +511,11 @@ def synthesize_randomized_arch(circuit: FunctionalCircuit, c: int, seed: int | R
             raise ConstraintUnsatisfiable(
                 f"could not cover all {n} nodes with {n_edges} edges "
                 f"in {_MAX_ATTEMPTS} attempts")
-        return _compile_free_dag(sorted(edges), c, input_shape, num_categories,
-                                 topology_source=f"randomized:{key}")
-
-    randomized = FunctionalCircuit(roles=roles, edges={e: 1.0 for e in sorted(edges)})
-    return synthesize_circuit_arch(randomized, c, input_shape, num_categories,
-                                   topology_source=f"randomized:{key}")
-
-
-def _compile_free_dag(edges: list[tuple[str, str]], c: int, input_shape: Shape,
-                      num_categories: int, *, topology_source: str) -> ArchitectureSpec:
-    """Same block mapping as the circuit style, but entry and exit nodes
-    are defined by degree rather than by neuron role."""
-    nodes = sorted({x for e in edges for x in e})
-    indeg = {x: 0 for x in nodes}
-    outdeg = {x: 0 for x in nodes}
-    for a, b in edges:
-        outdeg[a] += 1
-        indeg[b] += 1
-
-    blocks: list[LayerBlock] = [LayerBlock("stem", BlockKind.STEM)]
-    wires: list[tuple[str, str]] = []
-    for node in nodes:
-        pool = 2 if indeg[node] == 0 else 1
-        blocks.append(LayerBlock(_conv_id(node), BlockKind.CONV,
-                                 {"kernel": 3, "multiplier": 1, "pad": 1, "pool": pool}))
-        if indeg[node] >= 2:
-            blocks.append(LayerBlock(_merge_id(node), BlockKind.MERGE, {"project": True}))
-            wires.append((_merge_id(node), _conv_id(node)))
-        if indeg[node] == 0:
-            wires.append(("stem", _conv_id(node)))
-    for a, b in edges:
-        target = _merge_id(b) if indeg[b] >= 2 else _conv_id(b)
-        wires.append((_conv_id(a), target))
-
-    sinks = [x for x in nodes if outdeg[x] == 0]
-    if len(sinks) >= 2:
-        blocks.append(LayerBlock("merge:out", BlockKind.MERGE, {"project": False}))
-        for x in sinks:
-            wires.append((_conv_id(x), "merge:out"))
-        pool_src = "merge:out"
-    else:
-        pool_src = _conv_id(sinks[0])
-    blocks.append(LayerBlock("pool:out", BlockKind.GLOBAL_POOL))
-    blocks.append(LayerBlock("head", BlockKind.DENSE_HEAD, {"hidden": 0}))
-    wires.append((pool_src, "pool:out"))
-    wires.append(("pool:out", "head"))
-    return ArchitectureSpec(blocks=tuple(blocks), wires=tuple(wires),
-                            input_shape=tuple(input_shape),
-                            num_categories=num_categories, c=c,
-                            topology_source=topology_source)
+        heads, tails = {b for _, b in edges}, {a for a, _ in edges}
+        entries = [x for x in nodes if x not in heads]
+        exits = [x for x in nodes if x not in tails]
+    return _compile_dag(nodes, sorted(edges), entries, exits, c, input_shape,
+                        num_categories, f"randomized:{key}")
 
 
 # --- synthesis: sequential style ---
@@ -556,8 +524,7 @@ def synthesize_sequential_arch(c: int, input_shape: Shape, num_categories: int
                                ) -> ArchitectureSpec:
     """Plain chain: two 5x5 valid convolutions with 2x pooling, then a
     flattening dense head with one hidden layer of 20*c units."""
-    if c < 1:
-        raise InvalidArchitecture(f"c must be >= 1, got {c}")
+    _check_int("c", c, 1)  # here, or a bad c is reported as the head's hidden width
     blocks = (
         LayerBlock("stem", BlockKind.STEM),
         LayerBlock("conv:a", BlockKind.CONV,

@@ -3,7 +3,9 @@
 A compiled graph owns one flat namespace of parameter arrays keyed
 "block_id/name", ordered by topological block position then name.  That
 order is the contract for optimizers and for the checkpoint layout, so
-it must never depend on dict insertion history.
+it must never depend on dict insertion history.  The slots, their shapes
+and fan-ins come from the validated arch (`ValidatedArch.slots`, filled
+from the block-kind table in arch.py); the graph adds no shape rule.
 
 Compiling binds every block's kind, params and sources into a plan of
 steps, so forward and backward look nothing up per block.  Conv blocks
@@ -52,7 +54,6 @@ from ..errors import (
     ShapeMismatch,
     StaleActivation,
     TruncatedFile,
-    UnsupportedBlockKind,
 )
 from . import kernels as K
 
@@ -85,8 +86,7 @@ class CompiledGraph:
         self._acts: dict[str, dict] | None = None
         rng = np.random.Generator(np.random.Philox(key=int(seed)))
         for block_id in v.order:
-            block = self.spec.block(block_id)
-            for name, shape, fan_in in self._slot_plan(block_id, block):
+            for name, shape, fan_in in v.slots[block_id]:
                 slot = f"{block_id}/{name}"
                 if fan_in == 0:  # bias
                     value = np.zeros(shape, dtype=self.dtype)
@@ -97,35 +97,6 @@ class CompiledGraph:
                 self.grads[slot] = np.zeros(shape, dtype=self.dtype)
                 self._slot_order.append(slot)
         self._plan = self._compile_plan()
-
-    def _slot_plan(self, block_id: str, block) -> list[tuple[str, tuple, int]]:
-        """(name, shape, fan_in) for each parameter; fan_in 0 marks a bias.
-        Names sort in initialization order within the block."""
-        spec = self.spec
-        v = self.v
-        if block.kind in (BlockKind.STEM, BlockKind.GLOBAL_POOL):
-            return []
-        if block.kind is BlockKind.CONV:
-            in_ch = v.in_shapes(block_id)[0][0]
-            out_ch = block.params["multiplier"] * spec.c
-            k = block.params["kernel"]
-            return [("b", (out_ch,), 0), ("w", (out_ch, in_ch, k, k), in_ch * k * k)]
-        if block.kind is BlockKind.MERGE:
-            if not block.params["project"]:
-                return []
-            in_ch = sum(s[0] for s in v.in_shapes(block_id))
-            return [("b", (spec.c,), 0), ("w", (spec.c, in_ch, 1, 1), in_ch)]
-        if block.kind is BlockKind.DENSE_HEAD:
-            ch, h, w = v.in_shapes(block_id)[0]
-            flat = ch * h * w
-            hidden = block.params["hidden"]
-            if hidden == 0:
-                return [("b", (spec.num_categories,), 0),
-                        ("w", (flat, spec.num_categories), flat)]
-            return [("b1", (hidden,), 0), ("b2", (spec.num_categories,), 0),
-                    ("w1", (flat, hidden), flat),
-                    ("w2", (hidden, spec.num_categories), hidden)]
-        raise UnsupportedBlockKind(f"no kernels for block kind {block.kind!r}")
 
     def _compile_plan(self) -> list[_Step]:
         """One step per block, except that sibling convs share one step at
@@ -212,7 +183,7 @@ class CompiledGraph:
                 xin = acts[srcs[0]]["out"]
                 out = K.global_avg_pool(xin)
                 cache = {"x_shape": xin.shape}
-            elif kind is BlockKind.DENSE_HEAD:
+            else:  # BlockKind.DENSE_HEAD
                 flat = acts[srcs[0]]["out"].reshape(x.shape[0], -1)
                 if params["hidden"] > 0:
                     h1 = K.dense(flat, self.params[f"{block_id}/w1"],
@@ -226,8 +197,6 @@ class CompiledGraph:
                                   self.params[f"{block_id}/b"])
                     cache = {"flat": flat}
                 cache["in_shape"] = acts[srcs[0]]["out"].shape
-            else:
-                raise UnsupportedBlockKind(f"no kernels for block kind {kind!r}")
             self._check_finite(block_id, out)
             cache["out"] = out
             acts[block_id] = cache
@@ -266,11 +235,12 @@ class CompiledGraph:
                 pool = params["pool"]
                 gzs = []
                 for member, _, _ in members:
+                    # ReLU back on the pooled gradient, a quarter of the cells:
+                    # a window's max is > 0 exactly where its winner's relu(z)
+                    # is, and relu(z) > 0 exactly where z > 0
+                    gout = K.relu_backward(grad_of(member), acts[member]["out"])
                     a = acts[member]["a"]
-                    gout = grad_of(member)
-                    ga = K.maxpool_backward(gout, a, pool) if pool > 1 else gout
-                    # relu(z) > 0 exactly where z > 0, so the output stands in for z
-                    gzs.append(K.relu_backward(ga, a))
+                    gzs.append(K.maxpool_backward(gout, a, pool) if pool > 1 else gout)
                 gz = gzs[0] if len(gzs) == 1 else np.concatenate(gzs, axis=1)
                 # free the parts before conv2d_backward allocates: holding them
                 # too raised each step's peak enough that the heap was handed

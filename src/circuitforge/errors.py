@@ -109,14 +109,11 @@ class ConstraintUnsatisfiable(CircuitForgeError):
 
 class InvalidArchitecture(CircuitForgeError):
     """Structural violation other than the dedicated classes above
-    (duplicate ids, missing stem/head, bad wire fan-in)."""
+    (duplicate ids, missing stem/head, bad wire fan-in, block params or
+    spec fields that are missing, out of range or of the wrong type)."""
 
 
 # --- engine ---
-
-class UnsupportedBlockKind(CircuitForgeError):
-    pass
-
 
 class ShapeMismatch(CircuitForgeError):
     pass

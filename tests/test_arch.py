@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from circuitforge.arch import (
 )
 from circuitforge.connectome import Role
 from circuitforge.cri import SelectedNeurons
+from circuitforge.engine.graph import compile_arch, load_checkpoint, save_checkpoint
 from circuitforge.errors import (
     ConstraintUnsatisfiable,
     CycleDetected,
@@ -53,6 +58,8 @@ def test_layer_block_validates_params():
         LayerBlock("m", BlockKind.MERGE, {"project": True, "extra": 1})
     with pytest.raises(InvalidArchitecture):
         LayerBlock("conv:x", BlockKind.CONV, dict(CONV, kernel=0))
+    with pytest.raises(InvalidArchitecture, match="'conv:x': kernel"):  # to_json could not write it
+        LayerBlock("conv:x", BlockKind.CONV, dict(CONV, kernel=np.int64(3)))
 
 
 def test_block_kind_parse():
@@ -265,3 +272,113 @@ def test_param_count_strictly_increases_in_c():
     ):
         counts = [param_count(validate(make(c))) for c in (4, 8, 16)]
         assert counts[0] < counts[1] < counts[2], counts
+
+
+# --- typed errors for non-integer fields ----------------------------------------
+
+def _merge_spec() -> ArchitectureSpec:
+    blocks = (
+        LayerBlock("stem", BlockKind.STEM, {}),
+        LayerBlock("conv:a", BlockKind.CONV, CONV),
+        LayerBlock("conv:b", BlockKind.CONV, CONV),
+        LayerBlock("merge:m", BlockKind.MERGE, {"project": True}),
+        LayerBlock("head", BlockKind.DENSE_HEAD, {"hidden": 2}),
+    )
+    wires = (("stem", "conv:a"), ("stem", "conv:b"), ("conv:a", "merge:m"),
+             ("conv:b", "merge:m"), ("merge:m", "head"))
+    return ArchitectureSpec(blocks, wires, (1, 8, 8), 3, 4, "circuit")
+
+
+def _set_param(block_id: str, key: str, value):
+    def mutate(doc: dict) -> None:
+        next(b for b in doc["blocks"] if b["id"] == block_id)["params"][key] = value
+    return mutate
+
+
+# each mutation of the spec's JSON document, and what its error must name
+MALFORMED = {
+    "kernel_float": (_set_param("conv:a", "kernel", 5.0), "block 'conv:a': kernel"),
+    "pad_string": (_set_param("conv:b", "pad", "1"), "block 'conv:b': pad"),
+    "multiplier_bool": (_set_param("conv:b", "multiplier", True), "block 'conv:b': multiplier"),
+    "hidden_float": (_set_param("head", "hidden", 2.0), "block 'head': hidden"),
+    "project_int": (_set_param("merge:m", "project", 1), "block 'merge:m': project"),
+    "c_float": (lambda doc: doc.update(c=2.0), "^c must be an integer"),
+    "num_categories_bool": (lambda doc: doc.update(num_categories=True), "^num_categories"),
+    "input_shape_float": (lambda doc: doc.update(input_shape=[1, 8.0, 8]), "^input_shape"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_fields_raise_invalid_architecture(case, tmp_path):
+    mutate, names = MALFORMED[case]
+    doc = json.loads(_merge_spec().to_json())
+    mutate(doc)
+    text = json.dumps(doc)
+    with pytest.raises(InvalidArchitecture, match=names):
+        ArchitectureSpec.from_json(text)
+
+    # the same document as the spec inside a checkpoint
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(compile_arch(_merge_spec(), 0), path)
+    blob = path.read_bytes()
+    (doc_len,) = struct.unpack("<I", blob[4:8])
+    params = blob[8 + doc_len:]
+
+    def write_spec(spec_text: str) -> None:
+        raw = spec_text.encode("utf-8")
+        path.write_bytes(blob[:4] + struct.pack("<I", len(raw)) + raw + params)
+
+    write_spec(_merge_spec().to_json())
+    assert load_checkpoint(path).n_params() == len(params) // 4  # the rewrite itself is sound
+    write_spec(text)
+    with pytest.raises(InvalidArchitecture, match=names):
+        load_checkpoint(path)
+
+
+# --- arch.json goldens -----------------------------------------------------------
+
+def _synthesize(circuit: FunctionalCircuit, style: str, shape) -> ArchitectureSpec:
+    name, _, seed = style.partition(":")
+    if name == "circuit":
+        return synthesize_circuit_arch(circuit, 8, shape, 10)
+    if name == "sequential":
+        return synthesize_sequential_arch(8, shape, 10)
+    return synthesize_randomized_arch(circuit, 8, int(seed), shape, 10,
+                                      role_preserving=name == "randomized")
+
+
+# sha256 prefix of spec.to_json() and the parameter count, at c=8 on the
+# reference circuit, as written when the circuit and free-DAG styles had
+# separate block mappings and the engine its own slot rules
+ARCH_JSON_GOLDENS = {
+    ((1, 28, 28), "circuit"): ("c711b7578a00b62f", 9530),
+    ((1, 28, 28), "randomized:0"): ("be255ffe53943551", 9386),
+    ((1, 28, 28), "randomized:1"): ("2492d208dfb5ffd6", 9458),
+    ((1, 28, 28), "randomized:2"): ("4ed011efd7eb2c66", 9458),
+    ((1, 28, 28), "free_dag:0"): ("29d80e0566e8b92f", 9826),
+    ((1, 28, 28), "free_dag:1"): ("c0d7fef23159f26c", 9978),
+    ((1, 28, 28), "free_dag:2"): ("d2db23ae083d6335", 10130),
+    ((1, 28, 28), "sequential"): ("8f40d4b3a5238a29", 46154),
+    ((3, 32, 32), "circuit"): ("e9c1a356c47f8188", 10970),
+    ((3, 32, 32), "randomized:0"): ("58a7e4be8bd52447", 10826),
+    ((3, 32, 32), "randomized:1"): ("6b6a3c4766799052", 10898),
+    ((3, 32, 32), "randomized:2"): ("d8e1096a9fcdb668", 10898),
+    ((3, 32, 32), "free_dag:0"): ("e3f17c8bdc8019cc", 11122),
+    ((3, 32, 32), "free_dag:1"): ("c42f292878f0e3c9", 11274),
+    ((3, 32, 32), "free_dag:2"): ("5aaf86d58490113e", 11282),
+    ((3, 32, 32), "sequential"): ("65b9eec114f88b03", 69594),
+}
+
+
+@pytest.fixture(scope="module")
+def ref_circuit() -> FunctionalCircuit:
+    return reference_circuit()
+
+
+@pytest.mark.parametrize("shape, style", sorted(ARCH_JSON_GOLDENS))
+def test_arch_json_goldens(ref_circuit, shape, style):
+    spec = _synthesize(ref_circuit, style, shape)
+    prefix, n_params = ARCH_JSON_GOLDENS[shape, style]
+    assert hashlib.sha256(spec.to_json().encode("utf-8")).hexdigest().startswith(prefix)
+    v = validate(spec)
+    assert param_count(v) == compile_arch(v, 0).n_params() == n_params

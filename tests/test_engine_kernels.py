@@ -4,6 +4,8 @@ import importlib.util
 import inspect
 import itertools
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -185,6 +187,17 @@ def test_maxpool_and_backward_match_first_max_oracle():
         assert np.array_equal(maxpool(x, p), want), case
         gy = rng.normal(size=want.shape)
         assert np.array_equal(maxpool_backward(gy, x, p), naive_maxpool_backward(gy, x, p)), case
+        # the graph runs ReLU backward on the pooled gradient, masked by the
+        # pooled output; it must give the bytes of the full-size order,
+        # non-finite gradients included
+        bad = gy.copy()
+        bad.flat[::5] = np.nan
+        bad.flat[1::7] = -np.inf
+        for g in (gy, bad):
+            with np.errstate(invalid="ignore"):  # inf * 0
+                pooled_first = maxpool_backward(relu_backward(g, want), x, p)
+                full_first = relu_backward(maxpool_backward(g, x, p), x)
+            assert pooled_first.tobytes() == full_first.tobytes(), case
 
 
 def test_maxpool_backward_finite_difference():
@@ -298,20 +311,45 @@ def test_softmax_xent_validates_inputs():
         softmax_xent(np.zeros(3), np.array([0]))
 
 
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
 def test_kernel_signatures_match_perfbench_flop_table(monkeypatch):
     """perfbench/spans.py wraps each kernel named in KERNEL_FLOP and calls
-    its FLOP lambda with the kernel's arguments, so a renamed kernel or a
-    changed positional signature breaks traced benchmark runs."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    its FLOP lambda with the kernel's arguments, as `flop(*args, **kwargs)`,
+    so a renamed kernel or any changed parameter (keyword-only ones and
+    defaults included) breaks traced benchmark runs."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look the module up
     spec.loader.exec_module(spans)
-    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+
+    def params(fn):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
+
     for name, flop in spans.KERNEL_FLOP.items():
         kernel = getattr(kernels, name, None)
         assert callable(kernel), name
-        params = [p.name for p in inspect.signature(kernel).parameters.values()
-                  if p.kind in positional]
-        assert params == list(inspect.signature(flop).parameters), name
+        assert params(kernel) == params(flop), name
+
+
+def test_perfbench_wraps_existing_names():
+    """`spans.instrument` wraps public functions of arch, bench, graph and
+    the rest by name; a renamed or dropped one fails it.  It patches
+    modules for good, so it runs in its own interpreter, with -B so
+    perfbench/ gets no bytecode."""
+    script = "\n".join([
+        "import importlib.util, sys",
+        f"spec = importlib.util.spec_from_file_location('perfbench_spans', {str(SPANS)!r})",
+        "spans = importlib.util.module_from_spec(spec)",
+        "sys.modules[spec.name] = spans",
+        "spec.loader.exec_module(spans)",
+        "spans.instrument(spans.Tracer(), layers=True)",
+    ])
+    src = str(Path(kernels.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-B", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
