@@ -154,15 +154,6 @@ class LayerBlock:
 
 
 @dataclass(frozen=True)
-class RandomizationSeed:
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-
-
-@dataclass(frozen=True)
 class ArchitectureSpec:
     """Immutable block graph; blocks and wires are kept sorted so equal
     architectures compare and serialize identically."""
@@ -212,18 +203,45 @@ class ArchitectureSpec:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidArchitecture(f"unparsable architecture JSON: {exc}")
-        try:
-            blocks = tuple(LayerBlock(id=b["id"], kind=BlockKind.parse(b["kind"]),
-                                      params=dict(b["params"]))
-                           for b in doc["blocks"])
-            return cls(blocks=blocks,
-                       wires=tuple((a, b) for a, b in doc["wires"]),
-                       input_shape=tuple(doc["input_shape"]),
-                       num_categories=doc["num_categories"],
-                       c=doc["c"],
-                       topology_source=doc["topology_source"])
-        except (KeyError, TypeError) as exc:
-            raise InvalidArchitecture(f"architecture JSON missing field: {exc}")
+        _check_json_shape(doc)
+        blocks = tuple(LayerBlock(id=b["id"], kind=BlockKind.parse(b["kind"]),
+                                  params=dict(b["params"]))
+                       for b in doc["blocks"])
+        return cls(blocks=blocks,
+                   wires=tuple((a, b) for a, b in doc["wires"]),
+                   input_shape=tuple(doc["input_shape"]),
+                   num_categories=doc["num_categories"],
+                   c=doc["c"],
+                   topology_source=doc["topology_source"])
+
+
+_JSON_FIELDS = ("blocks", "c", "input_shape", "num_categories", "topology_source", "wires")
+
+
+def _check_json_shape(doc) -> None:
+    """Check the JSON types `from_json` takes apart, naming the field at
+    fault; LayerBlock and ArchitectureSpec check the values."""
+    def need(ok: bool, name: str, what: str, value) -> None:
+        if not ok:
+            raise InvalidArchitecture(f"{name} must be {what}, got {type(value).__name__}")
+
+    need(isinstance(doc, dict), "architecture JSON", "an object", doc)
+    missing = [name for name in _JSON_FIELDS if name not in doc]
+    if missing:
+        raise InvalidArchitecture(f"architecture JSON missing field: {', '.join(missing)}")
+    need(isinstance(doc["blocks"], list), "blocks", "a list", doc["blocks"])
+    for i, b in enumerate(doc["blocks"]):
+        need(isinstance(b, dict), f"blocks[{i}]", "an object", b)
+        for key, kind, what in (("id", str, "a string"), ("kind", str, "a string"),
+                                ("params", dict, "an object")):
+            need(isinstance(b.get(key), kind), f"blocks[{i}].{key}", what, b.get(key))
+    need(isinstance(doc["wires"], list), "wires", "a list", doc["wires"])
+    for i, w in enumerate(doc["wires"]):
+        need(isinstance(w, list) and len(w) == 2 and all(isinstance(x, str) for x in w),
+             f"wires[{i}]", "a list of two block ids", w)
+    need(isinstance(doc["input_shape"], list), "input_shape", "a list", doc["input_shape"])
+    need(isinstance(doc["topology_source"], str), "topology_source", "a string",
+         doc["topology_source"])
 
 
 def save_arch(spec: ArchitectureSpec, path) -> None:
@@ -456,7 +474,7 @@ def _min_cover_edges(sensory: list[str], inter: list[str], motor: list[str],
     return cover
 
 
-def synthesize_randomized_arch(circuit: FunctionalCircuit, c: int, seed: int | RandomizationSeed,
+def synthesize_randomized_arch(circuit: FunctionalCircuit, c: int, seed: int,
                                input_shape: Shape, num_categories: int, *,
                                role_preserving: bool = True) -> ArchitectureSpec:
     """Control architecture: same node and edge counts as the circuit,
@@ -469,8 +487,10 @@ def synthesize_randomized_arch(circuit: FunctionalCircuit, c: int, seed: int | R
     """
     if not circuit.edges:
         raise EmptyCircuit("cannot synthesize from a circuit with no edges")
-    key = seed.seed if isinstance(seed, RandomizationSeed) else int(seed)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    _check_int("seed", seed, 0)
+    if seed >= 2 ** 64:
+        raise InvalidArchitecture(f"seed must fit in 64 unsigned bits, got {seed}")
+    rng = np.random.Generator(np.random.Philox(key=seed))
     n_edges = circuit.n_edges
     nodes = sorted(circuit.nodes)
 
@@ -515,7 +535,7 @@ def synthesize_randomized_arch(circuit: FunctionalCircuit, c: int, seed: int | R
         entries = [x for x in nodes if x not in heads]
         exits = [x for x in nodes if x not in tails]
     return _compile_dag(nodes, sorted(edges), entries, exits, c, input_shape,
-                        num_categories, f"randomized:{key}")
+                        num_categories, f"randomized:{seed}")
 
 
 # --- synthesis: sequential style ---
@@ -539,3 +559,16 @@ def synthesize_sequential_arch(c: int, input_shape: Shape, num_categories: int
                             topology_source="sequential")
     validate(spec)  # raises ShapeInferenceFailure if the input is too small
     return spec
+
+
+def synthesize(style: str, circuit: FunctionalCircuit | None, c: int, input_shape: Shape,
+               num_categories: int, seed: int) -> ArchitectureSpec:
+    """Build one style's architecture: 'circuit' and 'randomized' from
+    `circuit`, 'sequential' without one; only 'randomized' reads `seed`."""
+    if style == "circuit":
+        return synthesize_circuit_arch(circuit, c, input_shape, num_categories)
+    if style == "randomized":
+        return synthesize_randomized_arch(circuit, c, seed, input_shape, num_categories)
+    if style == "sequential":
+        return synthesize_sequential_arch(c, input_shape, num_categories)
+    raise InvalidArchitecture(f"unknown style {style!r}")

@@ -28,9 +28,9 @@ from . import arch as A
 from .datasets import LabeledDataset, load_dataset, resolve_data_dir, subset
 from .engine.graph import compile_arch
 from .engine.train import TrainConfig, evaluate, fit
-from .errors import EmptyVector, InvalidArchitecture
-from .extraction import FunctionalCircuit, load_circuit
-from .reference import reference_circuit
+from .errors import EmptyVector
+from .extraction import FunctionalCircuit
+from .reference import source_circuit
 
 STYLES = ("circuit", "randomized", "sequential")
 CLAIMED_ORDER = ("circuit", "randomized", "sequential")
@@ -105,12 +105,13 @@ class MetricsReport:
         return cls(**doc)
 
 
-def consistency(per_category_acc) -> float:
-    """Population standard deviation of per-category accuracies; lower
-    means more uniform performance across categories."""
-    values = list(per_category_acc)
+def consistency(values) -> float:
+    """Population standard deviation.  Of a run's per-category accuracies it
+    is the run's consistency score (lower means more uniform performance
+    across categories); `summarize` also takes it across a style's seeds."""
+    values = list(values)
     if not values:
-        raise EmptyVector("no per-category accuracies")
+        raise EmptyVector("no values")
     mean = sum(values) / len(values)
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
 
@@ -131,31 +132,12 @@ def convergence_rate(epoch_mean_losses, threshold: float) -> int | None:
 
 # --- running ---
 
-def _source_circuit(cfg: BenchmarkConfig) -> FunctionalCircuit:
-    if cfg.circuit_dir:
-        d = Path(cfg.circuit_dir)
-        return load_circuit(d / "circuit.tsv", d / "circuit_roles.tsv")
-    return reference_circuit()
-
-
-def _make_arch(style: str, circuit: FunctionalCircuit | None, cfg: BenchmarkConfig,
-               input_shape, num_categories: int, seed: int) -> A.ArchitectureSpec:
-    if style == "circuit":
-        return A.synthesize_circuit_arch(circuit, cfg.c, input_shape, num_categories)
-    if style == "randomized":
-        return A.synthesize_randomized_arch(circuit, cfg.c, seed, input_shape,
-                                            num_categories)
-    if style == "sequential":
-        return A.synthesize_sequential_arch(cfg.c, input_shape, num_categories)
-    raise InvalidArchitecture(f"unknown style {style!r}")
-
-
 def run_one(style: str, seed: int, cfg: BenchmarkConfig, circuit: FunctionalCircuit | None,
             train_ds: LabeledDataset, test_ds: LabeledDataset, run_dir: Path
             ) -> MetricsReport:
     run_dir.mkdir(parents=True, exist_ok=True)
-    spec = _make_arch(style, circuit, cfg, train_ds.input_shape,
-                      train_ds.num_categories, seed)
+    spec = A.synthesize(style, circuit, cfg.c, train_ds.input_shape,
+                        train_ds.num_categories, seed)
     validated = A.validate(spec)
     A.save_arch(spec, run_dir / "arch.json")
 
@@ -199,8 +181,10 @@ def run_benchmark(cfg: BenchmarkConfig) -> tuple[list[MetricsReport], dict]:
     test_ds = subset(test_full, cfg.test_subset, cfg.subset_seed + 1) \
         if cfg.test_subset else test_full
 
-    needs_circuit = any(s in ("circuit", "randomized") for s in cfg.styles)
-    circuit = _source_circuit(cfg) if needs_circuit else None
+    circuit = None
+    if any(s in ("circuit", "randomized") for s in cfg.styles):
+        edges = Path(cfg.circuit_dir) / "circuit.tsv" if cfg.circuit_dir else None
+        circuit = source_circuit(edges)
 
     reports = []
     for style in cfg.styles:
@@ -216,11 +200,6 @@ def run_benchmark(cfg: BenchmarkConfig) -> tuple[list[MetricsReport], dict]:
 def load_reports(out_dir) -> list[MetricsReport]:
     runs = sorted(Path(out_dir).glob("runs/*/report.json"))
     return [MetricsReport.from_json(p.read_text(encoding="utf-8")) for p in runs]
-
-
-def _pop_std(values: list[float]) -> float:
-    mean = sum(values) / len(values)
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
 
 
 def summarize(out_dir) -> dict:
@@ -246,9 +225,9 @@ def summarize(out_dir) -> dict:
             "seeds": [r.seed for r in mine],
             "param_count": mine[0].param_count,
             "mean_accuracy": sum(accs) / len(accs),
-            "std_accuracy": _pop_std(accs),
+            "std_accuracy": consistency(accs),
             "mean_consistency": sum(cons) / len(cons),
-            "std_consistency": _pop_std(cons),
+            "std_consistency": consistency(cons),
             "convergence_epochs": conv,
             "mean_convergence": sum(reached) / len(reached) if reached else None,
             "runs_reaching_threshold": len(reached),

@@ -37,7 +37,8 @@ from .cri import (
     write_cri_table,
 )
 from .errors import CircuitForgeError
-from .extraction import ExtractionConfig, export_circuit, extract_circuits, load_circuit, sparsity
+from .extraction import ExtractionConfig, export_circuit, extract_circuits, sparsity
+from .reference import source_circuit
 
 REPORTED_ROLE_SPLIT = (10, 5, 7)  # published circuit size to diff against
 
@@ -104,22 +105,8 @@ def _cmd_extract(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     style = {"random": "randomized"}.get(args.style, args.style)
-    if style == "sequential":
-        spec = A.synthesize_sequential_arch(args.c, args.input, args.categories)
-    else:
-        edges = Path(args.circuit) if args.circuit else None
-        if edges is None:
-            from .reference import reference_circuit
-            circuit = reference_circuit()
-        else:
-            roles = Path(args.circuit_roles) if args.circuit_roles \
-                else edges.with_name("circuit_roles.tsv")
-            circuit = load_circuit(edges, roles)
-        if style == "circuit":
-            spec = A.synthesize_circuit_arch(circuit, args.c, args.input, args.categories)
-        else:
-            spec = A.synthesize_randomized_arch(circuit, args.c, args.seed,
-                                                args.input, args.categories)
+    circuit = None if style == "sequential" else source_circuit(args.circuit, args.circuit_roles)
+    spec = A.synthesize(style, circuit, args.c, args.input, args.categories, args.seed)
     validated = A.validate(spec)
     A.save_arch(spec, args.out)
     print(f"wrote {args.out}: {len(spec.blocks)} blocks, {len(spec.wires)} wires, "

@@ -7,9 +7,12 @@ directions).  The effective edge weight is C[i,j] + E[i,j].
 
 File formats (tab-separated, UTF-8, one header line):
 
-    connectome.tsv   pre  post  chem  elec
-    roles.tsv        neuron  role        role in {sensory, inter, motor}
-    aggregation.tsv  raw  functional
+    connectome.tsv   pre  post  chem  elec    key (pre, post)
+    roles.tsv        neuron  role              key neuron; role in {sensory, inter, motor}
+    aggregation.tsv  raw  functional           key raw
+
+These and the CSV tables of `cri` and `extraction` are all read by
+`read_table`, which holds the rules every table shares.
 
 A Connectome instance is immutable after construction; every operation here
 is a pure read and safe to call concurrently.
@@ -17,10 +20,13 @@ is a pure read and safe to call concurrently.
 
 from __future__ import annotations
 
+import csv
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     AsymmetricElectrical,
@@ -43,10 +49,13 @@ class Role(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Role":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
+        role = _ROLE_BY_VALUE.get(text.strip().lower())
+        if role is None:
             raise UnknownRole(f"unknown role {text!r} (expected sensory/inter/motor)")
+        return role
+
+
+_ROLE_BY_VALUE = {role.value: role for role in Role}  # several times faster than Role(value)
 
 
 class Direction(enum.Enum):
@@ -73,31 +82,94 @@ class Connectome:
             raise UnknownNeuron(f"neuron {i!r} not in connectome")
 
 
-def _read_tsv(path) -> list[tuple[int, list[str]]]:
-    """Non-empty, non-comment lines as (1-based line number, columns)."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            rows.append((line_no, line.split("\t")))
-    return rows
+class Table(NamedTuple):
+    """A table file as `read_table` returns it: its data held by column."""
+    path: str | Path
+    header: tuple[str, ...]  # the allowed header that matched, lower-case
+    line_nos: list[int]  # 1-based line number of each data row
+    columns: dict[str, list[str]]  # header name -> the stripped field of each row
+    lines: list[str]  # every line of the file, for what the rules skip
+
+    def numbers(self, name: str, kind: type = float) -> list:
+        """Column `name` as finite `kind` values (float or int); a field that
+        is not one raises MalformedRow at its line."""
+        texts = self.columns[name]
+        try:
+            values = list(map(kind, texts))
+            if all(map(math.isfinite, values)):
+                return values
+        except (ValueError, OverflowError):
+            pass
+        for line_no, text in zip(self.line_nos, texts):  # find the first bad field
+            try:
+                if math.isfinite(kind(text)):
+                    continue
+            except (ValueError, OverflowError):
+                pass
+            raise MalformedRow(self.path, line_no, f"bad {name} {text!r}")
+
+    def roles(self, name: str) -> list[Role]:
+        """Column `name` parsed by `Role.parse`; UnknownRole names path:line."""
+        out = []
+        for line_no, text in zip(self.line_nos, self.columns[name]):
+            try:
+                out.append(Role.parse(text))
+            except UnknownRole as exc:
+                raise UnknownRole(f"{self.path}:{line_no}: {exc}") from None
+        return out
+
+
+def read_table(path, *headers: tuple[str, ...], sep: str, unique: int) -> Table:
+    """Read a `sep`-delimited UTF-8 table under the rules every table shares.
+
+    Blank lines and lines starting with '#' are skipped.  The first other
+    row must equal one of `headers`, ignoring case and surrounding
+    whitespace.  Every data row has exactly as many fields as that header,
+    each non-empty after stripping; a field may be double-quoted as R's
+    write.csv does, but may not run onto the next line.  The first `unique`
+    fields of a row are its key, and no key appears twice.  A violation
+    raises MalformedRow naming path:line.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    line_nos = [n for n, line in enumerate(lines, start=1)
+                if (text := line.strip()) and text[0] != "#"]
+    reader = csv.reader([lines[n - 1] for n in line_nos], delimiter=sep, strict=True)
+    try:
+        header = tuple(f.strip().lower() for f in next(reader, ()))
+        if header not in headers:
+            raise MalformedRow(path, line_nos[0] if line_nos else 0, "expected header "
+                               + " or ".join(repr(sep.join(h)) for h in headers))
+        records = list(reader)
+    except csv.Error as exc:
+        raise MalformedRow(path, line_nos[reader.line_num - 1], f"bad quoting: {exc}") from None
+    del line_nos[0]
+    columns = [list(map(str.strip, col)) for col in zip(*records)] or [[] for _ in header]
+    # fewer records than lines means a quoted field ran onto the next line
+    if (len(records) != len(line_nos) or set(map(len, records)) - {len(header)}
+            or any("" in col for col in columns)
+            or len(set(zip(*columns[:unique]))) != len(records)):
+        first_seen: dict[tuple[str, ...], int] = {}  # find the first row at fault
+        for line_no, record in zip(line_nos, records):
+            if any("\n" in f or "\r" in f for f in record):
+                raise MalformedRow(path, line_no, "quoted field runs onto the next line")
+            fields = [f.strip() for f in record]
+            if len(fields) != len(header):
+                raise MalformedRow(path, line_no,
+                                   f"expected {len(header)} columns, got {len(fields)}")
+            if "" in fields:
+                raise MalformedRow(path, line_no, f"empty {header[fields.index('')]!r} field")
+            key = tuple(fields[:unique])
+            if key in first_seen:
+                raise MalformedRow(path, line_no, f"duplicate {'/'.join(header[:unique])} "
+                                   f"{'/'.join(key)!r} (first on line {first_seen[key]})")
+            first_seen[key] = line_no
+    return Table(path, header, line_nos, dict(zip(header, columns)), lines)
 
 
 def load_roles(path) -> dict[NeuronId, Role]:
-    rows = _read_tsv(path)
-    if not rows or [c.strip().lower() for c in rows[0][1][:2]] != ["neuron", "role"]:
-        raise MalformedRow(path, rows[0][0] if rows else 0, "expected header 'neuron\\trole'")
-    roles: dict[NeuronId, Role] = {}
-    for line_no, cols in rows[1:]:
-        if len(cols) != 2:
-            raise MalformedRow(path, line_no, f"expected 2 columns, got {len(cols)}")
-        name = cols[0].strip()
-        if not name:
-            raise MalformedRow(path, line_no, "empty neuron name")
-        roles[name] = Role.parse(cols[1])
-    return roles
+    table = read_table(path, ("neuron", "role"), sep="\t", unique=1)
+    return dict(zip(table.columns["neuron"], table.roles("role")))
 
 
 def load_connectome(path, roles_path, *, allow_self_loops: bool = False) -> Connectome:
@@ -109,43 +181,22 @@ def load_connectome(path, roles_path, *, allow_self_loops: bool = False) -> Conn
     UnknownRole.  Self-loop rows are rejected unless allow_self_loops.
     """
     role_table = load_roles(roles_path)
-    rows = _read_tsv(path)
-    if not rows or [c.strip().lower() for c in rows[0][1][:4]] != ["pre", "post", "chem", "elec"]:
-        raise MalformedRow(path, rows[0][0] if rows else 0,
-                           "expected header 'pre\\tpost\\tchem\\telec'")
-
+    table = read_table(path, ("pre", "post", "chem", "elec"), sep="\t", unique=2)
     roles: dict[NeuronId, Role] = {}
     chem: dict[tuple[NeuronId, NeuronId], int] = {}
     elec: dict[tuple[NeuronId, NeuronId], int] = {}
-    seen_pairs: set[tuple[NeuronId, NeuronId]] = set()
-
-    def _register(name: NeuronId, line_no: int) -> None:
-        if name in roles:
-            return
-        if name not in role_table:
-            raise UnknownRole(f"{path}:{line_no}: neuron {name!r} absent from role table")
-        roles[name] = role_table[name]
-
-    for line_no, cols in rows[1:]:
-        if len(cols) != 4:
-            raise MalformedRow(path, line_no, f"expected 4 columns, got {len(cols)}")
-        pre, post = cols[0].strip(), cols[1].strip()
-        if not pre or not post:
-            raise MalformedRow(path, line_no, "empty neuron name")
-        try:
-            c = int(cols[2])
-            e = int(cols[3])
-        except ValueError:
-            raise MalformedRow(path, line_no, f"non-integer count in {cols[2]!r}/{cols[3]!r}")
+    columns = table.columns
+    for line_no, pre, post, c, e in zip(table.line_nos, columns["pre"], columns["post"],
+                                        table.numbers("chem", int), table.numbers("elec", int)):
         if c < 0 or e < 0:
             raise NegativeCount(path, line_no, f"negative synapse count ({c}, {e})")
         if pre == post and not allow_self_loops:
             raise SelfLoopRejected(path, line_no, f"self-loop on {pre!r} rejected")
-        if (pre, post) in seen_pairs:
-            raise MalformedRow(path, line_no, f"duplicate row for pair ({pre}, {post})")
-        seen_pairs.add((pre, post))
-        _register(pre, line_no)
-        _register(post, line_no)
+        try:
+            roles[pre], roles[post] = role_table[pre], role_table[post]
+        except KeyError as exc:
+            raise UnknownRole(
+                f"{path}:{line_no}: neuron {exc.args[0]!r} absent from role table") from None
         if c > 0:
             chem[(pre, post)] = c
         if e > 0:
@@ -169,27 +220,20 @@ def save_connectome(conn: Connectome, path, roles_path) -> None:
             if c == 0 and (j, i) in pairs and (j, i) < (i, j):
                 continue  # elec-only pair already emitted in the other direction
             fh.write(f"{i}\t{j}\t{c}\t{e}\n")
-    with open(roles_path, "w", encoding="utf-8", newline="\n") as fh:
+    save_roles(conn.roles, roles_path)
+
+
+def save_roles(roles: dict[NeuronId, Role], path) -> None:
+    """Write a role table (roles.tsv, circuit_roles.tsv), sorted by neuron."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("neuron\trole\n")
-        for name in sorted(conn.roles):
-            fh.write(f"{name}\t{conn.roles[name].value}\n")
+        for name in sorted(roles):
+            fh.write(f"{name}\t{roles[name].value}\n")
 
 
 def load_aggregation(path) -> dict[NeuronId, NeuronId]:
-    rows = _read_tsv(path)
-    if not rows or [c.strip().lower() for c in rows[0][1][:2]] != ["raw", "functional"]:
-        raise MalformedRow(path, rows[0][0] if rows else 0, "expected header 'raw\\tfunctional'")
-    mapping: dict[NeuronId, NeuronId] = {}
-    for line_no, cols in rows[1:]:
-        if len(cols) != 2:
-            raise MalformedRow(path, line_no, f"expected 2 columns, got {len(cols)}")
-        raw, functional = cols[0].strip(), cols[1].strip()
-        if not raw or not functional:
-            raise MalformedRow(path, line_no, "empty name")
-        if raw in mapping and mapping[raw] != functional:
-            raise MalformedRow(path, line_no, f"raw neuron {raw!r} mapped twice")
-        mapping[raw] = functional
-    return mapping
+    table = read_table(path, ("raw", "functional"), sep="\t", unique=1)
+    return dict(zip(table.columns["raw"], table.columns["functional"]))
 
 
 def aggregate_functional(conn: Connectome, mapping: dict[NeuronId, NeuronId]) -> Connectome:
@@ -212,19 +256,14 @@ def aggregate_functional(conn: Connectome, mapping: dict[NeuronId, NeuronId]) ->
                 f"group {functional!r} mixes roles {roles[functional].value} and {role.value}")
         roles[functional] = role
 
-    chem: dict[tuple[NeuronId, NeuronId], int] = {}
-    for (i, j), count in conn.chem.items():
-        fi, fj = mapping[i], mapping[j]
-        if fi == fj:
-            continue
-        chem[(fi, fj)] = chem.get((fi, fj), 0) + count
-    elec: dict[tuple[NeuronId, NeuronId], int] = {}
-    for (i, j), count in conn.elec.items():
-        fi, fj = mapping[i], mapping[j]
-        if fi == fj:
-            continue
-        elec[(fi, fj)] = elec.get((fi, fj), 0) + count
-    return Connectome(roles=roles, chem=chem, elec=elec)
+    def collapse(counts: dict[tuple[NeuronId, NeuronId], int]) -> dict:
+        out: dict[tuple[NeuronId, NeuronId], int] = {}
+        for (i, j), count in counts.items():
+            fi, fj = mapping[i], mapping[j]
+            if fi != fj:
+                out[(fi, fj)] = out.get((fi, fj), 0) + count
+        return out
+    return Connectome(roles=roles, chem=collapse(conn.chem), elec=collapse(conn.elec))
 
 
 def edge_weight(conn: Connectome, i: NeuronId, j: NeuronId) -> int:
@@ -247,20 +286,12 @@ def top_k_neighbors(conn: Connectome, i: NeuronId, direction: Direction,
     if i not in conn.roles:
         raise UnknownNeuron(f"neuron {i!r} not in connectome")
     weights: dict[NeuronId, int] = {}
-    if direction is Direction.OUTGOING:
-        for (a, b), c in conn.chem.items():
-            if a == i:
-                weights[b] = weights.get(b, 0) + c
-        for (a, b), e in conn.elec.items():
-            if a == i:
-                weights[b] = weights.get(b, 0) + e
-    else:
-        for (a, b), c in conn.chem.items():
-            if b == i:
-                weights[a] = weights.get(a, 0) + c
-        for (a, b), e in conn.elec.items():
-            if b == i:
-                weights[a] = weights.get(a, 0) + e
+    outgoing = direction is Direction.OUTGOING
+    for counts in (conn.chem, conn.elec):
+        for (a, b), w in counts.items():
+            if (a if outgoing else b) == i:
+                partner = b if outgoing else a
+                weights[partner] = weights.get(partner, 0) + w
     ranked = sorted(((n, w) for n, w in weights.items() if w > 0),
                     key=lambda nw: (-nw[1], nw[0]))
     return ranked[:k]

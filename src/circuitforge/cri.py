@@ -7,22 +7,21 @@ express none of the genes score 0, so the index is total over any neuron
 set.  Selection of learning-correlated neurons runs either as top-k by
 index (default k=11) or as a z-score threshold.
 
-File formats:
+File formats (comma-separated, read by `connectome.read_table`):
 
-    foldchanges.csv   header gene,fold_change
+    foldchanges.csv   header gene,fold_change             key gene
     expression.csv    optional first-line pragma '#units=fraction|percent',
-                      then header gene,neuron,proportion
-    cri_table.csv     header neuron,role,cri  (sorted by cri descending;
-                      the role column is optional on input)
+                      then header gene,neuron,proportion  key (gene, neuron)
+    cri_table.csv     header neuron,role,cri or neuron,cri  key neuron
+                      (written with roles, sorted by cri descending)
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
-from .connectome import NeuronId, Role
+from .connectome import NeuronId, Role, read_table
 from .errors import (
     EmptyTable,
     KExceedsPopulation,
@@ -35,6 +34,7 @@ from .errors import (
 GeneId = str
 
 FOLD_CHANGE_LIMIT = 50.0
+_UNIT_SCALE = {"units=fraction": 1.0, "units=percent": 0.01}  # expression.csv pragma
 
 
 @dataclass(frozen=True)
@@ -185,56 +185,27 @@ def apply_min_expression(w: ExpressionMatrix, min_fraction: float,
 # --- file io ---
 
 def load_fold_changes(path) -> FoldChangeTable:
-    values: dict[GeneId, float] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["gene", "fold_change"]:
-            raise MalformedRow(path, 1, "expected header 'gene,fold_change'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise MalformedRow(path, line_no, f"expected 2 columns, got {len(row)}")
-            try:
-                values[row[0].strip()] = float(row[1])
-            except ValueError:
-                raise MalformedRow(path, line_no, f"bad fold change {row[1]!r}")
-    return FoldChangeTable(values=values)
+    table = read_table(path, ("gene", "fold_change"), sep=",", unique=1)
+    return FoldChangeTable(values=dict(zip(table.columns["gene"], table.numbers("fold_change"))))
 
 
 def load_expression(path) -> ExpressionMatrix:
     """Read expression.csv; a '#units=percent' pragma divides values by 100."""
+    table = read_table(path, ("gene", "neuron", "proportion"), sep=",", unique=2)
+    first = table.lines[0].strip()
     scale = 1.0
+    if first.startswith("#"):
+        scale = _UNIT_SCALE.get(first.lstrip("#").strip().lower())
+        if scale is None:
+            raise MalformedRow(path, 1, f"unknown pragma {first!r}")
     w: dict[tuple[GeneId, NeuronId], float] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        first = fh.readline().strip()
-        if first.startswith("#"):
-            tag = first.lstrip("#").strip().lower()
-            if tag == "units=percent":
-                scale = 0.01
-            elif tag != "units=fraction":
-                raise MalformedRow(path, 1, f"unknown pragma {first!r}")
-            header_line = fh.readline()
-        else:
-            header_line = first + "\n"
-        header = [c.strip().lower() for c in header_line.strip().split(",")]
-        if header[:3] != ["gene", "neuron", "proportion"]:
-            raise MalformedRow(path, 1, "expected header 'gene,neuron,proportion'")
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=3):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise MalformedRow(path, line_no, f"expected 3 columns, got {len(row)}")
-            try:
-                value = float(row[2]) * scale
-            except ValueError:
-                raise MalformedRow(path, line_no, f"bad proportion {row[2]!r}")
-            if not 0.0 <= value <= 1.0:
-                raise MalformedRow(path, line_no,
-                                   f"proportion {value} outside [0, 1] after unit scaling")
-            w[(row[0].strip(), row[1].strip())] = value
+    for line_no, gene, neuron, value in zip(table.line_nos, table.columns["gene"],
+                                            table.columns["neuron"], table.numbers("proportion")):
+        value *= scale
+        if not 0.0 <= value <= 1.0:
+            raise MalformedRow(path, line_no,
+                               f"proportion {value} outside [0, 1] after unit scaling")
+        w[(gene, neuron)] = value
     return ExpressionMatrix(w=w)
 
 
@@ -251,31 +222,7 @@ def write_cri_table(cri: CriTable, roles: dict[NeuronId, Role], path) -> None:
 
 def load_cri_table(path) -> tuple[CriTable, dict[NeuronId, Role]]:
     """Read neuron,[role,]cri rows; returns the table and any roles present."""
-    values: dict[NeuronId, float] = {}
-    roles: dict[NeuronId, Role] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyTable(f"{path} is empty")
-        cols = [c.strip().lower() for c in header]
-        if cols == ["neuron", "role", "cri"]:
-            has_role = True
-        elif cols == ["neuron", "cri"]:
-            has_role = False
-        else:
-            raise MalformedRow(path, 1, "expected header 'neuron,role,cri' or 'neuron,cri'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            want = 3 if has_role else 2
-            if len(row) != want:
-                raise MalformedRow(path, line_no, f"expected {want} columns, got {len(row)}")
-            neuron = row[0].strip()
-            try:
-                values[neuron] = float(row[-1])
-            except ValueError:
-                raise MalformedRow(path, line_no, f"bad index value {row[-1]!r}")
-            if has_role:
-                roles[neuron] = Role.parse(row[1])
-    return CriTable(values=values, n_genes=0), roles
+    table = read_table(path, ("neuron", "role", "cri"), ("neuron", "cri"), sep=",", unique=1)
+    neurons = table.columns["neuron"]
+    roles = dict(zip(neurons, table.roles("role"))) if "role" in table.header else {}
+    return CriTable(values=dict(zip(neurons, table.numbers("cri"))), n_genes=0), roles

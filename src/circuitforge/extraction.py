@@ -26,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .connectome import Connectome, Direction, NeuronId, Role, top_k_neighbors, _read_tsv
+from .connectome import (Connectome, Direction, NeuronId, Role, load_roles, read_table,
+                         save_roles, top_k_neighbors)
 from .errors import (
     DegenerateCircuit,
     InvalidCircuit,
-    MalformedRow,
     RoleMismatch,
+    UnknownRole,
 )
 
 LEGAL_EDGES = {
@@ -252,10 +253,7 @@ def export_circuit(circuit: FunctionalCircuit, out_dir) -> dict[str, Path]:
         fh.write("pre\tpost\tweight\n")
         for (i, j), w in sorted(circuit.edges.items()):
             fh.write(f"{i}\t{j}\t{w:g}\n")
-    with open(paths["roles"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("neuron\trole\n")
-        for n in sorted(circuit.roles):
-            fh.write(f"{n}\t{circuit.roles[n].value}\n")
+    save_roles(circuit.roles, paths["roles"])
     with open(paths["dot"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_to_dot(circuit))
     return paths
@@ -282,24 +280,14 @@ def _to_dot(circuit: FunctionalCircuit) -> str:
 
 def load_circuit(edges_path, roles_path) -> FunctionalCircuit:
     """Round-trip reader for export_circuit output; validates on load."""
-    roles: dict[NeuronId, Role] = {}
-    for line_no, cols in _read_tsv(roles_path):
-        if cols == ["neuron", "role"]:
-            continue
-        if len(cols) != 2:
-            raise MalformedRow(roles_path, line_no, f"expected 2 columns, got {len(cols)}")
-        roles[cols[0]] = Role.parse(cols[1])
-    edges: dict[tuple[NeuronId, NeuronId], float] = {}
-    for line_no, cols in _read_tsv(edges_path):
-        if cols == ["pre", "post", "weight"]:
-            continue
-        if len(cols) != 3:
-            raise MalformedRow(edges_path, line_no, f"expected 3 columns, got {len(cols)}")
-        try:
-            weight = float(cols[2])
-        except ValueError:
-            raise MalformedRow(edges_path, line_no, f"bad weight {cols[2]!r}")
-        edges[(cols[0], cols[1])] = weight
-    circuit = FunctionalCircuit(roles=roles, edges=edges)
+    roles = load_roles(roles_path)
+    table = read_table(edges_path, ("pre", "post", "weight"), sep="\t", unique=2)
+    pairs = list(zip(table.columns["pre"], table.columns["post"]))
+    for line_no, pair in zip(table.line_nos, pairs):
+        missing = [name for name in pair if name not in roles]
+        if missing:
+            raise UnknownRole(
+                f"{edges_path}:{line_no}: neuron {missing[0]!r} absent from {roles_path}")
+    circuit = FunctionalCircuit(roles=roles, edges=dict(zip(pairs, table.numbers("weight"))))
     validate_circuit(circuit)
     return circuit

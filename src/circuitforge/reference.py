@@ -9,6 +9,8 @@ to wire the steps themselves.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from .connectome import (
     Connectome,
     aggregate_functional,
@@ -17,7 +19,7 @@ from .connectome import (
     load_connectome,
 )
 from .cri import CriTable, SelectedNeurons, TopK, load_cri_table, select_correlated
-from .extraction import ExtractionConfig, FunctionalCircuit, extract_circuits
+from .extraction import ExtractionConfig, FunctionalCircuit, extract_circuits, load_circuit
 
 
 def load_reference_connectome() -> Connectome:
@@ -48,3 +50,13 @@ def reference_circuit(k: int = 3) -> FunctionalCircuit:
     conn = load_functional_connectome()
     sel = reference_selection()
     return extract_circuits(conn, sel, ExtractionConfig(k=k))
+
+
+def source_circuit(edges_path=None, roles_path=None) -> FunctionalCircuit:
+    """The circuit exported to `edges_path`, with roles from `roles_path`
+    (by default its sibling circuit_roles.tsv); the reference circuit when
+    no path is given."""
+    if not edges_path:
+        return reference_circuit()
+    edges_path = Path(edges_path)
+    return load_circuit(edges_path, roles_path or edges_path.with_name("circuit_roles.tsv"))

@@ -217,6 +217,15 @@ def test_randomized_same_seed_is_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.0, True])
+def test_randomized_seed_must_fit_64_unsigned_bits(seed):
+    circuit = reference_circuit()
+    with pytest.raises(InvalidArchitecture, match="seed"):
+        synthesize_randomized_arch(circuit, 8, seed, (1, 28, 28), 10)
+    top = synthesize_randomized_arch(circuit, 8, 2 ** 64 - 1, (1, 28, 28), 10)
+    assert top.topology_source == f"randomized:{2 ** 64 - 1}"
+
+
 def test_randomized_seeds_shuffle_topology():
     circuit = reference_circuit()
     wires = {synthesize_randomized_arch(circuit, 8, s, (1, 28, 28), 10).wires
@@ -305,6 +314,14 @@ MALFORMED = {
     "c_float": (lambda doc: doc.update(c=2.0), "^c must be an integer"),
     "num_categories_bool": (lambda doc: doc.update(num_categories=True), "^num_categories"),
     "input_shape_float": (lambda doc: doc.update(input_shape=[1, 8.0, 8]), "^input_shape"),
+    # the document's shape: a mutation that returns a value replaces the document
+    "document_list": (lambda doc: [doc], "^architecture JSON must be an object"),
+    "blocks_int": (lambda doc: doc.update(blocks=5), "^blocks must be a list"),
+    "params_list": (lambda doc: doc["blocks"][1].update(params=[]), r"^blocks\[1\]\.params"),
+    "id_int": (lambda doc: doc["blocks"][0].update(id=5), r"^blocks\[0\]\.id"),
+    "wire_one_end": (lambda doc: doc["wires"].insert(0, ["stem"]), r"^wires\[0\]"),
+    "topology_source_int": (lambda doc: doc.update(topology_source=5), "^topology_source"),
+    "input_shape_int": (lambda doc: doc.update(input_shape=28), "^input_shape must be a list"),
 }
 
 
@@ -312,8 +329,8 @@ MALFORMED = {
 def test_malformed_fields_raise_invalid_architecture(case, tmp_path):
     mutate, names = MALFORMED[case]
     doc = json.loads(_merge_spec().to_json())
-    mutate(doc)
-    text = json.dumps(doc)
+    replaced = mutate(doc)
+    text = json.dumps(doc if replaced is None else replaced)
     with pytest.raises(InvalidArchitecture, match=names):
         ArchitectureSpec.from_json(text)
 

@@ -27,6 +27,22 @@ def test_extract_malformed_input_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_extract_nan_cri_exits_one_naming_the_line(tmp_path, capsys):
+    cri = tmp_path / "cri.csv"
+    cri.write_text("neuron,role,cri\nADL,sensory,289.51\nASK,sensory,nan\n")
+    assert main(["extract", "--cri", str(cri), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cri}:3:")
+
+
+def test_synthesize_negative_seed_exits_one(tmp_path, capsys):
+    code = main(["synthesize", "--style", "randomized", "--seed", "-1",
+                 "--out", str(tmp_path / "a.json")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: seed must be an integer >= 0")
+
+
 @pytest.mark.parametrize("style", ["circuit", "random", "sequential"])
 def test_synthesize_styles(tmp_path, style, capsys):
     out = tmp_path / f"{style}.json"

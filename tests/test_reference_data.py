@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
-from circuitforge.connectome import Role, bundled_data_path
+from circuitforge.connectome import Role, bundled_data_path, load_aggregation, load_roles
 from circuitforge.extraction import sparsity, validate_circuit
 from circuitforge.reference import (
     load_functional_connectome,
@@ -69,3 +71,37 @@ def test_reference_circuit_shape_and_sparsity():
     assert circuit.n_nodes == 22
     assert circuit.n_edges == 21
     assert abs(sparsity(circuit) - (1.0 - 21.0 / 462.0)) < 1e-12
+
+
+# sha256 prefix of each bundled table as its loader parses it, recorded while
+# every loader still had its own reader
+BUNDLED_DIGESTS = {
+    "roles.tsv": "3fd1017c14427170",
+    "connectome.tsv": "524c73692dd72bfa",
+    "aggregation.tsv": "497b8af318e88738",
+    "cri_table.csv": "5552aabcb23f3d2b",
+    "reference_circuit": "a516b91e829576f6",
+}
+
+
+def _digest(*maps: dict) -> str:
+    """sha256 prefix of the maps, each dumped as its sorted (key, value) list."""
+    dump = tuple(sorted((k, getattr(v, "value", v)) for k, v in m.items()) for m in maps)
+    return hashlib.sha256(repr(dump).encode()).hexdigest()[:16]
+
+
+def _bundled_digests() -> dict[str, str]:
+    conn = load_reference_connectome()
+    cri, cri_roles = load_reference_cri()
+    circuit = reference_circuit()
+    return {
+        "roles.tsv": _digest(load_roles(bundled_data_path("roles.tsv"))),
+        "connectome.tsv": _digest(conn.roles, conn.chem, conn.elec),
+        "aggregation.tsv": _digest(load_aggregation(bundled_data_path("aggregation.tsv"))),
+        "cri_table.csv": _digest(cri.values, cri_roles),
+        "reference_circuit": _digest(circuit.roles, circuit.edges),
+    }
+
+
+def test_bundled_tables_parse_as_recorded():
+    assert _bundled_digests() == BUNDLED_DIGESTS
