@@ -27,12 +27,15 @@ from circuitforge.arch import (
     validate,
 )
 from circuitforge.connectome import (
+    AGGREGATION_TSV,
     Connectome,
     Role,
     aggregate_functional,
     edge_weight,
     load_aggregation,
     load_connectome,
+    save_connectome,
+    write_table,
 )
 from circuitforge.cri import CriTable, TopK, load_cri_table, select_correlated, write_cri_table
 from circuitforge.extraction import ExtractionConfig, extract_circuits, sparsity
@@ -339,14 +342,10 @@ def main() -> None:
 
     raw_roles = {m: roles[f] for f, group in members.items() for m in group}
     conn = Connectome(roles=raw_roles, chem=chem_raw, elec=elec_raw)
-    from circuitforge.connectome import save_connectome
-
     save_connectome(conn, data_dir / "connectome.tsv", data_dir / "roles.tsv")
-    with open(data_dir / "aggregation.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("raw\tfunctional\n")
-        for functional in sorted(members):
-            for raw_name in sorted(members[functional]):
-                fh.write(f"{raw_name}\t{functional}\n")
+    write_table(data_dir / "aggregation.tsv", AGGREGATION_TSV,
+                ((raw_name, functional) for functional in sorted(members)
+                 for raw_name in sorted(members[functional])))
     write_cri_table(CriTable(values=dict(CRI_VALUES), n_genes=0), roles,
                     data_dir / "cri_table.csv")
 

@@ -126,11 +126,11 @@ _OPS: dict[BlockKind, _Op] = {
 }
 
 
-def _check_int(what: str, value, low: int) -> None:
+def check_int(what: str, value, low: int, error: type = InvalidArchitecture) -> None:
     """A Python int (what JSON round-trips) of at least `low`; a bool, a
-    float such as 5.0 or a numpy integer is refused."""
+    float such as 5.0 or a numpy integer raises `error`."""
     if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
-        raise InvalidArchitecture(f"{what} must be an integer >= {low}, got {value!r}")
+        raise error(f"{what} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ class LayerBlock:
         for key, low in want.items():
             value = self.params[key]
             if low is not bool:
-                _check_int(f"block {self.id!r}: {key}", value, low)
+                check_int(f"block {self.id!r}: {key}", value, low)
             elif not isinstance(value, bool):
                 raise InvalidArchitecture(f"block {self.id!r}: {key} must be a bool, got {value!r}")
 
@@ -168,12 +168,12 @@ class ArchitectureSpec:
         object.__setattr__(self, "blocks", tuple(sorted(self.blocks, key=lambda b: b.id)))
         object.__setattr__(self, "wires", tuple(sorted(tuple(w) for w in self.wires)))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        _check_int("c", self.c, 1)
-        _check_int("num_categories", self.num_categories, 2)
+        check_int("c", self.c, 1)
+        check_int("num_categories", self.num_categories, 2)
         if len(self.input_shape) != 3:
             raise InvalidArchitecture(f"bad input shape {self.input_shape}")
         for d in self.input_shape:
-            _check_int(f"input_shape {self.input_shape} entry", d, 1)
+            check_int(f"input_shape {self.input_shape} entry", d, 1)
         # not a field, so equality and the JSON form are unaffected
         object.__setattr__(self, "_by_id", {b.id: b for b in self.blocks})
 
@@ -487,7 +487,7 @@ def synthesize_randomized_arch(circuit: FunctionalCircuit, c: int, seed: int,
     """
     if not circuit.edges:
         raise EmptyCircuit("cannot synthesize from a circuit with no edges")
-    _check_int("seed", seed, 0)
+    check_int("seed", seed, 0)
     if seed >= 2 ** 64:
         raise InvalidArchitecture(f"seed must fit in 64 unsigned bits, got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -544,7 +544,7 @@ def synthesize_sequential_arch(c: int, input_shape: Shape, num_categories: int
                                ) -> ArchitectureSpec:
     """Plain chain: two 5x5 valid convolutions with 2x pooling, then a
     flattening dense head with one hidden layer of 20*c units."""
-    _check_int("c", c, 1)  # here, or a bad c is reported as the head's hidden width
+    check_int("c", c, 1)  # here, or a bad c is reported as the head's hidden width
     blocks = (
         LayerBlock("stem", BlockKind.STEM),
         LayerBlock("conv:a", BlockKind.CONV,

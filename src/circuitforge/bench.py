@@ -19,16 +19,17 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import arch as A
-from .datasets import LabeledDataset, load_dataset, resolve_data_dir, subset
+from .connectome import TableFormat, write_table
+from .datasets import DATASET_IDS, LabeledDataset, load_dataset, resolve_data_dir, subset
 from .engine.graph import compile_arch
 from .engine.train import TrainConfig, evaluate, fit
-from .errors import EmptyVector
+from .errors import EmptyVector, InvalidConfig
 from .extraction import FunctionalCircuit
 from .reference import source_circuit
 
@@ -54,11 +55,25 @@ class BenchmarkConfig:
     out_dir: str = "bench_out"
 
     def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        bad = [s for s in self.styles if s not in STYLES]
-        if bad:
-            raise ValueError(f"unknown styles {bad}; expected subset of {STYLES}")
+        """Refuse a bad field with InvalidConfig, before a run writes anything;
+        the training fields go through TrainConfig's rules."""
+        if self.dataset not in DATASET_IDS:
+            raise InvalidConfig(f"dataset must be one of {DATASET_IDS}, got {self.dataset!r}")
+        for name, what, ok in (("styles", f"styles of {STYLES}", STYLES.__contains__),
+                               ("seeds", "integers >= 0", lambda s: type(s) is int and s >= 0)):
+            values = getattr(self, name)
+            if not (isinstance(values, tuple) and values and all(map(ok, values))
+                    and len(set(values)) == len(values)):
+                raise InvalidConfig(f"{name} must be a non-empty list of distinct {what}, "
+                                    f"got {values!r}")
+        for name, low in (("c", 1), ("train_subset", 0), ("test_subset", 0), ("subset_seed", 0)):
+            A.check_int(name, getattr(self, name), low, InvalidConfig)
+        TrainConfig(epochs=self.epochs, batch_size=self.batch_size, optimizer=self.optimizer,
+                    lr=self.lr)
+        for name in ("data_dir", "circuit_dir", "out_dir"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or value is None and name != "out_dir"):
+                raise InvalidConfig(f"{name} must be a path string, got {value!r}")
 
     def to_json(self) -> str:
         doc = {k: (list(v) if isinstance(v, tuple) else v)
@@ -67,11 +82,17 @@ class BenchmarkConfig:
 
     @classmethod
     def from_json(cls, text: str) -> BenchmarkConfig:
-        doc = json.loads(text)
-        for key in ("styles", "seeds"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
-        return cls(**doc)
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise InvalidConfig(f"benchmark config is not JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise InvalidConfig(f"benchmark config must be a JSON object, got {doc!r:.40}")
+        unknown = sorted(doc.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidConfig(f"unknown benchmark config fields: {', '.join(unknown)}")
+        return cls(**{key: tuple(v) if key in ("styles", "seeds") and isinstance(v, list) else v
+                      for key, v in doc.items()})
 
 
 @dataclass
@@ -241,7 +262,12 @@ def summarize(out_dir) -> dict:
         "ordering": ordering,
     }
 
-    _write_summary_csv(out / "summary.csv", styles, per_style)
+    write_table(out / "summary.csv", SUMMARY_CSV, (
+        (style, s["runs"], s["param_count"],
+         *(f"{s[k]:.6f}" for k in ("mean_accuracy", "std_accuracy",
+                                   "mean_consistency", "std_consistency")),
+         "not_reached" if s["mean_convergence"] is None else f"{s['mean_convergence']:.4f}",
+         s["runs_reaching_threshold"]) for style, s in per_style.items()))
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     emit_plots(reports, out / "plots")
@@ -270,19 +296,12 @@ def _ordering_flag(per_style: dict[str, dict]) -> dict:
             "flag": "PASS" if holds else "INCONCLUSIVE", "gaps": gaps}
 
 
-def _write_summary_csv(path: Path, styles: list[str], per_style: dict[str, dict]) -> None:
-    lines = ["style,runs,param_count,mean_accuracy,std_accuracy,"
-             "mean_consistency,std_consistency,mean_convergence,runs_reaching_threshold"]
-    for style in styles:
-        s = per_style[style]
-        conv = "not_reached" if s["mean_convergence"] is None \
-            else f"{s['mean_convergence']:.4f}"
-        lines.append(
-            f"{style},{s['runs']},{s['param_count']},"
-            f"{s['mean_accuracy']:.6f},{s['std_accuracy']:.6f},"
-            f"{s['mean_consistency']:.6f},{s['std_consistency']:.6f},"
-            f"{conv},{s['runs_reaching_threshold']}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+SUMMARY_CSV = TableFormat((("style", "runs", "param_count", "mean_accuracy", "std_accuracy",
+                            "mean_consistency", "std_consistency", "mean_convergence",
+                            "runs_reaching_threshold"),), ",", 1)
+ACCURACY_BARS_CSV = TableFormat((("style", "seed", "accuracy", "consistency"),), ",", 2)
+PER_CATEGORY_CSV = TableFormat((("style", "seed", "category", "accuracy"),), ",", 3)
+LOSS_CURVES_CSV = TableFormat((("style", "seed", "step", "loss"),), ",", 3)
 
 
 def emit_plots(reports: list[MetricsReport], out_dir) -> dict[str, Path]:
@@ -296,18 +315,12 @@ def emit_plots(reports: list[MetricsReport], out_dir) -> dict[str, Path]:
         "loss": out / "loss_curves.csv",
     }
     ordered = sorted(reports, key=lambda r: (STYLES.index(r.style), r.seed))
-    with open(paths["accuracy"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("style,seed,accuracy,consistency\n")
-        for r in ordered:
-            fh.write(f"{r.style},{r.seed},{r.accuracy:.6f},{r.consistency_score:.6f}\n")
-    with open(paths["consistency"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("style,seed,category,accuracy\n")
-        for r in ordered:
-            for cat, acc in sorted(r.per_category.items()):
-                fh.write(f"{r.style},{r.seed},{cat},{acc:.6f}\n")
-    with open(paths["loss"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("style,seed,step,loss\n")
-        for r in ordered:
-            for step, loss in enumerate(r.step_losses):
-                fh.write(f"{r.style},{r.seed},{step},{loss:.6f}\n")
+    write_table(paths["accuracy"], ACCURACY_BARS_CSV, (
+        (r.style, r.seed, f"{r.accuracy:.6f}", f"{r.consistency_score:.6f}") for r in ordered))
+    write_table(paths["consistency"], PER_CATEGORY_CSV, (
+        (r.style, r.seed, cat, f"{acc:.6f}")
+        for r in ordered for cat, acc in sorted(r.per_category.items())))
+    write_table(paths["loss"], LOSS_CURVES_CSV, (
+        (r.style, r.seed, step, f"{loss:.6f}")
+        for r in ordered for step, loss in enumerate(r.step_losses)))
     return paths

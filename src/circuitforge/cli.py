@@ -78,6 +78,7 @@ def _cmd_cri(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    cfg = ExtractionConfig(k=args.k)
     conn = load_connectome(args.connectome or bundled_data_path("connectome.tsv"),
                            args.roles or bundled_data_path("roles.tsv"))
     agg_path = args.aggregation
@@ -88,7 +89,7 @@ def _cmd_extract(args) -> int:
     cri, cri_roles = load_cri_table(args.cri or bundled_data_path("cri_table.csv"))
     roles = cri_roles or conn.roles
     sel = select_correlated(cri, roles, args.policy)
-    circuit = extract_circuits(conn, sel, ExtractionConfig(k=args.k))
+    circuit = extract_circuits(conn, sel, cfg)
     paths = export_circuit(circuit, args.out)
 
     s, i, m = circuit.role_counts()
@@ -148,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cri", help="compute correlation indexes and select neurons")
-    p.add_argument("--foldchanges", required=True, help="gene,fold_change CSV")
-    p.add_argument("--expression", required=True, help="gene,neuron,proportion CSV")
+    p.add_argument("--foldchanges", required=True, help="fold-change table (CSV)")
+    p.add_argument("--expression", required=True, help="expression table (CSV)")
     p.add_argument("--roles", required=True, help="role table (TSV) or cri CSV with roles")
     p.add_argument("--policy", type=_parse_policy, default=TopK(11))
     p.add_argument("--out", required=True, help="output cri_table.csv")

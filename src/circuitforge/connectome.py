@@ -5,14 +5,10 @@ count maps: chemical counts C[i,j] (directed, C[i,j] != C[j,i] in general)
 and electrical counts E[i,j] (gap junctions, stored symmetrically in both
 directions).  The effective edge weight is C[i,j] + E[i,j].
 
-File formats (tab-separated, UTF-8, one header line):
-
-    connectome.tsv   pre  post  chem  elec    key (pre, post)
-    roles.tsv        neuron  role              key neuron; role in {sensory, inter, motor}
-    aggregation.tsv  raw  functional           key raw
-
-These and the CSV tables of `cri` and `extraction` are all read by
-`read_table`, which holds the rules every table shares.
+Each text table's layout (headers, separator, key) is one `TableFormat`
+constant beside its loader, here and in `cri`, `extraction` and `bench`.
+Every table is read by `read_table` and written by `write_table`, which
+hold the rules all tables share.
 
 A Connectome instance is immutable after construction; every operation here
 is a pure read and safe to call concurrently.
@@ -30,6 +26,7 @@ from typing import NamedTuple
 
 from .errors import (
     AsymmetricElectrical,
+    InvalidConfig,
     MalformedRow,
     MixedRoleGroup,
     NegativeCount,
@@ -82,6 +79,18 @@ class Connectome:
             raise UnknownNeuron(f"neuron {i!r} not in connectome")
 
 
+class TableFormat(NamedTuple):
+    """One table's layout, shared by its reader and its writer."""
+    headers: tuple[tuple[str, ...], ...]  # the headers it may carry; the writer writes the first
+    sep: str
+    key: int  # how many leading fields form a row's key
+
+
+CONNECTOME_TSV = TableFormat((("pre", "post", "chem", "elec"),), "\t", 2)
+ROLES_TSV = TableFormat((("neuron", "role"),), "\t", 1)
+AGGREGATION_TSV = TableFormat((("raw", "functional"),), "\t", 1)
+
+
 class Table(NamedTuple):
     """A table file as `read_table` returns it: its data held by column."""
     path: str | Path
@@ -119,27 +128,37 @@ class Table(NamedTuple):
         return out
 
 
-def read_table(path, *headers: tuple[str, ...], sep: str, unique: int) -> Table:
-    """Read a `sep`-delimited UTF-8 table under the rules every table shares.
+def read_table(path, fmt: TableFormat) -> Table:
+    """Read a UTF-8 table laid out as `fmt` under the rules every table shares.
 
     Blank lines and lines starting with '#' are skipped.  The first other
-    row must equal one of `headers`, ignoring case and surrounding
+    row must equal one of `fmt.headers`, ignoring case and surrounding
     whitespace.  Every data row has exactly as many fields as that header,
     each non-empty after stripping; a field may be double-quoted as R's
-    write.csv does, but may not run onto the next line.  The first `unique`
-    fields of a row are its key, and no key appears twice.  A violation
-    raises MalformedRow naming path:line.
+    write.csv does, but may not run onto the next line.  The first
+    `fmt.key` fields of a row are its key, and no key appears twice.  A
+    violation, or a byte that is not UTF-8, raises MalformedRow naming
+    path:line.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()  # only now: find the line of the bad byte
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedRow(path, data.count(b"\n", 0, exc.start) + 1,
+                               f"not UTF-8: byte {data[exc.start]:#04x}") from None
+        raise
     line_nos = [n for n, line in enumerate(lines, start=1)
                 if (text := line.strip()) and text[0] != "#"]
-    reader = csv.reader([lines[n - 1] for n in line_nos], delimiter=sep, strict=True)
+    reader = csv.reader([lines[n - 1] for n in line_nos], delimiter=fmt.sep, strict=True)
     try:
         header = tuple(f.strip().lower() for f in next(reader, ()))
-        if header not in headers:
+        if header not in fmt.headers:
             raise MalformedRow(path, line_nos[0] if line_nos else 0, "expected header "
-                               + " or ".join(repr(sep.join(h)) for h in headers))
+                               + " or ".join(repr(fmt.sep.join(h)) for h in fmt.headers))
         records = list(reader)
     except csv.Error as exc:
         raise MalformedRow(path, line_nos[reader.line_num - 1], f"bad quoting: {exc}") from None
@@ -148,7 +167,7 @@ def read_table(path, *headers: tuple[str, ...], sep: str, unique: int) -> Table:
     # fewer records than lines means a quoted field ran onto the next line
     if (len(records) != len(line_nos) or set(map(len, records)) - {len(header)}
             or any("" in col for col in columns)
-            or len(set(zip(*columns[:unique]))) != len(records)):
+            or len(set(zip(*columns[:fmt.key]))) != len(records)):
         first_seen: dict[tuple[str, ...], int] = {}  # find the first row at fault
         for line_no, record in zip(line_nos, records):
             if any("\n" in f or "\r" in f for f in record):
@@ -159,16 +178,43 @@ def read_table(path, *headers: tuple[str, ...], sep: str, unique: int) -> Table:
                                    f"expected {len(header)} columns, got {len(fields)}")
             if "" in fields:
                 raise MalformedRow(path, line_no, f"empty {header[fields.index('')]!r} field")
-            key = tuple(fields[:unique])
+            key = tuple(fields[:fmt.key])
             if key in first_seen:
-                raise MalformedRow(path, line_no, f"duplicate {'/'.join(header[:unique])} "
+                raise MalformedRow(path, line_no, f"duplicate {'/'.join(header[:fmt.key])} "
                                    f"{'/'.join(key)!r} (first on line {first_seen[key]})")
             first_seen[key] = line_no
     return Table(path, header, line_nos, dict(zip(header, columns)), lines)
 
 
+def _text(value) -> str:
+    """A float as the shortest text that reads back equal, less repr's '.0'."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return text[:-2] if text.endswith(".0") else text
+    return str(value)
+
+
+def write_table(path, fmt: TableFormat, rows) -> None:
+    """Write `rows` under `fmt`'s first header as UTF-8 with '\\n' line endings,
+    quoted by the csv module, so that `read_table` reads every field back as
+    written.  Every row is checked before the file is opened: a row of the
+    wrong length, or a field `read_table` would alter or drop (empty, padded,
+    holding a line break, or first in its row and starting with '#'), raises
+    MalformedRow naming path and the line the row would have taken."""
+    header = fmt.headers[0]
+    records = [header]
+    for line_no, row in enumerate(rows, start=2):
+        fields = list(map(_text, row))
+        if len(fields) != len(header) or fields[0][:1] == "#" or not all(
+                f and f == f.strip() and "\n" not in f and "\r" not in f for f in fields):
+            raise MalformedRow(path, line_no, f"row {fields} would not read back as written")
+        records.append(fields)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, delimiter=fmt.sep, lineterminator="\n").writerows(records)
+
+
 def load_roles(path) -> dict[NeuronId, Role]:
-    table = read_table(path, ("neuron", "role"), sep="\t", unique=1)
+    table = read_table(path, ROLES_TSV)
     return dict(zip(table.columns["neuron"], table.roles("role")))
 
 
@@ -181,7 +227,7 @@ def load_connectome(path, roles_path, *, allow_self_loops: bool = False) -> Conn
     UnknownRole.  Self-loop rows are rejected unless allow_self_loops.
     """
     role_table = load_roles(roles_path)
-    table = read_table(path, ("pre", "post", "chem", "elec"), sep="\t", unique=2)
+    table = read_table(path, CONNECTOME_TSV)
     roles: dict[NeuronId, Role] = {}
     chem: dict[tuple[NeuronId, NeuronId], int] = {}
     elec: dict[tuple[NeuronId, NeuronId], int] = {}
@@ -210,29 +256,21 @@ def load_connectome(path, roles_path, *, allow_self_loops: bool = False) -> Conn
 
 
 def save_connectome(conn: Connectome, path, roles_path) -> None:
-    """Write the round-trippable TSV pair (sorted rows, \\n line endings)."""
-    pairs = sorted(set(conn.chem) | {(i, j) for (i, j) in conn.elec})
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("pre\tpost\tchem\telec\n")
-        for i, j in pairs:
-            c = conn.chem.get((i, j), 0)
-            e = conn.elec.get((i, j), 0)
-            if c == 0 and (j, i) in pairs and (j, i) < (i, j):
-                continue  # elec-only pair already emitted in the other direction
-            fh.write(f"{i}\t{j}\t{c}\t{e}\n")
+    """Write the TSV pair, rows sorted; an elec-only pair once, as its lesser direction."""
+    pairs = conn.chem.keys() | conn.elec.keys()
+    write_table(path, CONNECTOME_TSV, (
+        (i, j, c, conn.elec.get((i, j), 0)) for i, j in sorted(pairs)
+        if (c := conn.chem.get((i, j), 0)) or (j, i) not in pairs or (i, j) <= (j, i)))
     save_roles(conn.roles, roles_path)
 
 
 def save_roles(roles: dict[NeuronId, Role], path) -> None:
     """Write a role table (roles.tsv, circuit_roles.tsv), sorted by neuron."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("neuron\trole\n")
-        for name in sorted(roles):
-            fh.write(f"{name}\t{roles[name].value}\n")
+    write_table(path, ROLES_TSV, ((name, roles[name].value) for name in sorted(roles)))
 
 
 def load_aggregation(path) -> dict[NeuronId, NeuronId]:
-    table = read_table(path, ("raw", "functional"), sep="\t", unique=1)
+    table = read_table(path, AGGREGATION_TSV)
     return dict(zip(table.columns["raw"], table.columns["functional"]))
 
 
@@ -282,7 +320,7 @@ def top_k_neighbors(conn: Connectome, i: NeuronId, direction: Direction,
     Zero-weight pairs are excluded; fewer than k neighbors may exist.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise InvalidConfig(f"k must be >= 1, got {k}")
     if i not in conn.roles:
         raise UnknownNeuron(f"neuron {i!r} not in connectome")
     weights: dict[NeuronId, int] = {}

@@ -7,13 +7,8 @@ express none of the genes score 0, so the index is total over any neuron
 set.  Selection of learning-correlated neurons runs either as top-k by
 index (default k=11) or as a z-score threshold.
 
-File formats (comma-separated, read by `connectome.read_table`):
-
-    foldchanges.csv   header gene,fold_change             key gene
-    expression.csv    optional first-line pragma '#units=fraction|percent',
-                      then header gene,neuron,proportion  key (gene, neuron)
-    cri_table.csv     header neuron,role,cri or neuron,cri  key neuron
-                      (written with roles, sorted by cri descending)
+The CSV tables are declared once as `TableFormat`s under "file io" below;
+expression.csv may open with a '#units=fraction|percent' pragma line.
 """
 
 from __future__ import annotations
@@ -21,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .connectome import NeuronId, Role, read_table
+from .connectome import NeuronId, Role, TableFormat, read_table, write_table
 from .errors import (
     EmptyTable,
+    InvalidConfig,
     KExceedsPopulation,
     MalformedRow,
     MissingFoldChange,
@@ -142,7 +138,7 @@ def select_correlated(cri: CriTable, roles: dict[NeuronId, Role],
 
     if isinstance(policy, TopK):
         if policy.k < 1:
-            raise ValueError(f"k must be >= 1, got {policy.k}")
+            raise InvalidConfig(f"k must be >= 1, got {policy.k}")
         if policy.k > len(cri.values):
             raise KExceedsPopulation(
                 f"k={policy.k} exceeds population of {len(cri.values)} neurons")
@@ -184,14 +180,19 @@ def apply_min_expression(w: ExpressionMatrix, min_fraction: float,
 
 # --- file io ---
 
+FOLD_CHANGES_CSV = TableFormat((("gene", "fold_change"),), ",", 1)
+EXPRESSION_CSV = TableFormat((("gene", "neuron", "proportion"),), ",", 2)
+CRI_TABLE_CSV = TableFormat((("neuron", "role", "cri"), ("neuron", "cri")), ",", 1)
+
+
 def load_fold_changes(path) -> FoldChangeTable:
-    table = read_table(path, ("gene", "fold_change"), sep=",", unique=1)
+    table = read_table(path, FOLD_CHANGES_CSV)
     return FoldChangeTable(values=dict(zip(table.columns["gene"], table.numbers("fold_change"))))
 
 
 def load_expression(path) -> ExpressionMatrix:
     """Read expression.csv; a '#units=percent' pragma divides values by 100."""
-    table = read_table(path, ("gene", "neuron", "proportion"), sep=",", unique=2)
+    table = read_table(path, EXPRESSION_CSV)
     first = table.lines[0].strip()
     scale = 1.0
     if first.startswith("#"):
@@ -210,19 +211,17 @@ def load_expression(path) -> ExpressionMatrix:
 
 
 def write_cri_table(cri: CriTable, roles: dict[NeuronId, Role], path) -> None:
+    """Write cri_table.csv with roles, index descending; every index reads back equal."""
+    missing = sorted(cri.values.keys() - roles.keys())
+    if missing:
+        raise UnknownRole(f"neuron {missing[0]!r} has no role assignment")
     ranked = sorted(cri.values.items(), key=lambda nv: (-nv[1], nv[0]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("neuron,role,cri\n")
-        for neuron, value in ranked:
-            role = roles.get(neuron)
-            if role is None:
-                raise UnknownRole(f"neuron {neuron!r} has no role assignment")
-            fh.write(f"{neuron},{role.value},{value:.6g}\n")
+    write_table(path, CRI_TABLE_CSV, ((n, roles[n].value, v) for n, v in ranked))
 
 
 def load_cri_table(path) -> tuple[CriTable, dict[NeuronId, Role]]:
-    """Read neuron,[role,]cri rows; returns the table and any roles present."""
-    table = read_table(path, ("neuron", "role", "cri"), ("neuron", "cri"), sep=",", unique=1)
+    """Read cri_table.csv, roles optional; returns the table and any roles present."""
+    table = read_table(path, CRI_TABLE_CSV)
     neurons = table.columns["neuron"]
     roles = dict(zip(neurons, table.roles("role"))) if "role" in table.header else {}
     return CriTable(values=dict(zip(neurons, table.numbers("cri"))), n_genes=0), roles

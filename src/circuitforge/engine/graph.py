@@ -74,12 +74,10 @@ class _Step(NamedTuple):
 
 
 class CompiledGraph:
-    def __init__(self, v: ValidatedArch, seed: int, *, dtype=np.float32,
-                 check_finite: bool = True):
+    def __init__(self, v: ValidatedArch, seed: int, *, dtype=np.float32):
         self.v = v
         self.spec = v.spec
         self.dtype = np.dtype(dtype)
-        self.check_finite = check_finite
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self._slot_order: list[str] = []
@@ -204,7 +202,7 @@ class CompiledGraph:
         return acts[self.v.order[-1]]["out"]
 
     def _check_finite(self, block_id: str, out: np.ndarray) -> None:
-        if self.check_finite and not np.isfinite(out).all():
+        if not np.isfinite(out).all():
             raise NonFiniteActivation(f"block {block_id!r} produced non-finite values")
 
     def backward(self, grad_logits: np.ndarray) -> None:
@@ -279,19 +277,18 @@ class CompiledGraph:
                 push(srcs[0], gflat.reshape(cache["in_shape"]))
 
     def _set_grads(self, block_id: str, **grads: np.ndarray) -> None:
-        """Store one block's parameter gradients, refusing non-finite ones
-        when check_finite is set."""
+        """Store one block's parameter gradients, refusing non-finite ones."""
         for name, g in grads.items():
             self.grads[f"{block_id}/{name}"][...] = g
-        if self.check_finite and not all(np.isfinite(g).all() for g in grads.values()):
+        if not all(np.isfinite(g).all() for g in grads.values()):
             raise NonFiniteActivation(
                 f"block {block_id!r} produced a non-finite parameter gradient")
 
 
 def compile_arch(spec: ArchitectureSpec | ValidatedArch, seed: int, *,
-                 dtype=np.float32, check_finite: bool = True) -> CompiledGraph:
+                 dtype=np.float32) -> CompiledGraph:
     v = spec if isinstance(spec, ValidatedArch) else validate(spec)
-    return CompiledGraph(v, seed, dtype=dtype, check_finite=check_finite)
+    return CompiledGraph(v, seed, dtype=dtype)
 
 
 # --- checkpointing ---
@@ -312,7 +309,7 @@ def save_checkpoint(g: CompiledGraph, path) -> None:
             fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
 
 
-def load_checkpoint(path, *, dtype=np.float32, check_finite: bool = True) -> CompiledGraph:
+def load_checkpoint(path, *, dtype=np.float32) -> CompiledGraph:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 8 or blob[:4] != CHECKPOINT_MAGIC:
@@ -321,7 +318,7 @@ def load_checkpoint(path, *, dtype=np.float32, check_finite: bool = True) -> Com
     if len(blob) < 8 + doc_len:
         raise TruncatedFile(path, 8 + doc_len, len(blob))
     spec = ArchitectureSpec.from_json(blob[8:8 + doc_len].decode("utf-8"))
-    g = compile_arch(spec, seed=0, dtype=dtype, check_finite=check_finite)
+    g = compile_arch(spec, seed=0, dtype=dtype)
     offset = 8 + doc_len
     for slot, value, _ in g.param_slots():
         nbytes = value.size * 4

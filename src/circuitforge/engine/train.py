@@ -8,12 +8,14 @@ and epoch index, and every kernel in the stack is tie-deterministic.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..arch import check_int
 from ..datasets import LabeledDataset, batches
-from ..errors import EmptyDataset
+from ..errors import EmptyDataset, InvalidConfig
 from . import kernels as K
 from .graph import CompiledGraph
 from .optim import Adam, Optimizer, SGD
@@ -29,12 +31,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        """Refuse a bad field with InvalidConfig; BenchmarkConfig reuses these rules."""
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), low, InvalidConfig)
         if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
+            raise InvalidConfig(f"optimizer must be adam or sgd, got {self.optimizer!r}")
+        lr = self.lr
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
+            raise InvalidConfig(f"lr must be a finite number > 0, got {lr!r}")
 
 
 def make_optimizer(cfg: TrainConfig) -> Optimizer:

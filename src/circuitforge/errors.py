@@ -10,6 +10,11 @@ class CircuitForgeError(Exception):
     pass
 
 
+class InvalidConfig(CircuitForgeError, ValueError):
+    """A flag or config value out of range or of the wrong type, refused
+    before anything is written."""
+
+
 # --- connectome loading / aggregation ---
 
 class MalformedRow(CircuitForgeError):

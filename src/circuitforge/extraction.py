@@ -26,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .connectome import (Connectome, Direction, NeuronId, Role, load_roles, read_table,
-                         save_roles, top_k_neighbors)
+from .connectome import (ROLES_TSV, Connectome, Direction, NeuronId, Role, TableFormat,
+                         read_table, save_roles, top_k_neighbors, write_table)
 from .errors import (
     DegenerateCircuit,
     InvalidCircuit,
+    InvalidConfig,
     RoleMismatch,
     UnknownRole,
 )
@@ -49,7 +50,7 @@ class ExtractionConfig:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise InvalidConfig(f"k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -240,6 +241,9 @@ def sparsity(circuit: FunctionalCircuit) -> float:
 
 # --- file io ---
 
+CIRCUIT_TSV = TableFormat((("pre", "post", "weight"),), "\t", 2)
+
+
 def export_circuit(circuit: FunctionalCircuit, out_dir) -> dict[str, Path]:
     """Write circuit.tsv, circuit_roles.tsv and circuit.dot into out_dir."""
     out = Path(out_dir)
@@ -249,10 +253,8 @@ def export_circuit(circuit: FunctionalCircuit, out_dir) -> dict[str, Path]:
         "roles": out / "circuit_roles.tsv",
         "dot": out / "circuit.dot",
     }
-    with open(paths["edges"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("pre\tpost\tweight\n")
-        for (i, j), w in sorted(circuit.edges.items()):
-            fh.write(f"{i}\t{j}\t{w:g}\n")
+    write_table(paths["edges"], CIRCUIT_TSV,
+                ((i, j, w) for (i, j), w in sorted(circuit.edges.items())))
     save_roles(circuit.roles, paths["roles"])
     with open(paths["dot"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_to_dot(circuit))
@@ -279,15 +281,26 @@ def _to_dot(circuit: FunctionalCircuit) -> str:
 
 
 def load_circuit(edges_path, roles_path) -> FunctionalCircuit:
-    """Round-trip reader for export_circuit output; validates on load."""
-    roles = load_roles(roles_path)
-    table = read_table(edges_path, ("pre", "post", "weight"), sep="\t", unique=2)
+    """Round-trip reader for export_circuit output; validates on load.  A
+    non-positive weight names its circuit.tsv line, and a role row for a
+    neuron no edge touches names its roles-file line."""
+    role_table = read_table(roles_path, ROLES_TSV)
+    roles = dict(zip(role_table.columns["neuron"], role_table.roles("role")))
+    table = read_table(edges_path, CIRCUIT_TSV)
     pairs = list(zip(table.columns["pre"], table.columns["post"]))
-    for line_no, pair in zip(table.line_nos, pairs):
+    weights = table.numbers("weight")
+    for line_no, pair, w in zip(table.line_nos, pairs, weights):
         missing = [name for name in pair if name not in roles]
         if missing:
             raise UnknownRole(
                 f"{edges_path}:{line_no}: neuron {missing[0]!r} absent from {roles_path}")
-    circuit = FunctionalCircuit(roles=roles, edges=dict(zip(pairs, table.numbers("weight"))))
+        if w <= 0:
+            raise InvalidCircuit(
+                f"{edges_path}:{line_no}: edge ({pair[0]}, {pair[1]}) has non-positive weight {w}")
+    touched = {n for pair in pairs for n in pair}
+    for line_no, name in zip(role_table.line_nos, role_table.columns["neuron"]):
+        if name not in touched:
+            raise InvalidCircuit(f"{roles_path}:{line_no}: isolated node {name}")
+    circuit = FunctionalCircuit(roles=roles, edges=dict(zip(pairs, weights)))
     validate_circuit(circuit)
     return circuit

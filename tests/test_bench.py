@@ -15,7 +15,7 @@ from circuitforge.bench import (
     run_benchmark,
     summarize,
 )
-from circuitforge.errors import EmptyVector
+from circuitforge.errors import EmptyVector, InvalidConfig
 from conftest import write_bench_corpus
 
 
@@ -46,6 +46,18 @@ def test_benchmark_config_round_trip():
         BenchmarkConfig(styles=("circuit", "mystery"))
     with pytest.raises(ValueError):
         BenchmarkConfig(seeds=())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dataset", "svhn"), ("styles", ("circuit", "circuit")), ("seeds", (1, 1)),
+    ("seeds", (-1,)), ("seeds", (True,)), ("c", 0), ("train_subset", -1), ("subset_seed", 2.0),
+    ("epochs", 0), ("batch_size", 8.0), ("optimizer", "rmsprop"), ("lr", 0.0),
+    ("lr", float("nan")), ("data_dir", 3), ("out_dir", None),
+])
+def test_benchmark_config_refuses_bad_field(field, value):
+    with pytest.raises(InvalidConfig) as info:
+        BenchmarkConfig(**{field: value})
+    assert str(info.value).startswith(field)
 
 
 def test_metrics_report_round_trip():

@@ -123,3 +123,31 @@ def test_bench_run_missing_data_exits_one(tmp_path, capsys):
     cfg_path.write_text(cfg.to_json())
     assert main(["bench", "run", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [["--k", "0"], ["--policy", "topk:0"]])
+def test_extract_bad_flag_exits_one_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["extract", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: k must be >= 1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"seeds": []}, "seeds must be a non-empty list"),
+    ({"styles": "circuit"}, "styles must be a non-empty list"),
+    ({"bogus": 1}, "unknown benchmark config fields: bogus"),
+    ([1], "benchmark config must be a JSON object"),
+    ({"epochs": 0}, "epochs must be an integer >= 1"),
+])
+def test_bench_run_bad_config_exits_one_before_writing(tmp_path, capsys, doc, message):
+    if isinstance(doc, dict):
+        doc["data_dir"] = str(write_bench_corpus(tmp_path / "data"))
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["bench", "run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert not out.exists()
