@@ -43,6 +43,7 @@ from .errors import (
     ShapeInferenceFailure,
     ShapeMismatchAtMerge,
     UnreachableBlock,
+    open_input,
 )
 from .extraction import FunctionalCircuit
 
@@ -250,7 +251,7 @@ def save_arch(spec: ArchitectureSpec, path) -> None:
 
 
 def load_arch(path) -> ArchitectureSpec:
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, encoding="utf-8") as fh:
         return ArchitectureSpec.from_json(fh.read())
 
 

@@ -141,7 +141,7 @@ def convergence_rate(epoch_mean_losses, threshold: float) -> int | None:
     """First epoch index whose mean loss is at or below the threshold;
     None when the curve never gets there."""
     if threshold <= 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
+        raise InvalidConfig(f"threshold must be > 0, got {threshold}")
     losses = list(epoch_mean_losses)
     if not losses:
         raise EmptyVector("empty loss curve")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -34,6 +35,7 @@ from .errors import (
     UnknownNeuron,
     UnknownRole,
     UnmappedNeuron,
+    open_input,
 )
 
 NeuronId = str
@@ -138,10 +140,10 @@ def read_table(path, fmt: TableFormat) -> Table:
     write.csv does, but may not run onto the next line.  The first
     `fmt.key` fields of a row are its key, and no key appears twice.  A
     violation, or a byte that is not UTF-8, raises MalformedRow naming
-    path:line.
+    path:line; a missing file raises MissingInput.
     """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open_input(path, encoding="utf-8", newline="") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError:
         data = Path(path).read_bytes()  # only now: find the line of the bad byte
@@ -199,8 +201,9 @@ def write_table(path, fmt: TableFormat, rows) -> None:
     quoted by the csv module, so that `read_table` reads every field back as
     written.  Every row is checked before the file is opened: a row of the
     wrong length, or a field `read_table` would alter or drop (empty, padded,
-    holding a line break, or first in its row and starting with '#'), raises
-    MalformedRow naming path and the line the row would have taken."""
+    holding a line break, or first in its row and starting with '#'), or one
+    that is not encodable as UTF-8, raises MalformedRow naming path and the
+    line the row would have taken."""
     header = fmt.headers[0]
     records = [header]
     for line_no, row in enumerate(rows, start=2):
@@ -209,8 +212,15 @@ def write_table(path, fmt: TableFormat, rows) -> None:
                 f and f == f.strip() and "\n" not in f and "\r" not in f for f in fields):
             raise MalformedRow(path, line_no, f"row {fields} would not read back as written")
         records.append(fields)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, delimiter=fmt.sep, lineterminator="\n").writerows(records)
+    buf = io.StringIO()
+    csv.writer(buf, delimiter=fmt.sep, lineterminator="\n").writerows(records)
+    text = buf.getvalue()
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate; each row is one line
+        raise MalformedRow(path, text.count("\n", 0, exc.start) + 1,
+                           f"not UTF-8 encodable: {text[exc.start]!r}") from None
+    Path(path).write_bytes(data)
 
 
 def load_roles(path) -> dict[NeuronId, Role]:

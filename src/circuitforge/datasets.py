@@ -28,6 +28,7 @@ from .errors import (
     CountMismatch,
     EmptyDataset,
     InsufficientExamples,
+    InvalidConfig,
     MissingBatchFile,
     TruncatedFile,
 )
@@ -149,9 +150,9 @@ def load_cifar(directory, variant: str = "C10", split: str = "train") -> Labeled
     directory = Path(directory)
     variant = variant.upper()
     if variant not in ("C10", "C100"):
-        raise ValueError(f"variant must be C10 or C100, got {variant!r}")
+        raise InvalidConfig(f"variant must be C10 or C100, got {variant!r}")
     if split not in ("train", "test"):
-        raise ValueError(f"split must be train or test, got {split!r}")
+        raise InvalidConfig(f"split must be train or test, got {split!r}")
     if variant == "C10":
         files = [f"data_batch_{i}.bin" for i in range(1, 6)] if split == "train" \
             else ["test_batch.bin"]
@@ -204,7 +205,7 @@ def subset(ds: LabeledDataset, n: int, seed: int) -> LabeledDataset:
 def batches(ds: LabeledDataset, batch_size: int, seed: int, *, shuffle: bool = True):
     """Yield (images, labels) covering every example exactly once."""
     if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        raise InvalidConfig(f"batch_size must be >= 1, got {batch_size}")
     if len(ds) == 0:
         raise EmptyDataset("cannot iterate an empty dataset")
     if shuffle:
@@ -248,7 +249,9 @@ def load_dataset(data_dir, name: str, split: str = "train") -> LabeledDataset:
     """Load one of the four supported datasets from the documented layout:
     <data_dir>/<name>/ holding either the IDX pair or the CIFAR binaries."""
     if name not in DATASET_IDS:
-        raise ValueError(f"unknown dataset {name!r}, expected one of {DATASET_IDS}")
+        raise InvalidConfig(f"unknown dataset {name!r}, expected one of {DATASET_IDS}")
+    if split not in _IDX_FILES:
+        raise InvalidConfig(f"split must be train or test, got {split!r}")
     root = Path(data_dir) / name
     if name in ("mnist", "fashion_mnist"):
         img_stem, lab_stem = _IDX_FILES[split]

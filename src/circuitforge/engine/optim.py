@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import InvalidConfig
+
 
 class SGD:
     """v <- momentum * v + grad;  p <- p - lr * v."""
 
     def __init__(self, lr: float, momentum: float = 0.0):
         if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
+            raise InvalidConfig(f"lr must be > 0, got {lr}")
         if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+            raise InvalidConfig(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
         self.momentum = momentum
         self.velocity: dict[str, np.ndarray] = {}
@@ -44,12 +46,12 @@ class Adam:
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
+            raise InvalidConfig(f"lr must be > 0, got {lr}")
         for name, beta in (("beta1", beta1), ("beta2", beta2)):
             if not 0.0 <= beta < 1.0:  # 1.0 would zero the bias correction
-                raise ValueError(f"{name} must be in [0, 1), got {beta}")
+                raise InvalidConfig(f"{name} must be in [0, 1), got {beta}")
         if eps <= 0:
-            raise ValueError(f"eps must be > 0, got {eps}")
+            raise InvalidConfig(f"eps must be > 0, got {eps}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2

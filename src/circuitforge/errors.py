@@ -1,8 +1,9 @@
 """Exception types raised across the pipeline.
 
 Every error the library raises deliberately derives from CircuitForgeError,
-so callers can catch one base class at CLI boundaries.  Loader errors carry
-enough context (line numbers, byte offsets) to point at the offending input.
+so callers can catch one base class at CLI boundaries; `open_input` turns a
+missing input file into one.  Loader errors carry enough context (line
+numbers, byte offsets) to point at the offending input.
 """
 
 
@@ -13,6 +14,22 @@ class CircuitForgeError(Exception):
 class InvalidConfig(CircuitForgeError, ValueError):
     """A flag or config value out of range or of the wrong type, refused
     before anything is written."""
+
+
+class MissingInput(CircuitForgeError, FileNotFoundError):
+    """A caller-given input file that does not exist; names the path."""
+
+    def __init__(self, path):
+        super().__init__(f"{path}: no such file")
+        self.path = path
+
+
+def open_input(path, *args, **kwargs):
+    """`open` for a caller-given input file: a missing one raises MissingInput."""
+    try:
+        return open(path, *args, **kwargs)
+    except FileNotFoundError:
+        raise MissingInput(path) from None
 
 
 # --- connectome loading / aggregation ---

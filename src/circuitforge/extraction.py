@@ -203,7 +203,7 @@ def extract_circuits(conn: Connectome, sel, cfg: ExtractionConfig = ExtractionCo
     plain set merge.
     """
     if not (sel.sensory or sel.inter or sel.motor):
-        raise ValueError("selection is empty")
+        raise InvalidConfig("selection is empty")
     parts = [extend_from_sensory(conn, sel.sensory, cfg)] if sel.sensory else []
     for inter in sorted(sel.inter):
         parts.append(extend_from_interneuron(conn, inter, cfg))
@@ -214,17 +214,25 @@ def extract_circuits(conn: Connectome, sel, cfg: ExtractionConfig = ExtractionCo
     return circuit
 
 
+def _edge_fault(i: NeuronId, j: NeuronId, w: float, roles: dict[NeuronId, Role]
+                ) -> InvalidCircuit | RoleMismatch | None:
+    """The error for edge i -> j of weight w between nodes with roles, if any."""
+    if w <= 0:
+        return InvalidCircuit(f"edge ({i}, {j}) has non-positive weight {w}")
+    pair = (roles[i], roles[j])
+    if pair not in LEGAL_EDGES:
+        return RoleMismatch(
+            f"edge {i}->{j} is {pair[0].value}->{pair[1].value}, which is not allowed")
+    return None
+
+
 def validate_circuit(circuit: FunctionalCircuit) -> None:
     """Check the tripartite invariants; raises on the first violation."""
     for (i, j), w in circuit.edges.items():
         if i not in circuit.roles or j not in circuit.roles:
             raise InvalidCircuit(f"edge ({i}, {j}) references a node without a role")
-        if w <= 0:
-            raise InvalidCircuit(f"edge ({i}, {j}) has non-positive weight {w}")
-        pair = (circuit.roles[i], circuit.roles[j])
-        if pair not in LEGAL_EDGES:
-            raise RoleMismatch(
-                f"edge {i}->{j} is {pair[0].value}->{pair[1].value}, which is not allowed")
+        if fault := _edge_fault(i, j, w, circuit.roles):
+            raise fault
     touched = {n for edge in circuit.edges for n in edge}
     isolated = sorted(circuit.nodes - touched)
     if isolated:
@@ -282,11 +290,11 @@ def _to_dot(circuit: FunctionalCircuit) -> str:
 
 def load_circuit(edges_path, roles_path) -> FunctionalCircuit:
     """Round-trip reader for export_circuit output; validates on load.  A
-    non-positive weight names its circuit.tsv line, and a role row for a
-    neuron no edge touches names its roles-file line."""
+    non-positive weight or a role-illegal edge names its circuit.tsv line,
+    and a role row for a neuron no edge touches names its roles-file line."""
+    table = read_table(edges_path, CIRCUIT_TSV)
     role_table = read_table(roles_path, ROLES_TSV)
     roles = dict(zip(role_table.columns["neuron"], role_table.roles("role")))
-    table = read_table(edges_path, CIRCUIT_TSV)
     pairs = list(zip(table.columns["pre"], table.columns["post"]))
     weights = table.numbers("weight")
     for line_no, pair, w in zip(table.line_nos, pairs, weights):
@@ -294,9 +302,8 @@ def load_circuit(edges_path, roles_path) -> FunctionalCircuit:
         if missing:
             raise UnknownRole(
                 f"{edges_path}:{line_no}: neuron {missing[0]!r} absent from {roles_path}")
-        if w <= 0:
-            raise InvalidCircuit(
-                f"{edges_path}:{line_no}: edge ({pair[0]}, {pair[1]}) has non-positive weight {w}")
+        if fault := _edge_fault(*pair, w, roles):
+            raise type(fault)(f"{edges_path}:{line_no}: {fault}")
     touched = {n for pair in pairs for n in pair}
     for line_no, name in zip(role_table.line_nos, role_table.columns["neuron"]):
         if name not in touched:

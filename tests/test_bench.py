@@ -15,8 +15,12 @@ from circuitforge.bench import (
     run_benchmark,
     summarize,
 )
+from circuitforge.cri import SelectedNeurons
+from circuitforge.datasets import batches, load_cifar, load_dataset
+from circuitforge.engine.optim import SGD, Adam
 from circuitforge.errors import EmptyVector, InvalidConfig
-from conftest import write_bench_corpus
+from circuitforge.extraction import extract_circuits
+from conftest import make_connectome, synthetic_dataset, write_bench_corpus
 
 
 def test_consistency_is_population_std():
@@ -35,6 +39,31 @@ def test_convergence_rate_first_crossing():
         convergence_rate([1.0], 0.0)
     with pytest.raises(EmptyVector):
         convergence_rate([], 1.0)
+
+
+# argument checks outside the benchmark config, each refused as InvalidConfig
+BAD_ARGUMENTS = {
+    "dataset_name": lambda d: load_dataset(d, "svhn"),
+    "dataset_split": lambda d: load_dataset(d, "mnist", "val"),
+    "cifar_variant": lambda d: load_cifar(d, "C20"),
+    "cifar_split": lambda d: load_cifar(d, "C10", "val"),
+    "batch_size": lambda d: list(batches(synthetic_dataset(n=4), 0, seed=0)),
+    "sgd_lr": lambda d: SGD(lr=0.0),
+    "sgd_momentum": lambda d: SGD(lr=0.1, momentum=1.0),
+    "adam_lr": lambda d: Adam(lr=-1.0),
+    "adam_beta2": lambda d: Adam(beta2=1.0),
+    "adam_eps": lambda d: Adam(eps=0.0),
+    "convergence_threshold": lambda d: convergence_rate([1.0], 0.0),
+    "empty_selection": lambda d: extract_circuits(
+        make_connectome({("S1", "I1"): 1}),
+        SelectedNeurons(frozenset(), frozenset(), frozenset())),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_argument_raises_invalid_config(case, tmp_path):
+    with pytest.raises(InvalidConfig):
+        BAD_ARGUMENTS[case](tmp_path)
 
 
 def test_benchmark_config_round_trip():

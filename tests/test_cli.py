@@ -35,6 +35,20 @@ def test_extract_nan_cri_exits_one_naming_the_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: {cri}:3:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["extract", "--connectome", "{missing}", "--out", "{tmp}/o"],
+    ["bench", "run", "--config", "{missing}"],
+    ["synthesize", "--circuit", "{missing}", "--style", "circuit", "--out", "{tmp}/a.json"],
+], ids=["extract", "bench_run", "synthesize"])
+def test_missing_input_exits_one_naming_the_path(tmp_path, capsys, argv):
+    missing = tmp_path / "nope.tsv"
+    code = main([a.format(missing=missing, tmp=tmp_path) for a in argv])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {missing}: no such file"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "a.json").exists()
+
+
 def test_synthesize_negative_seed_exits_one(tmp_path, capsys):
     code = main(["synthesize", "--style", "randomized", "--seed", "-1",
                  "--out", str(tmp_path / "a.json")])

@@ -354,7 +354,8 @@ def sibling_spec(channels: int) -> ArchitectureSpec:
 
 
 def conv_groups(g: CompiledGraph) -> list[list[str]]:
-    return [[member for member, _, _ in step.members] for step in g._plan if step.members]
+    return [[g.v.order[t] for t in step.out] for step in g._plan
+            if step.kind is BlockKind.CONV]
 
 
 @pytest.fixture(scope="module")
@@ -435,7 +436,7 @@ def test_seed0_checkpoints_are_unchanged_by_grouping(ref_circuit, tmp_path, styl
     assert hashlib.sha256(path.read_bytes()).hexdigest().startswith(GOLDEN_CHECKPOINTS[style])
 
 
-def test_non_finite_sibling_is_named(monkeypatch):
+def test_non_finite_sibling_is_named():
     g = tiny_graph()
     assert conv_groups(g)[0] == ["conv:S1", "conv:S2"]
     x = np.random.default_rng(2).normal(size=(2, 1, 12, 12)).astype(np.float32)
@@ -443,16 +444,34 @@ def test_non_finite_sibling_is_named(monkeypatch):
     with pytest.raises(NonFiniteActivation, match="'conv:S2'"):
         g.forward(x)
 
-    g = tiny_graph()
-    conv2d_backward = K.conv2d_backward
 
-    def poisoned(gy, xin, w, pad):
-        gx, gw, gb = conv2d_backward(gy, xin, w, pad)
-        if w.shape[:2] == (4, 1):  # the stem group; rows 2: belong to conv:S2
-            gw[2:] = np.nan
-        return gx, gw, gb
+# case -> (graph, kernel, slot whose buffer the poisoned call reads as `w`,
+#          index of the poisoned output, its poisoned rows, block named)
+NAN_PARAM_GRADS = {
+    # the stem group's weight gradient, whose rows 2: belong to conv:S2
+    "sibling": (tiny_graph, "conv2d_backward", "conv:S1/w", 1, slice(2, None), "conv:S2"),
+    "merge_projection": (tiny_graph, "conv2d_backward", "merge:I1/w", 2, slice(None),
+                         "merge:I1"),
+    "dense_hidden": (lambda: compile_arch(validate(synthesize_sequential_arch(2, (1, 16, 16), 4)),
+                                          0), "dense_backward", "head/w1", 1, slice(None), "head"),
+}
 
-    monkeypatch.setattr(K, "conv2d_backward", poisoned)
-    g.forward(x)
-    with pytest.raises(NonFiniteActivation, match="'conv:S2'"):
+
+@pytest.mark.parametrize("case", sorted(NAN_PARAM_GRADS))
+def test_non_finite_parameter_gradient_is_named(monkeypatch, case):
+    make, kernel, slot, index, rows, block = NAN_PARAM_GRADS[case]
+    g = make()
+    target = g.params[slot]
+    real = getattr(K, kernel)
+
+    def poisoned(gy, xin, w, *rest):
+        outs = list(real(gy, xin, w, *rest))
+        if np.shares_memory(w, target):
+            outs[index][rows] = np.nan
+        return tuple(outs)
+
+    monkeypatch.setattr(K, kernel, poisoned)
+    g.forward(np.random.default_rng(2).normal(size=(2,) + g.spec.input_shape))
+    with pytest.raises(NonFiniteActivation,
+                       match=f"'{block}' produced a non-finite parameter gradient"):
         g.backward(np.ones((2, 4), dtype=np.float32))

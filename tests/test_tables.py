@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import pytest
 
+from circuitforge.arch import load_arch
 from circuitforge.connectome import (
     AGGREGATION_TSV,
     Role,
@@ -27,7 +28,15 @@ from circuitforge.cri import (
     select_correlated,
     write_cri_table,
 )
-from circuitforge.errors import InvalidCircuit, MalformedRow, UnknownRole
+from circuitforge.engine.graph import load_checkpoint
+from circuitforge.errors import (
+    CircuitForgeError,
+    InvalidCircuit,
+    MalformedRow,
+    MissingInput,
+    RoleMismatch,
+    UnknownRole,
+)
 from circuitforge.extraction import FunctionalCircuit, export_circuit, load_circuit
 from circuitforge.reference import load_reference_connectome, load_reference_cri
 
@@ -69,6 +78,8 @@ MALFORMED = {
         _circuit(EDGES + "S1\tM9\t1\n"), UnknownRole, "circuit.tsv:4"),
     "circuit_zero_weight": (
         _circuit(EDGES + "S1\tM1\t0\n"), InvalidCircuit, "circuit.tsv:4"),
+    "circuit_role_illegal_edge": (
+        _circuit(EDGES + "I1\tS1\t1\n"), RoleMismatch, "circuit.tsv:4"),
     "circuit_isolated_role_row": (
         _circuit(EDGES, ROLES + "X\tinter\n"), InvalidCircuit, "circuit_roles.tsv:5"),
     "roles_not_utf8": (
@@ -119,6 +130,16 @@ def test_malformed_table_names_file_and_line(case, tmp_path):
     with pytest.raises(error) as info:
         load(tmp_path)
     assert f"{tmp_path / where}:" in str(info.value)
+
+
+@pytest.mark.parametrize("load", [lambda p: read_table(p, AGGREGATION_TSV), load_arch,
+                                  load_checkpoint], ids=["read_table", "arch", "checkpoint"])
+def test_missing_input_names_the_path(tmp_path, load):
+    path = tmp_path / "nope.txt"
+    with pytest.raises(MissingInput) as info:
+        load(path)
+    assert isinstance(info.value, CircuitForgeError) and isinstance(info.value, FileNotFoundError)
+    assert str(info.value) == f"{path}: no such file"
 
 
 def test_load_circuit_strips_padding(tmp_path):
@@ -191,6 +212,7 @@ def test_writers_reproduce_the_bundled_tables(tmp_path):
     (NAME_VALUE_CSV, ("X", "1\r"), True),
     (NAME_VALUE_TSV, ("#X", "1"), True),
     (NAME_VALUE_CSV, ("X", "1", "2"), True),
+    (NAME_VALUE_TSV, ("b\udcff", "1"), True),  # a lone surrogate is not UTF-8
 ])
 def test_write_table_rules(tmp_path, fmt, row, refused):
     path = tmp_path / "t.txt"
