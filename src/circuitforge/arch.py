@@ -26,15 +26,15 @@ or exhausted spatial dims.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .connectome import Role
+from .connectome import Role, json_text, read_json, write_json
 from .errors import (
     ConstraintUnsatisfiable,
     CycleDetected,
@@ -43,7 +43,8 @@ from .errors import (
     ShapeInferenceFailure,
     ShapeMismatchAtMerge,
     UnreachableBlock,
-    open_input,
+    check_int,
+    read_input,
 )
 from .extraction import FunctionalCircuit
 
@@ -57,13 +58,6 @@ class BlockKind(enum.Enum):
     MERGE = "Merge"
     GLOBAL_POOL = "GlobalPool"
     DENSE_HEAD = "DenseHead"
-
-    @classmethod
-    def parse(cls, text: str) -> BlockKind:
-        for kind in cls:
-            if kind.value == text:
-                return kind
-        raise InvalidArchitecture(f"unknown block kind {text!r}")
 
 
 # --- the op table ---
@@ -127,13 +121,6 @@ _OPS: dict[BlockKind, _Op] = {
 }
 
 
-def check_int(what: str, value, low: int, error: type = InvalidArchitecture) -> None:
-    """A Python int (what JSON round-trips) of at least `low`; a bool, a
-    float such as 5.0 or a numpy integer raises `error`."""
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
-        raise error(f"{what} must be an integer >= {low}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class LayerBlock:
     id: str
@@ -149,7 +136,7 @@ class LayerBlock:
         for key, low in want.items():
             value = self.params[key]
             if low is not bool:
-                check_int(f"block {self.id!r}: {key}", value, low)
+                check_int(f"block {self.id!r}: {key}", value, low, InvalidArchitecture)
             elif not isinstance(value, bool):
                 raise InvalidArchitecture(f"block {self.id!r}: {key} must be a bool, got {value!r}")
 
@@ -169,12 +156,12 @@ class ArchitectureSpec:
         object.__setattr__(self, "blocks", tuple(sorted(self.blocks, key=lambda b: b.id)))
         object.__setattr__(self, "wires", tuple(sorted(tuple(w) for w in self.wires)))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        check_int("c", self.c, 1)
-        check_int("num_categories", self.num_categories, 2)
+        check_int("c", self.c, 1, InvalidArchitecture)
+        check_int("num_categories", self.num_categories, 2, InvalidArchitecture)
         if len(self.input_shape) != 3:
             raise InvalidArchitecture(f"bad input shape {self.input_shape}")
         for d in self.input_shape:
-            check_int(f"input_shape {self.input_shape} entry", d, 1)
+            check_int(f"input_shape {self.input_shape} entry", d, 1, InvalidArchitecture)
         # not a field, so equality and the JSON form are unaffected
         object.__setattr__(self, "_by_id", {b.id: b for b in self.blocks})
 
@@ -184,75 +171,16 @@ class ArchitectureSpec:
         except KeyError:
             raise InvalidArchitecture(f"no block {block_id!r}") from None
 
-    # --- json interchange ---
-
-    def to_json(self) -> str:
-        doc = {
-            "topology_source": self.topology_source,
-            "input_shape": list(self.input_shape),
-            "num_categories": self.num_categories,
-            "c": self.c,
-            "blocks": [{"id": b.id, "kind": b.kind.value, "params": dict(sorted(b.params.items()))}
-                       for b in self.blocks],
-            "wires": [list(w) for w in self.wires],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> ArchitectureSpec:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidArchitecture(f"unparsable architecture JSON: {exc}")
-        _check_json_shape(doc)
-        blocks = tuple(LayerBlock(id=b["id"], kind=BlockKind.parse(b["kind"]),
-                                  params=dict(b["params"]))
-                       for b in doc["blocks"])
-        return cls(blocks=blocks,
-                   wires=tuple((a, b) for a, b in doc["wires"]),
-                   input_shape=tuple(doc["input_shape"]),
-                   num_categories=doc["num_categories"],
-                   c=doc["c"],
-                   topology_source=doc["topology_source"])
-
-
-_JSON_FIELDS = ("blocks", "c", "input_shape", "num_categories", "topology_source", "wires")
-
-
-def _check_json_shape(doc) -> None:
-    """Check the JSON types `from_json` takes apart, naming the field at
-    fault; LayerBlock and ArchitectureSpec check the values."""
-    def need(ok: bool, name: str, what: str, value) -> None:
-        if not ok:
-            raise InvalidArchitecture(f"{name} must be {what}, got {type(value).__name__}")
-
-    need(isinstance(doc, dict), "architecture JSON", "an object", doc)
-    missing = [name for name in _JSON_FIELDS if name not in doc]
-    if missing:
-        raise InvalidArchitecture(f"architecture JSON missing field: {', '.join(missing)}")
-    need(isinstance(doc["blocks"], list), "blocks", "a list", doc["blocks"])
-    for i, b in enumerate(doc["blocks"]):
-        need(isinstance(b, dict), f"blocks[{i}]", "an object", b)
-        for key, kind, what in (("id", str, "a string"), ("kind", str, "a string"),
-                                ("params", dict, "an object")):
-            need(isinstance(b.get(key), kind), f"blocks[{i}].{key}", what, b.get(key))
-    need(isinstance(doc["wires"], list), "wires", "a list", doc["wires"])
-    for i, w in enumerate(doc["wires"]):
-        need(isinstance(w, list) and len(w) == 2 and all(isinstance(x, str) for x in w),
-             f"wires[{i}]", "a list of two block ids", w)
-    need(isinstance(doc["input_shape"], list), "input_shape", "a list", doc["input_shape"])
-    need(isinstance(doc["topology_source"], str), "topology_source", "a string",
-         doc["topology_source"])
+    to_json = json_text
+    from_json = classmethod(partial(read_json, error=InvalidArchitecture, name="architecture JSON"))
 
 
 def save_arch(spec: ArchitectureSpec, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(spec.to_json())
+    write_json(path, spec)
 
 
 def load_arch(path) -> ArchitectureSpec:
-    with open_input(path, encoding="utf-8") as fh:
-        return ArchitectureSpec.from_json(fh.read())
+    return ArchitectureSpec.from_json(read_input(path))
 
 
 # --- validation / shape inference ---
@@ -488,7 +416,7 @@ def synthesize_randomized_arch(circuit: FunctionalCircuit, c: int, seed: int,
     """
     if not circuit.edges:
         raise EmptyCircuit("cannot synthesize from a circuit with no edges")
-    check_int("seed", seed, 0)
+    check_int("seed", seed, 0, InvalidArchitecture)
     if seed >= 2 ** 64:
         raise InvalidArchitecture(f"seed must fit in 64 unsigned bits, got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -545,7 +473,8 @@ def synthesize_sequential_arch(c: int, input_shape: Shape, num_categories: int
                                ) -> ArchitectureSpec:
     """Plain chain: two 5x5 valid convolutions with 2x pooling, then a
     flattening dense head with one hidden layer of 20*c units."""
-    check_int("c", c, 1)  # here, or a bad c is reported as the head's hidden width
+    # here, or a bad c is reported as the head's hidden width
+    check_int("c", c, 1, InvalidArchitecture)
     blocks = (
         LayerBlock("stem", BlockKind.STEM),
         LayerBlock("conv:a", BlockKind.CONV,

@@ -16,20 +16,18 @@ the summary, which must be byte-identical across identical re-runs.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import arch as A
-from .connectome import TableFormat, write_table
+from .connectome import TableFormat, json_text, read_json, write_json, write_table
 from .datasets import DATASET_IDS, LabeledDataset, load_dataset, resolve_data_dir, subset
 from .engine.graph import compile_arch
 from .engine.train import TrainConfig, evaluate, fit
-from .errors import EmptyVector, InvalidConfig
+from .errors import EmptyVector, InvalidConfig, InvalidReport, check_int, read_input
 from .extraction import FunctionalCircuit
 from .reference import source_circuit
 
@@ -67,7 +65,7 @@ class BenchmarkConfig:
                 raise InvalidConfig(f"{name} must be a non-empty list of distinct {what}, "
                                     f"got {values!r}")
         for name, low in (("c", 1), ("train_subset", 0), ("test_subset", 0), ("subset_seed", 0)):
-            A.check_int(name, getattr(self, name), low, InvalidConfig)
+            check_int(name, getattr(self, name), low, InvalidConfig)
         TrainConfig(epochs=self.epochs, batch_size=self.batch_size, optimizer=self.optimizer,
                     lr=self.lr)
         for name in ("data_dir", "circuit_dir", "out_dir"):
@@ -75,24 +73,8 @@ class BenchmarkConfig:
             if not (isinstance(value, str) or value is None and name != "out_dir"):
                 raise InvalidConfig(f"{name} must be a path string, got {value!r}")
 
-    def to_json(self) -> str:
-        doc = {k: (list(v) if isinstance(v, tuple) else v)
-               for k, v in self.__dict__.items()}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> BenchmarkConfig:
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:
-            raise InvalidConfig(f"benchmark config is not JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise InvalidConfig(f"benchmark config must be a JSON object, got {doc!r:.40}")
-        unknown = sorted(doc.keys() - {f.name for f in fields(cls)})
-        if unknown:
-            raise InvalidConfig(f"unknown benchmark config fields: {', '.join(unknown)}")
-        return cls(**{key: tuple(v) if key in ("styles", "seeds") and isinstance(v, list) else v
-                      for key, v in doc.items()})
+    to_json = json_text
+    from_json = classmethod(partial(read_json, error=InvalidConfig, name="benchmark config"))
 
 
 @dataclass
@@ -105,25 +87,15 @@ class MetricsReport:
     accuracy: float
     per_category: dict[int, float]
     consistency_score: float
-    confusion: np.ndarray
+    confusion: list[list[int]]  # rows = true, cols = predicted
     step_losses: list[float]
     epoch_mean_losses: list[float]
     wall_time_s: float
     train_examples: int
     test_examples: int
 
-    def to_json(self) -> str:
-        doc = dict(self.__dict__)
-        doc["confusion"] = self.confusion.tolist()
-        doc["per_category"] = {str(k): v for k, v in sorted(self.per_category.items())}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> MetricsReport:
-        doc = json.loads(text)
-        doc["confusion"] = np.asarray(doc["confusion"], dtype=np.int64)
-        doc["per_category"] = {int(k): v for k, v in doc["per_category"].items()}
-        return cls(**doc)
+    to_json = json_text
+    from_json = classmethod(partial(read_json, error=InvalidReport, name="run report"))
 
 
 def consistency(values) -> float:
@@ -176,14 +148,14 @@ def run_one(style: str, seed: int, cfg: BenchmarkConfig, circuit: FunctionalCirc
         accuracy=result.accuracy,
         per_category=result.per_category,
         consistency_score=consistency(result.per_category.values()),
-        confusion=result.confusion,
+        confusion=result.confusion.tolist(),
         step_losses=[loss for ep in history for loss in ep.step_losses],
         epoch_mean_losses=[ep.mean_loss for ep in history],
         wall_time_s=elapsed,
         train_examples=len(train_ds),
         test_examples=len(test_ds),
     )
-    (run_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
+    write_json(run_dir / "report.json", report)
     return report
 
 
@@ -192,7 +164,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> tuple[list[MetricsReport], dict]:
     artifacts are already on disk if a later run raises."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "bench.json").write_text(cfg.to_json(), encoding="utf-8")
+    write_json(out / "bench.json", cfg)
 
     data_dir = resolve_data_dir(cfg.data_dir)
     train_full = load_dataset(data_dir, cfg.dataset, "train")
@@ -219,8 +191,14 @@ def run_benchmark(cfg: BenchmarkConfig) -> tuple[list[MetricsReport], dict]:
 # --- summarizing ---
 
 def load_reports(out_dir) -> list[MetricsReport]:
-    runs = sorted(Path(out_dir).glob("runs/*/report.json"))
-    return [MetricsReport.from_json(p.read_text(encoding="utf-8")) for p in runs]
+    """Every `runs/*/report.json` under `out_dir`; InvalidReport names a bad one."""
+    reports = []
+    for path in sorted(Path(out_dir).glob("runs/*/report.json")):
+        try:
+            reports.append(MetricsReport.from_json(read_input(path)))
+        except InvalidReport as exc:
+            raise InvalidReport(f"{path}: {exc}") from None
+    return reports
 
 
 def summarize(out_dir) -> dict:
@@ -268,8 +246,7 @@ def summarize(out_dir) -> dict:
                                    "mean_consistency", "std_consistency")),
          "not_reached" if s["mean_convergence"] is None else f"{s['mean_convergence']:.4f}",
          s["runs_reaching_threshold"]) for style, s in per_style.items()))
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out / "summary.json", summary)
     emit_plots(reports, out / "plots")
     return summary
 

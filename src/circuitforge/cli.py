@@ -36,7 +36,7 @@ from .cri import (
     select_correlated,
     write_cri_table,
 )
-from .errors import CircuitForgeError, open_input
+from .errors import CircuitForgeError, read_input
 from .extraction import ExtractionConfig, export_circuit, extract_circuits, sparsity
 from .reference import source_circuit
 
@@ -116,8 +116,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_bench_run(args) -> int:
-    with open_input(args.config, encoding="utf-8") as fh:
-        cfg = B.BenchmarkConfig.from_json(fh.read())
+    cfg = B.BenchmarkConfig.from_json(read_input(args.config))
     if args.out:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     try:

@@ -8,7 +8,8 @@ directions).  The effective edge weight is C[i,j] + E[i,j].
 Each text table's layout (headers, separator, key) is one `TableFormat`
 constant beside its loader, here and in `cri`, `extraction` and `bench`.
 Every table is read by `read_table` and written by `write_table`, which
-hold the rules all tables share.
+hold the rules all tables share.  Each JSON document is declared by its
+dataclass alone, read by `read_json` and written by `write_json`.
 
 A Connectome instance is immutable after construction; every operation here
 is a pure read and safe to call concurrently.
@@ -19,14 +20,19 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .errors import (
     AsymmetricElectrical,
+    CircuitForgeError,
     InvalidConfig,
     MalformedRow,
     MixedRoleGroup,
@@ -35,7 +41,8 @@ from .errors import (
     UnknownNeuron,
     UnknownRole,
     UnmappedNeuron,
-    open_input,
+    check_int,
+    read_input,
 )
 
 NeuronId = str
@@ -140,19 +147,14 @@ def read_table(path, fmt: TableFormat) -> Table:
     write.csv does, but may not run onto the next line.  The first
     `fmt.key` fields of a row are its key, and no key appears twice.  A
     violation, or a byte that is not UTF-8, raises MalformedRow naming
-    path:line; a missing file raises MissingInput.
+    path:line; a file that cannot be read raises through `read_input`.
     """
+    data = read_input(path)
     try:
-        with open_input(path, encoding="utf-8", newline="") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        data = Path(path).read_bytes()  # only now: find the line of the bad byte
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedRow(path, data.count(b"\n", 0, exc.start) + 1,
-                               f"not UTF-8: byte {data[exc.start]:#04x}") from None
-        raise
+        lines = io.StringIO(data.decode("utf-8"), newline="").readlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(path, data.count(b"\n", 0, exc.start) + 1,
+                           f"not UTF-8: byte {data[exc.start]:#04x}") from None
     line_nos = [n for n, line in enumerate(lines, start=1)
                 if (text := line.strip()) and text[0] != "#"]
     reader = csv.reader([lines[n - 1] for n in line_nos], delimiter=fmt.sep, strict=True)
@@ -221,6 +223,86 @@ def write_table(path, fmt: TableFormat, rows) -> None:
         raise MalformedRow(path, text.count("\n", 0, exc.start) + 1,
                            f"not UTF-8 encodable: {text[exc.start]!r}") from None
     Path(path).write_bytes(data)
+
+
+# --- JSON documents ---
+
+def _plain(value):
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value.value if isinstance(value, enum.Enum) else value
+
+
+def json_text(doc) -> str:
+    """`doc` as two-space JSON with sorted keys: a dataclass as its fields, an
+    Enum as its value, an ndarray as nested lists, dict keys as strings."""
+    return json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, doc) -> None:
+    Path(path).write_bytes(json_text(doc).encode("utf-8"))  # UTF-8, '\n' line endings
+
+
+def read_json(cls: type, data: bytes | str, error: type[CircuitForgeError], name: str):
+    """UTF-8 JSON `data` as dataclass `cls`: fields with a default are optional, unknown
+    ones refused, types checked against the type hints (a bool is no int), values by
+    the constructors.  A fault raises `error` naming `name` or the field path."""
+    def need(ok, where: str, what: str, value) -> None:
+        if not ok:
+            raise error(f"{where or name} must be {what}, got {value!r:.40}")
+
+    def decode(value, hint, where: str):
+        origin, args = get_origin(hint), get_args(hint)
+        if type(None) in args:  # the one union declared is `X | None`
+            (hint,) = set(args) - {type(None)}
+            return None if value is None else decode(value, hint, where)
+        if hint in (str, int, float):
+            need(type(value) in ((int, float) if hint is float else (hint,)), where,
+                 {str: "a string", int: "an integer", float: "a number"}[hint], value)
+            return value
+        if isinstance(hint, enum.EnumMeta):
+            values = [m.value for m in hint]
+            need(value in values, where, f"one of {', '.join(map(repr, values))}", value)
+            return hint(value)
+        if origin in (list, tuple):
+            need(isinstance(value, list), where, "a list", value)
+            if origin is list or args[-1] is Ellipsis:
+                args = args[:1] * len(value)
+            need(len(value) == len(args), where, f"a list of {len(args)} items", value)
+            return origin(decode(v, t, f"{where}[{i}]")
+                          for i, (v, t) in enumerate(zip(value, args)))
+        need(isinstance(value, dict), where, "an object", value)
+        if is_dataclass(hint):
+            declared = {f.name: f for f in fields(hint)}
+            unknown = sorted(value.keys() - declared.keys())
+            if unknown:
+                raise error(f"unknown {where or name} fields: {', '.join(unknown)}")
+            missing = [k for k, f in declared.items() if k not in value
+                       and f.default is MISSING and f.default_factory is MISSING]
+            if missing:
+                raise error(f"{where or name} missing field: {', '.join(missing)}")
+            hints = get_type_hints(hint)
+            return hint(**{k: decode(v, hints[k], f"{where}.{k}" if where else k)
+                           for k, v in value.items()})
+        if not args:  # an untyped dict, checked by its owner's constructor
+            return value
+        for key in value:  # dict[int, ...] is the one typed dict declared
+            need(re.fullmatch("0|-?[1-9][0-9]*", key), f"{where}.{key}", "an integer key", key)
+        return {int(k): decode(v, args[1], f"{where}.{k}") for k, v in value.items()}
+
+    try:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise error(f"{name} is not UTF-8: byte {data[exc.start]:#04x} at {exc.start}") from None
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise error(f"unparsable {name}: {exc}") from None
+    return decode(doc, cls, "")
 
 
 def load_roles(path) -> dict[NeuronId, Role]:
@@ -329,8 +411,7 @@ def top_k_neighbors(conn: Connectome, i: NeuronId, direction: Direction,
     OUTGOING ranks targets of i (i presynaptic), INCOMING ranks sources.
     Zero-weight pairs are excluded; fewer than k neighbors may exist.
     """
-    if k < 1:
-        raise InvalidConfig(f"k must be >= 1, got {k}")
+    check_int("k", k, 1, InvalidConfig)
     if i not in conn.roles:
         raise UnknownNeuron(f"neuron {i!r} not in connectome")
     weights: dict[NeuronId, int] = {}

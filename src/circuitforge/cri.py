@@ -25,6 +25,7 @@ from .errors import (
     MissingFoldChange,
     NonFiniteValue,
     UnknownRole,
+    check_int,
 )
 
 GeneId = str
@@ -137,8 +138,7 @@ def select_correlated(cri: CriTable, roles: dict[NeuronId, Role],
             raise UnknownRole(f"neuron {neuron!r} has no role assignment")
 
     if isinstance(policy, TopK):
-        if policy.k < 1:
-            raise InvalidConfig(f"k must be >= 1, got {policy.k}")
+        check_int("k", policy.k, 1, InvalidConfig)
         if policy.k > len(cri.values):
             raise KExceedsPopulation(
                 f"k={policy.k} exceeds population of {len(cri.values)} neurons")

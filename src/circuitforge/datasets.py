@@ -31,6 +31,7 @@ from .errors import (
     InvalidConfig,
     MissingBatchFile,
     TruncatedFile,
+    read_input,
 )
 
 DATA_DIR_ENV = "CIRCUITFORGE_DATA_DIR"
@@ -70,10 +71,8 @@ class LabeledDataset:
 
 
 def _read_binary(path) -> bytes:
-    raw = Path(path).read_bytes()
-    if raw[:2] == b"\x1f\x8b":
-        return gzip.decompress(raw)
-    return raw
+    raw = read_input(path)
+    return gzip.decompress(raw) if raw[:2] == b"\x1f\x8b" else raw
 
 
 def _idx_header(blob: bytes, path, n_dims: int) -> tuple[int, list[int]]:

@@ -58,7 +58,7 @@ from ..errors import (
     ShapeMismatch,
     StaleActivation,
     TruncatedFile,
-    open_input,
+    read_input,
 )
 from . import kernels as K
 
@@ -268,14 +268,13 @@ def save_checkpoint(g: CompiledGraph, path) -> None:
 
 
 def load_checkpoint(path, *, dtype=np.float32) -> CompiledGraph:
-    with open_input(path, "rb") as fh:
-        blob = fh.read()
+    blob = read_input(path)
     if len(blob) < 8 or blob[:4] != CHECKPOINT_MAGIC:
         raise BadMagic(f"{path}: not a checkpoint (magic {blob[:4]!r})")
     (doc_len,) = struct.unpack("<I", blob[4:8])
     if len(blob) < 8 + doc_len:
         raise TruncatedFile(path, 8 + doc_len, len(blob))
-    spec = ArchitectureSpec.from_json(blob[8:8 + doc_len].decode("utf-8"))
+    spec = ArchitectureSpec.from_json(blob[8:8 + doc_len])
     g = compile_arch(spec, seed=0, dtype=dtype)
     offset = 8 + doc_len
     for slot, value, _ in g.param_slots():

@@ -64,8 +64,9 @@ class Adam:
         self.steps += 1
         t = self.steps
         for slot, value, grad in g.param_slots():
-            m = self.m.setdefault(slot, np.zeros_like(value))
-            v = self.v.setdefault(slot, np.zeros_like(value))
+            if slot not in self.m:
+                self.m[slot], self.v[slot] = np.zeros_like(value), np.zeros_like(value)
+            m, v = self.m[slot], self.v[slot]
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
             v *= self.beta2

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..arch import check_int
 from ..datasets import LabeledDataset, batches
-from ..errors import EmptyDataset, InvalidConfig
+from ..errors import EmptyDataset, InvalidConfig, check_int
 from . import kernels as K
 from .graph import CompiledGraph
 from .optim import Adam, Optimizer, SGD

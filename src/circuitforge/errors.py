@@ -1,9 +1,9 @@
 """Exception types raised across the pipeline.
 
 Every error the library raises deliberately derives from CircuitForgeError,
-so callers can catch one base class at CLI boundaries; `open_input` turns a
-missing input file into one.  Loader errors carry enough context (line
-numbers, byte offsets) to point at the offending input.
+so callers can catch one base class at CLI boundaries; `read_input` turns an
+input file that cannot be read into one.  Loader errors carry enough context
+(line numbers, byte offsets, field paths) to point at the offending input.
 """
 
 
@@ -16,20 +16,30 @@ class InvalidConfig(CircuitForgeError, ValueError):
     before anything is written."""
 
 
+def check_int(what: str, value, low: int, error: type[CircuitForgeError]) -> None:
+    """A Python int (what JSON round-trips) of at least `low`; a bool, a
+    float such as 5.0 or a numpy integer raises `error`."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
+        raise error(f"{what} must be an integer >= {low}, got {value!r}")
+
+
 class MissingInput(CircuitForgeError, FileNotFoundError):
     """A caller-given input file that does not exist; names the path."""
 
-    def __init__(self, path):
-        super().__init__(f"{path}: no such file")
-        self.path = path
+
+class UnreadableInput(CircuitForgeError, OSError):
+    """A caller-given input file that exists but cannot be read; names the path."""
 
 
-def open_input(path, *args, **kwargs):
-    """`open` for a caller-given input file: a missing one raises MissingInput."""
+def read_input(path) -> bytes:
+    """The bytes of a caller-given input file, or MissingInput / UnreadableInput."""
     try:
-        return open(path, *args, **kwargs)
+        with open(path, "rb") as fh:
+            return fh.read()
     except FileNotFoundError:
-        raise MissingInput(path) from None
+        raise MissingInput(f"{path}: no such file") from None
+    except OSError as exc:
+        raise UnreadableInput(f"{path}: {exc.strerror or exc}") from None
 
 
 # --- connectome loading / aggregation ---
@@ -195,3 +205,7 @@ class EmptyDataset(CircuitForgeError):
 
 class EmptyVector(CircuitForgeError):
     pass
+
+
+class InvalidReport(CircuitForgeError):
+    """A report.json that does not read as a MetricsReport; names the file."""

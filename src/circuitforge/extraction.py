@@ -34,6 +34,7 @@ from .errors import (
     InvalidConfig,
     RoleMismatch,
     UnknownRole,
+    check_int,
 )
 
 LEGAL_EDGES = {
@@ -49,8 +50,7 @@ class ExtractionConfig:
     k: int = 3
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise InvalidConfig(f"k must be >= 1, got {self.k}")
+        check_int("k", self.k, 1, InvalidConfig)
 
 
 @dataclass(frozen=True)

@@ -62,12 +62,6 @@ def test_layer_block_validates_params():
         LayerBlock("conv:x", BlockKind.CONV, dict(CONV, kernel=np.int64(3)))
 
 
-def test_block_kind_parse():
-    assert BlockKind.parse("ConvBlock") is BlockKind.CONV
-    with pytest.raises(InvalidArchitecture):
-        BlockKind.parse("Transformer")
-
-
 def test_json_round_trip_identity():
     spec = _chain_spec()
     text = spec.to_json()
@@ -314,7 +308,8 @@ MALFORMED = {
     "c_float": (lambda doc: doc.update(c=2.0), "^c must be an integer"),
     "num_categories_bool": (lambda doc: doc.update(num_categories=True), "^num_categories"),
     "input_shape_float": (lambda doc: doc.update(input_shape=[1, 8.0, 8]), "^input_shape"),
-    # the document's shape: a mutation that returns a value replaces the document
+    # the document's shape: a mutation that returns a value replaces the document,
+    # and one that returns bytes replaces the file's bytes
     "document_list": (lambda doc: [doc], "^architecture JSON must be an object"),
     "blocks_int": (lambda doc: doc.update(blocks=5), "^blocks must be a list"),
     "params_list": (lambda doc: doc["blocks"][1].update(params=[]), r"^blocks\[1\]\.params"),
@@ -322,6 +317,21 @@ MALFORMED = {
     "wire_one_end": (lambda doc: doc["wires"].insert(0, ["stem"]), r"^wires\[0\]"),
     "topology_source_int": (lambda doc: doc.update(topology_source=5), "^topology_source"),
     "input_shape_int": (lambda doc: doc.update(input_shape=28), "^input_shape must be a list"),
+    "not_utf8": (lambda doc: json.dumps(doc).encode("utf-8").replace(b'"circuit"', b'"circ\xe9"'),
+                 "^architecture JSON is not UTF-8: byte 0xe9"),
+    "not_json": (lambda doc: json.dumps(doc)[:-1].encode("utf-8"),
+                 "^unparsable architecture JSON"),
+    "nested_too_deep": (lambda doc: b"[" * 100_000, "^unparsable architecture JSON"),
+    "missing_c": (lambda doc: doc.__delitem__("c"), "^architecture JSON missing field: c"),
+    "block_missing_id": (lambda doc: doc["blocks"][0].__delitem__("id"),
+                         r"^blocks\[0\] missing field: id"),
+    "unknown_field": (lambda doc: doc.update(depth=3), "^unknown architecture JSON fields: depth"),
+    "unknown_block_field": (lambda doc: doc["blocks"][0].update(depth=3),
+                            r"^unknown blocks\[0\] fields: depth"),
+    "kind_unknown": (lambda doc: doc["blocks"][0].update(kind="Conv"),
+                     r"^blocks\[0\]\.kind must be one of 'Stem', 'ConvBlock'"),
+    "kind_null": (lambda doc: doc["blocks"][0].update(kind=None), r"^blocks\[0\]\.kind"),
+    "wire_int": (lambda doc: doc["wires"][0].__setitem__(1, 7), r"^wires\[0\]\[1\]"),
 }
 
 
@@ -330,26 +340,37 @@ def test_malformed_fields_raise_invalid_architecture(case, tmp_path):
     mutate, names = MALFORMED[case]
     doc = json.loads(_merge_spec().to_json())
     replaced = mutate(doc)
-    text = json.dumps(doc if replaced is None else replaced)
+    raw = replaced if isinstance(replaced, bytes) else \
+        json.dumps(doc if replaced is None else replaced).encode("utf-8")
     with pytest.raises(InvalidArchitecture, match=names):
-        ArchitectureSpec.from_json(text)
+        ArchitectureSpec.from_json(raw)
 
-    # the same document as the spec inside a checkpoint
+    # the same document as an arch.json file
+    (tmp_path / "arch.json").write_bytes(raw)
+    with pytest.raises(InvalidArchitecture, match=names):
+        load_arch(tmp_path / "arch.json")
+
+    # and as the spec inside a checkpoint
     path = tmp_path / "model.ckpt"
     save_checkpoint(compile_arch(_merge_spec(), 0), path)
     blob = path.read_bytes()
     (doc_len,) = struct.unpack("<I", blob[4:8])
     params = blob[8 + doc_len:]
 
-    def write_spec(spec_text: str) -> None:
-        raw = spec_text.encode("utf-8")
-        path.write_bytes(blob[:4] + struct.pack("<I", len(raw)) + raw + params)
+    def write_spec(spec_raw: bytes) -> None:
+        path.write_bytes(blob[:4] + struct.pack("<I", len(spec_raw)) + spec_raw + params)
 
-    write_spec(_merge_spec().to_json())
+    write_spec(_merge_spec().to_json().encode("utf-8"))
     assert load_checkpoint(path).n_params() == len(params) // 4  # the rewrite itself is sound
-    write_spec(text)
+    write_spec(raw)
     with pytest.raises(InvalidArchitecture, match=names):
         load_checkpoint(path)
+
+
+def test_stem_params_may_be_omitted():
+    doc = json.loads(_merge_spec().to_json())
+    del next(b for b in doc["blocks"] if b["kind"] == "Stem")["params"]
+    assert ArchitectureSpec.from_json(json.dumps(doc)) == _merge_spec()
 
 
 # --- arch.json goldens -----------------------------------------------------------

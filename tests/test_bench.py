@@ -15,11 +15,12 @@ from circuitforge.bench import (
     run_benchmark,
     summarize,
 )
-from circuitforge.cri import SelectedNeurons
+from circuitforge.connectome import Direction, Role, top_k_neighbors
+from circuitforge.cri import CriTable, SelectedNeurons, TopK, select_correlated
 from circuitforge.datasets import batches, load_cifar, load_dataset
 from circuitforge.engine.optim import SGD, Adam
-from circuitforge.errors import EmptyVector, InvalidConfig
-from circuitforge.extraction import extract_circuits
+from circuitforge.errors import EmptyVector, InvalidConfig, InvalidReport
+from circuitforge.extraction import ExtractionConfig, extract_circuits
 from conftest import make_connectome, synthetic_dataset, write_bench_corpus
 
 
@@ -57,6 +58,11 @@ BAD_ARGUMENTS = {
     "empty_selection": lambda d: extract_circuits(
         make_connectome({("S1", "I1"): 1}),
         SelectedNeurons(frozenset(), frozenset(), frozenset())),
+    "extraction_k_float": lambda d: ExtractionConfig(k=2.5),
+    "topk_float": lambda d: select_correlated(
+        CriTable({"S1": 2.0, "S2": 1.0}, 1), {"S1": Role.SENSORY, "S2": Role.SENSORY}, TopK(2.5)),
+    "neighbors_k_float": lambda d: top_k_neighbors(
+        make_connectome({("S1", "I1"): 1}), "S1", Direction.OUTGOING, 2.5),
 }
 
 
@@ -68,9 +74,13 @@ def test_bad_argument_raises_invalid_config(case, tmp_path):
 
 def test_benchmark_config_round_trip():
     cfg = BenchmarkConfig(dataset="mnist", styles=("circuit",), seeds=(4, 5),
-                          c=4, epochs=2, out_dir="x")
+                          c=4, epochs=2, lr=1, out_dir="x")
     again = BenchmarkConfig.from_json(cfg.to_json())
     assert again == cfg
+    assert type(again.lr) is int  # a JSON integer in a float field comes back as written
+    assert BenchmarkConfig.from_json("{}") == BenchmarkConfig()  # every field has a default
+    with pytest.raises(InvalidConfig, match="^c must be an integer, got True"):
+        BenchmarkConfig.from_json('{"c": true}')
     with pytest.raises(ValueError):
         BenchmarkConfig(styles=("circuit", "mystery"))
     with pytest.raises(ValueError):
@@ -92,14 +102,20 @@ def test_benchmark_config_refuses_bad_field(field, value):
 def test_metrics_report_round_trip():
     report = MetricsReport(
         dataset="mnist", style="circuit", seed=1, c=8, param_count=100,
-        accuracy=0.9, per_category={0: 1.0, 1: 0.8},
-        consistency_score=0.1, confusion=np.array([[5, 0], [1, 4]]),
+        accuracy=1, per_category={k: k / 12 for k in range(12)},
+        consistency_score=0.1, confusion=np.eye(12, dtype=np.int64),
         step_losses=[2.0, 1.0], epoch_mean_losses=[1.5],
-        wall_time_s=3.3, train_examples=10, test_examples=10)
+        wall_time_s=3.3, train_examples=12, test_examples=12)
     again = MetricsReport.from_json(report.to_json())
-    assert again.per_category == {0: 1.0, 1: 0.8}
-    assert np.array_equal(again.confusion, report.confusion)
+    assert again.per_category == report.per_category
+    assert again.confusion == report.confusion.tolist()
     assert again.to_json() == report.to_json()
+    assert MetricsReport.from_json(again.to_json()) == again
+    assert type(again.accuracy) is int
+    # category keys are written as strings, so they sort as strings: "10" before "2"
+    assert list(json.loads(report.to_json())["per_category"]) == sorted(map(str, range(12)))
+    with pytest.raises(InvalidReport, match="^seed must be an integer, got False"):
+        MetricsReport.from_json(report.to_json().replace('"seed": 1', '"seed": false'))
 
 
 # --- summarize as a pure function of persisted reports -----------------------

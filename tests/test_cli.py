@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from circuitforge.bench import BenchmarkConfig
+from circuitforge.bench import BenchmarkConfig, MetricsReport
 from circuitforge.cli import build_parser, main
 from conftest import write_bench_corpus
 
@@ -144,24 +144,81 @@ def test_extract_bad_flag_exits_one_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "out"
     assert main(["extract", *flags, "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: k must be >= 1")
+    assert len(err) == 1 and err[0].startswith("error: k must be an integer >= 1")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("doc,message", [
     ({"seeds": []}, "seeds must be a non-empty list"),
-    ({"styles": "circuit"}, "styles must be a non-empty list"),
+    ({"styles": "circuit"}, "styles must be a list"),
     ({"bogus": 1}, "unknown benchmark config fields: bogus"),
-    ([1], "benchmark config must be a JSON object"),
+    ([1], "benchmark config must be an object"),
     ({"epochs": 0}, "epochs must be an integer >= 1"),
+    (b'{"c": "\xe9"}', "benchmark config is not UTF-8: byte 0xe9"),
+    (b'{"c": 8', "unparsable benchmark config"),
+    ({"c": "8"}, "c must be an integer"),
+    ({"seeds": [0, True]}, "seeds[1] must be an integer"),
+    ({"lr": "fast"}, "lr must be a number"),
+    ({"data_dir": 3}, "data_dir must be a string"),
 ])
 def test_bench_run_bad_config_exits_one_before_writing(tmp_path, capsys, doc, message):
     if isinstance(doc, dict):
-        doc["data_dir"] = str(write_bench_corpus(tmp_path / "data"))
+        doc.setdefault("data_dir", str(write_bench_corpus(tmp_path / "data")))
     cfg_path = tmp_path / "bench.json"
-    cfg_path.write_text(json.dumps(doc))
+    cfg_path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8"))
     out = tmp_path / "out"
     assert main(["bench", "run", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {message}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--connectome", "{dir}", "--out", "{dir}/o"],
+    ["bench", "run", "--config", "{dir}", "--out", "{dir}/o"],
+], ids=["extract", "bench_run"])
+def test_directory_input_exits_one_naming_the_path(tmp_path, capsys, argv):
+    assert main([a.format(dir=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {tmp_path}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def _report_doc() -> dict:
+    report = MetricsReport(
+        dataset="toy", style="circuit", seed=0, c=2, param_count=50, accuracy=0.5,
+        per_category={0: 1.0, 1: 0.0}, consistency_score=0.5, confusion=[[2, 0], [2, 0]],
+        step_losses=[1.0, 0.5], epoch_mean_losses=[0.75], wall_time_s=1.0,
+        train_examples=4, test_examples=4)
+    return json.loads(report.to_json())
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda doc: json.dumps(doc).encode("utf-8").replace(b'"toy"', b'"t\xe9"'),
+     "run report is not UTF-8: byte 0xe9"),
+    (lambda doc: json.dumps(doc)[:-1].encode("utf-8"), "unparsable run report"),
+    (lambda doc: [doc], "run report must be an object"),
+    (lambda doc: doc.__delitem__("seed"), "run report missing field: seed"),
+    (lambda doc: doc.update(notes="x"), "unknown run report fields: notes"),
+    (lambda doc: doc.update(seed="0"), "seed must be an integer"),
+    (lambda doc: doc.update(accuracy=None), "accuracy must be a number"),
+    (lambda doc: doc["per_category"].update(x=1.0), "per_category.x must be an integer key"),
+    (lambda doc: doc["per_category"].update({"01": 1.0}),
+     "per_category.01 must be an integer key"),
+    (lambda doc: doc["confusion"][1].__setitem__(0, 2.0), "confusion[1][0] must be an integer"),
+    (lambda doc: doc["step_losses"].append(False), "step_losses[2] must be a number"),
+], ids=["not_utf8", "not_json", "document_list", "missing_seed", "unknown_field",
+        "seed_string", "accuracy_null", "category_key_word", "category_key_padded",
+        "confusion_float", "step_loss_bool"])
+def test_bench_summarize_bad_report_exits_one_naming_it(tmp_path, capsys, mutate, message):
+    doc = _report_doc()
+    replaced = mutate(doc)
+    run_dir = tmp_path / "runs" / "circuit_s0"
+    run_dir.mkdir(parents=True)
+    raw = replaced if isinstance(replaced, bytes) else \
+        json.dumps(doc if replaced is None else replaced).encode("utf-8")
+    (run_dir / "report.json").write_bytes(raw)
+    assert main(["bench", "summarize", "--dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {run_dir / 'report.json'}: {message}")
+    assert not (tmp_path / "summary.csv").exists()

@@ -41,11 +41,14 @@ def test_sgd_validates_hyperparams():
         SGD(lr=0.1, momentum=1.0)
 
 
-def test_adam_matches_hand_trace():
+def test_adam_matches_hand_trace(monkeypatch):
     w0, grad = 1.0, 0.5
     lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
     g = _OneSlot([w0], [grad])
     opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    allocated = []  # the moment buffers are made on a slot's first step only
+    zeros_like = np.zeros_like
+    monkeypatch.setattr(np, "zeros_like", lambda a: allocated.append(a) or zeros_like(a))
 
     m = v = 0.0
     w = w0
@@ -58,6 +61,7 @@ def test_adam_matches_hand_trace():
         w -= lr * mhat / (np.sqrt(vhat) + eps)
         assert g.value[0] == pytest.approx(w, rel=1e-12), t
     assert opt.steps == 3
+    assert len(allocated) == 2
 
 
 def test_adam_first_step_size_is_lr():
