@@ -94,6 +94,14 @@ class MetricsReport:
     train_examples: int
     test_examples: int
 
+    def __post_init__(self) -> None:
+        """Refuse, with InvalidReport, a report that `summarize` cannot score."""
+        if self.style not in STYLES:
+            raise InvalidReport(f"style must be one of {', '.join(map(repr, STYLES))}, "
+                                f"got {self.style!r}")
+        if not self.epoch_mean_losses:
+            raise InvalidReport("epoch_mean_losses must be a non-empty list, got []")
+
     to_json = json_text
     from_json = classmethod(partial(read_json, error=InvalidReport, name="run report"))
 
@@ -139,7 +147,7 @@ def run_one(style: str, seed: int, cfg: BenchmarkConfig, circuit: FunctionalCirc
     history = fit(g, train_ds, TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                                            optimizer=cfg.optimizer, lr=cfg.lr, seed=seed),
                   metrics_path=run_dir / "metrics.csv")
-    result = evaluate(g, test_ds)
+    result = evaluate(g, test_ds, cfg.batch_size)
     elapsed = time.perf_counter() - start
 
     report = MetricsReport(
@@ -267,7 +275,7 @@ def _ordering_flag(per_style: dict[str, dict]) -> dict:
         pooled = math.sqrt((per_style[hi]["std_accuracy"] ** 2 +
                             per_style[lo]["std_accuracy"] ** 2) / 2)
         gaps.append({"pair": [hi, lo], "gap": gap, "pooled_std": pooled})
-        if gap < pooled:
+        if gap <= pooled:  # a tie, even at zero spread, is no evidence of order
             holds = False
     return {"claimed": list(CLAIMED_ORDER), "observed": observed,
             "flag": "PASS" if holds else "INCONCLUSIVE", "gaps": gaps}

@@ -42,7 +42,7 @@ from .errors import (
     UnknownRole,
     UnmappedNeuron,
     check_int,
-    read_input,
+    read_text,
 )
 
 NeuronId = str
@@ -149,12 +149,7 @@ def read_table(path, fmt: TableFormat) -> Table:
     violation, or a byte that is not UTF-8, raises MalformedRow naming
     path:line; a file that cannot be read raises through `read_input`.
     """
-    data = read_input(path)
-    try:
-        lines = io.StringIO(data.decode("utf-8"), newline="").readlines()
-    except UnicodeDecodeError as exc:
-        raise MalformedRow(path, data.count(b"\n", 0, exc.start) + 1,
-                           f"not UTF-8: byte {data[exc.start]:#04x}") from None
+    lines = io.StringIO(read_text(path), newline="").readlines()
     line_nos = [n for n, line in enumerate(lines, start=1)
                 if (text := line.strip()) and text[0] != "#"]
     reader = csv.reader([lines[n - 1] for n in line_nos], delimiter=fmt.sep, strict=True)
@@ -249,10 +244,20 @@ def write_json(path, doc) -> None:
     Path(path).write_bytes(json_text(doc).encode("utf-8"))  # UTF-8, '\n' line endings
 
 
+def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose keys are distinct; `json.loads` alone keeps the last of two."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def read_json(cls: type, data: bytes | str, error: type[CircuitForgeError], name: str):
     """UTF-8 JSON `data` as dataclass `cls`: fields with a default are optional, unknown
-    ones refused, types checked against the type hints (a bool is no int), values by
-    the constructors.  A fault raises `error` naming `name` or the field path."""
+    or repeated ones refused, types checked against the type hints (a bool is no int),
+    values by the constructors.  A fault raises `error` naming `name` or the field path."""
     def need(ok, where: str, what: str, value) -> None:
         if not ok:
             raise error(f"{where or name} must be {what}, got {value!r:.40}")
@@ -297,7 +302,8 @@ def read_json(cls: type, data: bytes | str, error: type[CircuitForgeError], name
         return {int(k): decode(v, args[1], f"{where}.{k}") for k, v in value.items()}
 
     try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data,
+                         object_pairs_hook=_distinct_keys)
     except UnicodeDecodeError as exc:
         raise error(f"{name} is not UTF-8: byte {data[exc.start]:#04x} at {exc.start}") from None
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep

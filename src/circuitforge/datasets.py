@@ -9,14 +9,19 @@ Two on-disk formats are supported, byte-exact per their public layouts:
     100-category variant) label bytes followed by 3072 channel-major
     pixel bytes.
 
-Pixels are scaled to [0, 1] float32; no further normalization happens
-here so every architecture sees the same input statistics.
+Pixels stay uint8, as stored on disk, until `batches` draws a batch and
+scales it to [0, 1] float32; a split therefore costs one byte per pixel,
+not four.  Training and evaluation both draw through `batches`, and a
+benchmark run evaluates at its training batch size, so it has one batch
+shape.  No further normalization happens, so every architecture sees the
+same input statistics.
 """
 
 from __future__ import annotations
 
 import gzip
 import os
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,13 +30,16 @@ import numpy as np
 from .errors import (
     BadMagic,
     BadRecordLength,
+    CorruptGzip,
     CountMismatch,
     EmptyDataset,
     InsufficientExamples,
     InvalidConfig,
+    InvalidDataset,
     MissingBatchFile,
     TruncatedFile,
     read_input,
+    read_text,
 )
 
 DATA_DIR_ENV = "CIRCUITFORGE_DATA_DIR"
@@ -45,11 +53,14 @@ CIFAR10_NAMES = ("airplane", "automobile", "bird", "cat", "deer",
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    images: np.ndarray  # (n, channels, h, w) float32 in [0, 1]
+    images: np.ndarray  # (n, channels, h, w) uint8; `batches` scales to float32
     labels: np.ndarray  # (n,) int64
     category_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if self.images.dtype != np.uint8 or self.images.ndim != 4:
+            raise InvalidDataset(f"images must be uint8 (n, channels, h, w), "
+                                 f"got {self.images.dtype} {self.images.shape}")
         if self.images.shape[0] != self.labels.shape[0]:
             raise CountMismatch(
                 f"{self.images.shape[0]} images vs {self.labels.shape[0]} labels")
@@ -72,7 +83,12 @@ class LabeledDataset:
 
 def _read_binary(path) -> bytes:
     raw = read_input(path)
-    return gzip.decompress(raw) if raw[:2] == b"\x1f\x8b" else raw
+    if raw[:2] != b"\x1f\x8b":
+        return raw
+    try:
+        return gzip.decompress(raw)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise CorruptGzip(f"{path}: damaged gzip data: {exc}") from None
 
 
 def _idx_header(blob: bytes, path, n_dims: int) -> tuple[int, list[int]]:
@@ -94,10 +110,8 @@ def load_idx(images_path, labels_path,
     expected = 16 + n * rows * cols
     if len(img_blob) < expected:
         raise TruncatedFile(images_path, expected, len(img_blob))
-    pixels = np.frombuffer(img_blob, dtype=np.uint8, count=n * rows * cols, offset=16)
-    # scale in place: a second full-size float array would double the peak
-    images = pixels.reshape(n, 1, rows, cols).astype(np.float32)
-    images /= 255.0
+    images = np.frombuffer(img_blob, dtype=np.uint8, count=n * rows * cols,
+                           offset=16).reshape(n, 1, rows, cols)
 
     lab_blob = _read_binary(labels_path)
     magic, (n_labels,) = _idx_header(lab_blob, labels_path, 1)
@@ -124,16 +138,14 @@ def _read_cifar_records(path, label_bytes: int) -> tuple[np.ndarray, np.ndarray]
             f"{path}: {len(blob)} bytes is not a multiple of the {record}-byte record")
     raw = np.frombuffer(blob, dtype=np.uint8).reshape(-1, record)
     labels = raw[:, label_bytes - 1].astype(np.int64)  # fine label is the last one
-    images = raw[:, label_bytes:].reshape(-1, 3, 32, 32).astype(np.float32)
-    images /= 255.0
-    return images, labels
+    return raw[:, label_bytes:].reshape(-1, 3, 32, 32), labels
 
 
 def _category_names_from_meta(directory: Path, meta_file: str, count: int
                               ) -> tuple[str, ...]:
     meta = directory / meta_file
     if meta.is_file():
-        names = tuple(line.strip() for line in meta.read_text().splitlines() if line.strip())
+        names = tuple(line.strip() for line in read_text(meta).splitlines() if line.strip())
         if len(names) == count:
             return names
     return tuple(str(i) for i in range(count))
@@ -202,7 +214,8 @@ def subset(ds: LabeledDataset, n: int, seed: int) -> LabeledDataset:
 
 
 def batches(ds: LabeledDataset, batch_size: int, seed: int, *, shuffle: bool = True):
-    """Yield (images, labels) covering every example exactly once."""
+    """Yield (images, labels) covering every example exactly once.  The one
+    place pixels become float32: each batch's bytes are divided by 255."""
     if batch_size < 1:
         raise InvalidConfig(f"batch_size must be >= 1, got {batch_size}")
     if len(ds) == 0:
@@ -213,7 +226,9 @@ def batches(ds: LabeledDataset, batch_size: int, seed: int, *, shuffle: bool = T
         order = np.arange(len(ds))
     for start in range(0, len(ds), batch_size):
         idx = order[start:start + batch_size]
-        yield ds.images[idx], ds.labels[idx]
+        images = ds.images[idx].astype(np.float32)
+        images /= 255.0
+        yield images, ds.labels[idx]
 
 
 # --- data-dir layout ---

@@ -109,9 +109,11 @@ class EvalReport:
     confusion: np.ndarray  # (K, K) rows = true, cols = predicted
 
 
-def evaluate(g: CompiledGraph, ds: LabeledDataset, batch_size: int = 256) -> EvalReport:
-    """Accuracy, per-category accuracy and the full confusion matrix.
-    Categories with no test examples are omitted rather than scored 0."""
+def evaluate(g: CompiledGraph, ds: LabeledDataset, batch_size: int) -> EvalReport:
+    """Accuracy, per-category accuracy and the full confusion matrix, from
+    forward passes at `batch_size` (a run passes its training batch, so it
+    has one batch shape).  Categories with no test examples are omitted
+    rather than scored 0."""
     if len(ds) == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
     k = ds.num_categories

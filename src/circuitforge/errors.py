@@ -1,9 +1,10 @@
 """Exception types raised across the pipeline.
 
 Every error the library raises deliberately derives from CircuitForgeError,
-so callers can catch one base class at CLI boundaries; `read_input` turns an
-input file that cannot be read into one.  Loader errors carry enough context
-(line numbers, byte offsets, field paths) to point at the offending input.
+so callers can catch one base class at CLI boundaries; `read_input` and
+`read_text` turn an input file that cannot be read or decoded into one.
+Loader errors carry enough context (line numbers, byte offsets, field
+paths) to point at the offending input.
 """
 
 
@@ -40,6 +41,17 @@ def read_input(path) -> bytes:
         raise MissingInput(f"{path}: no such file") from None
     except OSError as exc:
         raise UnreadableInput(f"{path}: {exc.strerror or exc}") from None
+
+
+def read_text(path) -> str:
+    """The text of a caller-given UTF-8 input file; a byte that is not UTF-8
+    raises MalformedRow naming path:line."""
+    data = read_input(path)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(path, data.count(b"\n", 0, exc.start) + 1,
+                           f"not UTF-8: byte {data[exc.start]:#04x}") from None
 
 
 # --- connectome loading / aggregation ---
@@ -171,6 +183,15 @@ class CheckpointError(CircuitForgeError):
 
 class BadMagic(CircuitForgeError):
     pass
+
+
+class CorruptGzip(CircuitForgeError):
+    """A gzipped input that is truncated, corrupt or has a bad header; names the path."""
+
+
+class InvalidDataset(CircuitForgeError):
+    """Images that are not uint8 (n, channels, h, w), so that no scaled
+    float array can reach `batches` and be divided by 255 a second time."""
 
 
 class TruncatedFile(CircuitForgeError):

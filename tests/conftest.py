@@ -148,7 +148,7 @@ def synthetic_dataset(n: int = 120, categories: int = 4, side: int = 8,
         else:
             images[idx, 0] = 0.15
     images += rng.normal(0.0, 0.04, size=images.shape).astype(np.float32)
-    return LabeledDataset(images=np.clip(images, 0.0, 1.0),
+    return LabeledDataset(images=(np.clip(images, 0.0, 1.0) * 255).astype(np.uint8),
                           labels=labels.astype(np.int64),
                           category_names=tuple(str(i) for i in range(categories)))
 

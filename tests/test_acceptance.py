@@ -310,7 +310,7 @@ def test_07_desk_scale_training_floor(capsys):
     fit(g, train, TrainConfig(epochs=5, batch_size=64, optimizer="adam",
                               lr=1e-3, seed=0))
     minutes = (time.perf_counter() - start) / 60.0
-    result = evaluate(g, test_full)
+    result = evaluate(g, test_full, 64)
     ok = result.accuracy >= 0.95 and minutes < 20.0 and len(test_full) == 10_000
     _verdict(capsys, "desk-scale training floor", ok,
              f"accuracy {result.accuracy:.4f} on the {len(test_full)}-image "

@@ -332,6 +332,8 @@ MALFORMED = {
                      r"^blocks\[0\]\.kind must be one of 'Stem', 'ConvBlock'"),
     "kind_null": (lambda doc: doc["blocks"][0].update(kind=None), r"^blocks\[0\]\.kind"),
     "wire_int": (lambda doc: doc["wires"][0].__setitem__(1, 7), r"^wires\[0\]\[1\]"),
+    "duplicate_key": (lambda doc: json.dumps(doc)[:-1].encode("utf-8") + b', "c": 2}',
+                      "^unparsable architecture JSON: duplicate key 'c'"),
 }
 
 

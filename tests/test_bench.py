@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from circuitforge.bench import (
+    STYLES,
     BenchmarkConfig,
     MetricsReport,
     consistency,
@@ -160,6 +161,17 @@ def test_summarize_flags_overlapping_ordering_inconclusive(tmp_path):
     summary = summarize(tmp_path)
     assert summary["ordering"]["flag"] == "INCONCLUSIVE"
     assert summary["ordering"]["observed"][0] == "randomized"
+
+
+def test_summarize_flags_tied_ordering_inconclusive(tmp_path):
+    """Equal means at zero spread: each gap is 0, which clears no pooled std."""
+    for style in STYLES:
+        for seed in (0, 1):
+            _fake_report(tmp_path, style, seed, 1.0)
+    ordering = summarize(tmp_path)["ordering"]
+    assert [g["gap"] for g in ordering["gaps"]] == [0.0, 0.0]
+    assert [g["pooled_std"] for g in ordering["gaps"]] == [0.0, 0.0]
+    assert ordering["flag"] == "INCONCLUSIVE"
 
 
 def test_summary_ignores_wall_time(tmp_path):

@@ -160,6 +160,7 @@ def test_extract_bad_flag_exits_one_before_writing(tmp_path, capsys, flags):
     ({"seeds": [0, True]}, "seeds[1] must be an integer"),
     ({"lr": "fast"}, "lr must be a number"),
     ({"data_dir": 3}, "data_dir must be a string"),
+    (b'{"c": 0, "c": 8}', "unparsable benchmark config: duplicate key 'c'"),
 ])
 def test_bench_run_bad_config_exits_one_before_writing(tmp_path, capsys, doc, message):
     if isinstance(doc, dict):
@@ -207,9 +208,14 @@ def _report_doc() -> dict:
      "per_category.01 must be an integer key"),
     (lambda doc: doc["confusion"][1].__setitem__(0, 2.0), "confusion[1][0] must be an integer"),
     (lambda doc: doc["step_losses"].append(False), "step_losses[2] must be a number"),
+    (lambda doc: doc.update(style="bogus"), "style must be one of 'circuit', 'randomized'"),
+    (lambda doc: doc.update(epoch_mean_losses=[]), "epoch_mean_losses must be a non-empty list"),
+    (lambda doc: json.dumps(doc)[:-1].encode("utf-8") + b', "seed": 0}',
+     "unparsable run report: duplicate key 'seed'"),
 ], ids=["not_utf8", "not_json", "document_list", "missing_seed", "unknown_field",
         "seed_string", "accuracy_null", "category_key_word", "category_key_padded",
-        "confusion_float", "step_loss_bool"])
+        "confusion_float", "step_loss_bool", "style_unknown", "no_epoch_losses",
+        "duplicate_key"])
 def test_bench_summarize_bad_report_exits_one_naming_it(tmp_path, capsys, mutate, message):
     doc = _report_doc()
     replaced = mutate(doc)

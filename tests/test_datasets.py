@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import gzip
+import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -20,9 +22,12 @@ from circuitforge.datasets import (
 from circuitforge.errors import (
     BadMagic,
     BadRecordLength,
+    CorruptGzip,
     CountMismatch,
     EmptyDataset,
     InsufficientExamples,
+    InvalidDataset,
+    MalformedRow,
     MissingBatchFile,
     TruncatedFile,
 )
@@ -36,24 +41,31 @@ def test_load_idx_values_and_scaling(tmp_path):
     img, lbl = write_idx_pair(tmp_path, "train", images, labels)
     ds = load_idx(img, lbl)
     assert ds.images.shape == (10, 1, 6, 6)
-    assert ds.images.dtype == np.float32
-    assert ds.images.max() <= 1.0
-    assert np.allclose(ds.images[0, 0], images[0] / 255.0, atol=1e-7)
+    assert ds.images.dtype == np.uint8
+    assert np.array_equal(ds.images[:, 0], images)
     assert ds.labels.tolist() == labels.tolist()
     assert ds.num_categories == 3
     assert ds.input_shape == (1, 6, 6)
+    (scaled, _), = batches(ds, 10, seed=0, shuffle=False)
+    assert scaled.dtype == np.float32
+    assert np.allclose(scaled[:, 0], images / 255.0, atol=1e-7)
 
 
 def test_every_byte_scales_to_float32_quotient(tmp_path):
+    """Both loaders keep the file's bytes; `batches` divides each by 255
+    in float32, exactly."""
     want = np.arange(256, dtype=np.float32) / np.float32(255)
     img, lbl = write_idx_pair(tmp_path, "train", np.arange(256).reshape(4, 8, 8),
                               np.zeros(4, dtype=np.uint8))
-    assert np.array_equal(load_idx(img, lbl).images.reshape(-1), want)
     pixels = np.arange(3072) % 256
     (tmp_path / "test_batch.bin").write_bytes(bytes([0]) + pixels.astype(np.uint8).tobytes())
-    got = load_cifar(tmp_path, "C10", "test").images.reshape(-1)
-    assert got.dtype == np.float32
-    assert np.array_equal(got, want[pixels])
+    for ds, codes in ((load_idx(img, lbl), np.arange(256)),
+                      (load_cifar(tmp_path, "C10", "test"), pixels)):
+        assert ds.images.dtype == np.uint8
+        assert np.array_equal(ds.images.reshape(-1), codes)
+        got = np.concatenate([x for x, _ in batches(ds, 3, seed=0, shuffle=False)])
+        assert got.dtype == np.float32
+        assert np.array_equal(got.reshape(-1), want[codes])
 
 
 def test_load_idx_gzip_autodetect(tmp_path):
@@ -63,6 +75,25 @@ def test_load_idx_gzip_autodetect(tmp_path):
     assert img.suffix == ".gz"
     ds = load_idx(img, lbl)
     assert len(ds) == 4
+
+
+DAMAGES = {  # each gzip fault and the bare exception gzip.decompress raises for it
+    "truncated": (lambda blob: blob[:-6], EOFError),
+    "corrupt": (lambda blob: blob[:10] + bytes([blob[10] ^ 0xFF]) + blob[11:], zlib.error),
+    "bad_header": (lambda blob: blob[:2] + b"\x07" + blob[3:], gzip.BadGzipFile),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_load_idx_damaged_gzip_names_the_file(tmp_path, damage):
+    cut, bare = DAMAGES[damage]
+    img, lbl = write_idx_pair(tmp_path, "train", np.zeros((40, 5, 5), dtype=np.uint8),
+                              np.arange(40, dtype=np.uint8) % 10, compress=True)
+    lbl.write_bytes(cut(lbl.read_bytes()))
+    with pytest.raises(bare):
+        gzip.decompress(lbl.read_bytes())
+    with pytest.raises(CorruptGzip, match=f"^{re.escape(str(lbl))}: damaged gzip data"):
+        load_idx(img, lbl)
 
 
 def test_load_idx_bad_magic(tmp_path):
@@ -124,7 +155,7 @@ def test_load_cifar10_layout(tmp_path):
     assert len(train) == 30 and len(test) == 6
     assert train.images.shape == (30, 3, 32, 32)
     assert train.category_names == CIFAR10_NAMES
-    assert train.images.dtype == np.float32
+    assert train.images.dtype == np.uint8
 
 
 def test_load_cifar100_uses_fine_label(tmp_path):
@@ -164,15 +195,30 @@ def test_cifar_meta_names(tmp_path):
     assert train.category_names == tuple(names)
 
 
+def test_cifar_meta_not_utf8_names_the_file(tmp_path):
+    d = _write_cifar10(tmp_path)
+    meta = d / "batches.meta.txt"
+    meta.write_bytes(b"airplane\n\xffcar\n")
+    with pytest.raises(MalformedRow, match=f"^{re.escape(str(meta))}:2: not UTF-8: byte 0xff"):
+        load_cifar(d, "C10", "train")
+
+
 # --- stratified subsetting ---------------------------------------------------
 
 def _imbalanced_dataset(counts: dict[int, int]) -> LabeledDataset:
     labels = np.concatenate([np.full(n, cat, dtype=np.int64)
                              for cat, n in counts.items()])
-    images = np.zeros((len(labels), 1, 4, 4), dtype=np.float32)
-    images[:, 0, 0, 0] = np.arange(len(labels))  # make rows identifiable
+    images = np.zeros((len(labels), 1, 4, 4), dtype=np.uint8)
+    rows = np.arange(len(labels))  # make rows identifiable: row = 256 * hi + lo
+    images[:, 0, 0, 0], images[:, 0, 0, 1] = rows % 256, rows // 256
     return LabeledDataset(images=images, labels=labels,
                           category_names=tuple(str(c) for c in sorted(counts)))
+
+
+def _rows(batch: np.ndarray) -> list[int]:
+    """The rows of `_imbalanced_dataset` a scaled batch came from."""
+    lo, hi = np.rint(batch[:, 0, 0, :2] * 255).astype(int).T
+    return (256 * hi + lo).tolist()
 
 
 def test_subset_preserves_proportions_within_one():
@@ -205,18 +251,16 @@ def test_batches_cover_every_example_once():
     seen = []
     for images, labels in batches(ds, batch_size=8, seed=5):
         assert len(images) == len(labels) <= 8
-        seen.extend(images[:, 0, 0, 0].tolist())
+        seen.extend(_rows(images))
     assert sorted(seen) == list(range(31))
 
 
 def test_batches_shuffle_determinism():
     ds = _imbalanced_dataset({0: 16, 1: 16})
-    order = lambda seed: [x for imgs, _ in batches(ds, 8, seed)
-                          for x in imgs[:, 0, 0, 0].tolist()]
+    order = lambda seed: [x for imgs, _ in batches(ds, 8, seed) for x in _rows(imgs)]
     assert order(1) == order(1)
     assert order(1) != order(2)
-    unshuffled = [x for imgs, _ in batches(ds, 8, 1, shuffle=False)
-                  for x in imgs[:, 0, 0, 0].tolist()]
+    unshuffled = [x for imgs, _ in batches(ds, 8, 1, shuffle=False) for x in _rows(imgs)]
     assert unshuffled == list(range(32))
 
 
@@ -228,9 +272,19 @@ def test_batches_validates_inputs():
 
 def test_dataset_rejects_mismatched_lengths():
     with pytest.raises(CountMismatch):
-        LabeledDataset(images=np.zeros((3, 1, 2, 2), dtype=np.float32),
+        LabeledDataset(images=np.zeros((3, 1, 2, 2), dtype=np.uint8),
                        labels=np.zeros(2, dtype=np.int64),
                        category_names=("a",))
+
+
+@pytest.mark.parametrize("images", [np.zeros((3, 1, 2, 2), dtype=np.float32),
+                                    np.zeros((3, 1, 2, 2), dtype=np.float64),
+                                    np.zeros((3, 2, 2), dtype=np.uint8)],
+                         ids=["float32", "float64", "three_dims"])
+def test_dataset_refuses_images_not_uint8_nchw(images):
+    """Scaled floats would be divided by 255 a second time in `batches`."""
+    with pytest.raises(InvalidDataset, match="images must be uint8"):
+        LabeledDataset(images=images, labels=np.zeros(3, dtype=np.int64), category_names=("a",))
 
 
 # --- directory resolution ----------------------------------------------------

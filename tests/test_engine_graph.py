@@ -10,12 +10,14 @@ from circuitforge.arch import (
     BlockKind,
     LayerBlock,
     param_count,
+    synthesize,
     synthesize_circuit_arch,
     synthesize_randomized_arch,
     synthesize_sequential_arch,
     validate,
 )
 from circuitforge.connectome import Role
+from circuitforge.datasets import LabeledDataset, batches
 from circuitforge.engine import kernels as K
 from circuitforge.engine.graph import (
     CompiledGraph,
@@ -209,7 +211,7 @@ def test_fit_learns_texture_task(tmp_path):
     history = fit(g, ds, cfg, metrics_path=tmp_path / "metrics.csv")
     assert len(history) == 25
     assert history[-1].mean_loss < history[0].mean_loss
-    report = evaluate(g, ds)
+    report = evaluate(g, ds, cfg.batch_size)
     assert report.accuracy >= 0.9
 
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
@@ -221,11 +223,30 @@ def test_evaluate_confusion_layout():
     ds = synthetic_dataset(n=40, categories=4, side=8)
     spec = synthesize_circuit_arch(TINY, 2, (1, 8, 8), 4)
     g = compile_arch(validate(spec), seed=0)
-    report = evaluate(g, ds)
+    report = evaluate(g, ds, 16)
     assert report.confusion.shape == (4, 4)
     assert int(report.confusion.sum()) == 40
     assert report.accuracy == pytest.approx(np.trace(report.confusion) / 40)
     assert set(report.per_category) <= set(range(4))
+
+
+@pytest.mark.parametrize("shape", [(1, 28, 28), (3, 32, 32)], ids=["gray28", "rgb32"])
+@pytest.mark.parametrize("style", ["circuit", "randomized", "sequential"])
+def test_evaluate_does_not_depend_on_batch_size(style, shape):
+    """A run evaluates at its training batch; 300 examples leave a ragged
+    last batch at both sizes."""
+    rng = np.random.default_rng(5)
+    level = rng.uniform(0, 255, size=(300, 1, 1, 1))
+    noise = rng.uniform(0, 1, size=(300, shape[0], 1, 1)) * rng.normal(0, 120, (300, *shape))
+    ds = LabeledDataset(images=np.clip(level + noise, 0, 255).astype(np.uint8),
+                        labels=rng.integers(0, 4, size=300), category_names=tuple("abcd"))
+    g = compile_arch(validate(synthesize(style, TINY, 2, shape, 4, seed=0)), seed=0)
+    small, large = evaluate(g, ds, 64), evaluate(g, ds, 256)
+    assert np.array_equal(small.confusion, large.confusion)
+    assert int(small.confusion.sum()) == 300
+    logits = [np.concatenate([g.forward(x) for x, _ in batches(ds, size, 0, shuffle=False)])
+              for size in (64, 256)]
+    np.testing.assert_allclose(logits[0], logits[1], rtol=1e-5, atol=1e-6)
 
 
 def test_fit_is_deterministic():
