@@ -27,7 +27,14 @@ from .connectome import TableFormat, json_text, read_json, write_json, write_tab
 from .datasets import DATASET_IDS, LabeledDataset, load_dataset, resolve_data_dir, subset
 from .engine.graph import compile_arch
 from .engine.train import TrainConfig, evaluate, fit
-from .errors import EmptyVector, InvalidConfig, InvalidReport, check_int, read_input
+from .errors import (
+    EmptyVector,
+    InvalidConfig,
+    InvalidReport,
+    NonFiniteActivation,
+    check_int,
+    read_input,
+)
 from .extraction import FunctionalCircuit
 from .reference import source_circuit
 
@@ -144,10 +151,14 @@ def run_one(style: str, seed: int, cfg: BenchmarkConfig, circuit: FunctionalCirc
 
     start = time.perf_counter()
     g = compile_arch(validated, seed)
-    history = fit(g, train_ds, TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                                           optimizer=cfg.optimizer, lr=cfg.lr, seed=seed),
-                  metrics_path=run_dir / "metrics.csv")
-    result = evaluate(g, test_ds, cfg.batch_size)
+    try:
+        history = fit(g, train_ds, TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
+                                               optimizer=cfg.optimizer, lr=cfg.lr, seed=seed),
+                      metrics_path=run_dir / "metrics.csv")
+        result = evaluate(g, test_ds, cfg.batch_size)
+    except NonFiniteActivation as exc:
+        exc.args = (f"{style} seed {seed}: {exc}",)
+        raise
     elapsed = time.perf_counter() - start
 
     report = MetricsReport(

@@ -163,21 +163,6 @@ def select_correlated(cri: CriTable, roles: dict[NeuronId, Role],
                            motor=frozenset(by_role[Role.MOTOR]))
 
 
-def apply_min_expression(w: ExpressionMatrix, min_fraction: float,
-                         *, renormalize: bool = False) -> ExpressionMatrix:
-    """Drop expression entries below min_fraction (a display-style filter,
-    off by default in the pipeline).  With renormalize, surviving entries of
-    each gene are rescaled to sum to 1."""
-    kept = {key: v for key, v in w.w.items() if v >= min_fraction}
-    if renormalize:
-        sums: dict[GeneId, float] = {}
-        for (gene, _), v in kept.items():
-            sums[gene] = sums.get(gene, 0.0) + v
-        kept = {(gene, neuron): (v / sums[gene] if sums[gene] > 0 else 0.0)
-                for (gene, neuron), v in kept.items()}
-    return ExpressionMatrix(w=kept)
-
-
 # --- file io ---
 
 FOLD_CHANGES_CSV = TableFormat((("gene", "fold_change"),), ",", 1)

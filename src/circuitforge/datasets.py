@@ -38,6 +38,7 @@ from .errors import (
     InvalidDataset,
     MissingBatchFile,
     TruncatedFile,
+    check_int,
     read_input,
     read_text,
 )
@@ -190,6 +191,8 @@ def subset(ds: LabeledDataset, n: int, seed: int) -> LabeledDataset:
     """Stratified sample of n examples: per-category counts stay within
     one of exact proportionality (floor allocation, then largest
     fractional remainders).  Deterministic per seed."""
+    check_int("n", n, 0, InvalidConfig)
+    check_int("seed", seed, 0, InvalidConfig)
     total = len(ds)
     if n > total:
         raise InsufficientExamples(f"asked for {n} of {total} examples")
@@ -216,8 +219,8 @@ def subset(ds: LabeledDataset, n: int, seed: int) -> LabeledDataset:
 def batches(ds: LabeledDataset, batch_size: int, seed: int, *, shuffle: bool = True):
     """Yield (images, labels) covering every example exactly once.  The one
     place pixels become float32: each batch's bytes are divided by 255."""
-    if batch_size < 1:
-        raise InvalidConfig(f"batch_size must be >= 1, got {batch_size}")
+    check_int("batch_size", batch_size, 1, InvalidConfig)
+    check_int("seed", seed, 0, InvalidConfig)
     if len(ds) == 0:
         raise EmptyDataset("cannot iterate an empty dataset")
     if shuffle:

@@ -19,9 +19,10 @@ form one sibling group, run as one step at its first member:
   * forward runs one conv whose kernels are the members' kernels
     stacked along the output channels, then ReLU and pooling per member
     on that member's channel slice;
-  * backward pools and ReLUs back per member, concatenates the results,
-    and runs one conv backward, so the shared input's im2col patches and
-    its gradient are built once per group rather than once per member.
+  * backward pools and ReLUs back per member into that member's channel
+    slice of one gradient buffer, and runs one conv backward, so the
+    shared input's im2col patches and its gradient are built once per
+    group rather than once per member.
 Slot order, initialization, checkpoints and optimizer state are still
 those of separate convs.
 
@@ -33,11 +34,18 @@ ReLU output, trained the 1x28x28 circuit 15% slower on such a core and
 raised the benchmark's peak memory by 13-18%.  `K.relu` writes into its
 input instead, so member activations are views of the one conv output.
 
-Forward keeps every tensor plus one saved value per step (the members'
-ReLU outputs, the merge concat or the dense hidden activation).  Backward
-consumes them, walking the plan in reverse and adding into one gradient
-per tensor; it skips the stem's step 0 and never stores tensor 0's
-gradient, which nothing reads.  Initialization is Kaiming-uniform over
+One liveness rule, read off each step's `src` and `out`, decides how
+long a tensor lives.  A training forward keeps every tensor plus one
+saved value per step (a conv group's ReLU'd output, the merge concat or
+the dense hidden activation).  Backward walks the plan in reverse and
+adds into one gradient per tensor.  In reverse every consumer of a
+tensor runs before its producer, so once a step's backward has run
+nothing reads its saved value, its outputs or their gradients again,
+and the step drops them; a conv group drops its conv output before
+its conv backward allocates.  Backward skips the stem's step 0 and never
+stores tensor 0's gradient, which nothing reads.  An evaluation forward
+(`keep=False`) saves nothing and drops each tensor once the last step
+that reads it has run.  Initialization is Kaiming-uniform over
 fan-in with zero biases, drawn from a counter-based generator in slot
 order, so a (spec, seed) pair yields the same parameters in any dtype.
 """
@@ -95,6 +103,9 @@ class CompiledGraph:
                     value = rng.uniform(-bound, bound, size=shape).astype(self.dtype)
                 self.params[f"{block_id}/{name}"] = value
         self._plan = self._compile_plan()
+        # the step that reads each tensor last; forward without `keep` drops
+        # the tensor once that step has run
+        self._last_read = {t: i for i, step in enumerate(self._plan) for t in step.src}
 
     def _compile_plan(self) -> list[_Step]:
         """One step per block, except that sibling convs share one step at
@@ -142,7 +153,11 @@ class CompiledGraph:
 
     # --- execution ---
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
+        """The logits of batch x.  With `keep` (training) every tensor and
+        each step's saved value stay for `backward`; without it (evaluation)
+        nothing is saved, and each tensor is dropped once its last reader
+        has run."""
         # free the previous pass before this one allocates, and leave no
         # activations behind for backward if this pass raises
         self._acts = None
@@ -151,96 +166,124 @@ class CompiledGraph:
             raise ShapeMismatch(
                 f"batch shape {x.shape} does not match input {self.spec.input_shape}")
         outs: list = [None] * len(self.v.order)
+        outs[0] = x
         saved: list = []
-        for kind, params, src, out, bounds, p, _ in self._plan:
-            keep = None
-            if kind is BlockKind.STEM:
-                outs[0] = x
-            elif kind is BlockKind.CONV:
-                z = K.conv2d(outs[src[0]], p["w"], p["b"], params["pad"])
-                pool = params["pool"]
-                keep = []
-                # per member, never over the whole of z (see the module docstring)
-                for t, lo, hi in zip(out, bounds, bounds[1:]):
-                    a = K.relu(z[:, lo:hi])
-                    outs[t] = K.maxpool(a, pool) if pool > 1 else a
-                    keep.append(a)
-            elif kind is BlockKind.MERGE:
-                keep = K.concat_channels([outs[t] for t in src])
-                outs[out[0]] = K.conv2d(keep, p["w"], p["b"], 0) if params["project"] else keep
-            elif kind is BlockKind.GLOBAL_POOL:
-                outs[out[0]] = K.global_avg_pool(outs[src[0]])
-            else:  # BlockKind.DENSE_HEAD
-                flat = outs[src[0]].reshape(x.shape[0], -1)
-                if params["hidden"] > 0:
-                    keep = K.relu(K.dense(flat, p["w1"], p["b1"]))
-                    outs[out[0]] = K.dense(keep, p["w2"], p["b2"])
-                else:
-                    outs[out[0]] = K.dense(flat, p["w"], p["b"])
-            for t in out:
+        for i, step in enumerate(self._plan):
+            saved.append(self._forward_step(step, outs))
+            for t in step.out:
                 if not np.isfinite(outs[t]).all():
                     raise NonFiniteActivation(
                         f"block {self.v.order[t]!r} produced non-finite values")
-            saved.append(keep)
-        self._acts = (outs, saved)
+            if not keep:  # no backward follows
+                saved.pop()
+                for t in step.src:
+                    if self._last_read[t] == i:
+                        outs[t] = None
+        if keep:
+            self._acts = (outs, saved)
         return outs[-1]
+
+    def _forward_step(self, step: _Step, outs: list) -> np.ndarray | None:
+        """Run one step, writing its output tensors into `outs`, and return
+        the value its backward reads: a conv group's ReLU'd output, whose
+        channel slices are the members' activations, the merge concat or
+        the dense hidden activation.  The stem's output is the batch."""
+        kind, params, src, out, bounds, p, _ = step
+        if kind is BlockKind.CONV:
+            z = K.conv2d(outs[src[0]], p["w"], p["b"], params["pad"])
+            pool = params["pool"]
+            # per member, never over the whole of z (see the module docstring)
+            for t, lo, hi in zip(out, bounds, bounds[1:]):
+                a = K.relu(z[:, lo:hi])
+                outs[t] = K.maxpool(a, pool) if pool > 1 else a
+            return z
+        if kind is BlockKind.MERGE:
+            cat = K.concat_channels([outs[t] for t in src])
+            outs[out[0]] = K.conv2d(cat, p["w"], p["b"], 0) if params["project"] else cat
+            return cat
+        if kind is BlockKind.GLOBAL_POOL:
+            outs[out[0]] = K.global_avg_pool(outs[src[0]])
+        elif kind is BlockKind.DENSE_HEAD:
+            xin = outs[src[0]]
+            flat = xin.reshape(xin.shape[0], -1)
+            if params["hidden"] > 0:
+                hidden = K.relu(K.dense(flat, p["w1"], p["b1"]))
+                outs[out[0]] = K.dense(hidden, p["w2"], p["b2"])
+                return hidden
+            outs[out[0]] = K.dense(flat, p["w"], p["b"])
+        return None
 
     def backward(self, grad_logits: np.ndarray) -> None:
         """Populate parameter gradients from the logits gradient.  Consumes
-        the activations of the latest forward pass."""
+        the activations of the latest forward pass, each as soon as the
+        step that produced it has run."""
         if self._acts is None:
             raise StaleActivation("backward called without a preceding forward")
         (outs, saved), self._acts = self._acts, None
         grads: list = [None] * len(outs)
         grads[-1] = np.asarray(grad_logits, self.dtype)
         # every consumer of a tensor runs after its producer, so in reverse each
-        # tensor's gradient is complete when its step runs; step 0 is the stem
-        for (kind, params, src, out, bounds, p, g), keep in zip(self._plan[:0:-1],
-                                                                saved[:0:-1]):
-            if kind is BlockKind.CONV:
-                pool = params["pool"]
-                gzs = []
-                for t, a in zip(out, keep):
-                    # ReLU back on the pooled gradient, a quarter of the cells:
-                    # a window's max is > 0 exactly where its winner's relu(z)
-                    # is, and relu(z) > 0 exactly where z > 0
-                    gout = K.relu_backward(grads[t], outs[t])
-                    gzs.append(K.maxpool_backward(gout, a, pool) if pool > 1 else gout)
-                gz = gzs[0] if len(gzs) == 1 else np.concatenate(gzs, axis=1)
-                # free the parts before conv2d_backward allocates: holding them
-                # too raised each step's peak enough that the heap was handed
-                # back to the OS and page-faulted in again every step
-                del gzs
-                gx, g["w"][...], g["b"][...] = K.conv2d_backward(
-                    gz, outs[src[0]], p["w"], params["pad"])
-                gins = [gx]
-            elif kind is BlockKind.MERGE:
-                gcat = grads[out[0]]
-                if params["project"]:
-                    gcat, g["w"][...], g["b"][...] = K.conv2d_backward(gcat, keep, p["w"], 0)
-                gins = K.concat_channels_backward(gcat, bounds)
-            elif kind is BlockKind.GLOBAL_POOL:
-                gins = [K.global_avg_pool_backward(grads[out[0]], outs[src[0]].shape)]
-            else:  # BlockKind.DENSE_HEAD
-                xin = outs[src[0]]
-                flat = xin.reshape(xin.shape[0], -1)
-                if params["hidden"] > 0:
-                    ga1, g["w2"][...], g["b2"][...] = K.dense_backward(
-                        grads[out[0]], keep, p["w2"])
-                    gflat, g["w1"][...], g["b1"][...] = K.dense_backward(
-                        K.relu_backward(ga1, keep), flat, p["w1"])
+        # tensor's gradient is complete when its producer's step runs; step 0
+        # is the stem
+        for i in range(len(self._plan) - 1, 0, -1):
+            self._backward_step(i, outs, grads, saved)
+
+    def _backward_step(self, i: int, outs: list, grads: list, saved: list) -> None:
+        """Write step i's parameter gradients and add its inputs' gradients
+        into `grads`.  The step first takes its saved value, its outputs and
+        their gradients out of the lists: no step after it reads them."""
+        kind, params, src, out, bounds, p, g = self._plan[i]
+        keep, saved[i] = saved[i], None
+        ys, gys = [outs[t] for t in out], [grads[t] for t in out]
+        for t in out:
+            outs[t] = grads[t] = None
+        if kind is BlockKind.CONV:
+            pool = params["pool"]
+            # each member's gradient goes into its channel slice of one
+            # buffer; a lone member's gradient is the group's
+            gz = np.empty(keep.shape, keep.dtype) if len(out) > 1 else None
+            for lo, hi, y, gy in zip(bounds, bounds[1:], ys, gys):
+                # ReLU back on the pooled gradient, a quarter of the cells:
+                # a window's max is > 0 exactly where its winner's relu(z)
+                # is, and relu(z) > 0 exactly where z > 0
+                gy = K.relu_backward(gy, y)
+                if pool > 1:
+                    gy = K.maxpool_backward(gy, keep[:, lo:hi], pool)
+                if gz is None:
+                    gz = gy
                 else:
-                    gflat, g["w"][...], g["b"][...] = K.dense_backward(
-                        grads[out[0]], flat, p["w"])
-                gins = [gflat.reshape(xin.shape)]
-            if not all(np.isfinite(buf).all() for buf in g.values()):
-                bad = next(t for t in out if not all(
-                    np.isfinite(self.grads[f"{self.v.order[t]}/{name}"]).all() for name in g))
-                raise NonFiniteActivation(
-                    f"block {self.v.order[bad]!r} produced a non-finite parameter gradient")
-            for t, gin in zip(src, gins):
-                if t:  # tensor 0 needs no gradient
-                    grads[t] = gin if grads[t] is None else grads[t] + gin
+                    gz[:, lo:hi] = gy
+            # the conv output (the members' activations view it) dies before
+            # conv2d_backward allocates its patches
+            del keep, ys, gys, y, gy
+            gx, g["w"][...], g["b"][...] = K.conv2d_backward(
+                gz, outs[src[0]], p["w"], params["pad"])
+            gins = [gx]
+        elif kind is BlockKind.MERGE:
+            gcat = gys[0]
+            if params["project"]:
+                gcat, g["w"][...], g["b"][...] = K.conv2d_backward(gcat, keep, p["w"], 0)
+            gins = K.concat_channels_backward(gcat, bounds)
+        elif kind is BlockKind.GLOBAL_POOL:
+            gins = [K.global_avg_pool_backward(gys[0], outs[src[0]].shape)]
+        else:  # BlockKind.DENSE_HEAD
+            xin = outs[src[0]]
+            flat = xin.reshape(xin.shape[0], -1)
+            if params["hidden"] > 0:
+                ga1, g["w2"][...], g["b2"][...] = K.dense_backward(gys[0], keep, p["w2"])
+                gflat, g["w1"][...], g["b1"][...] = K.dense_backward(
+                    K.relu_backward(ga1, keep), flat, p["w1"])
+            else:
+                gflat, g["w"][...], g["b"][...] = K.dense_backward(gys[0], flat, p["w"])
+            gins = [gflat.reshape(xin.shape)]
+        if not all(np.isfinite(buf).all() for buf in g.values()):
+            bad = next(t for t in out if not all(
+                np.isfinite(self.grads[f"{self.v.order[t]}/{name}"]).all() for name in g))
+            raise NonFiniteActivation(
+                f"block {self.v.order[bad]!r} produced a non-finite parameter gradient")
+        for t, gin in zip(src, gins):
+            if t:  # tensor 0 needs no gradient
+                grads[t] = gin if grads[t] is None else grads[t] + gin
 
 
 def compile_arch(spec: ArchitectureSpec | ValidatedArch, seed: int, *,

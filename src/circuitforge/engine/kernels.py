@@ -250,9 +250,3 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray
     grad = probs.copy()
     grad[np.arange(n), labels] -= 1.0
     return loss, grad / n
-
-
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..datasets import LabeledDataset, batches
-from ..errors import EmptyDataset, InvalidConfig, check_int
+from ..errors import EmptyDataset, InvalidConfig, NonFiniteActivation, check_int
 from . import kernels as K
 from .graph import CompiledGraph
 from .optim import Adam, Optimizer, SGD
@@ -54,14 +54,19 @@ class EpochSummary:
 
 
 def train_epoch(g: CompiledGraph, batch_iter, opt: Optimizer) -> EpochSummary:
-    """One pass over the iterator: forward, loss, backward, update."""
+    """One pass over the iterator: forward, loss, backward, update.  A
+    NonFiniteActivation names the step, counted from 0 in this pass."""
     losses: list[float] = []
     correct = 0
     seen = 0
     for xb, yb in batch_iter:
-        logits = g.forward(xb)
-        loss, grad = K.softmax_xent(logits, yb)
-        g.backward(grad)
+        try:
+            logits = g.forward(xb)
+            loss, grad = K.softmax_xent(logits, yb)
+            g.backward(grad)
+        except NonFiniteActivation as exc:
+            exc.args = (f"step {len(losses)}: {exc}",)
+            raise
         opt.step(g)
         losses.append(loss)
         correct += int((logits.argmax(axis=1) == yb).sum())
@@ -76,7 +81,8 @@ def train_epoch(g: CompiledGraph, batch_iter, opt: Optimizer) -> EpochSummary:
 def fit(g: CompiledGraph, ds: LabeledDataset, cfg: TrainConfig,
         metrics_path=None) -> list[EpochSummary]:
     """Train for cfg.epochs, reshuffling per epoch from the run seed.
-    Optionally streams step,epoch,loss,accuracy rows to a CSV."""
+    Optionally streams step,epoch,loss,accuracy rows to a CSV.  A
+    NonFiniteActivation names the epoch and the step within it."""
     opt = make_optimizer(cfg)
     history: list[EpochSummary] = []
     writer_fh = open(metrics_path, "w", encoding="utf-8", newline="") if metrics_path else None
@@ -88,7 +94,11 @@ def fit(g: CompiledGraph, ds: LabeledDataset, cfg: TrainConfig,
         step = 0
         for epoch in range(cfg.epochs):
             shuffle_key = (cfg.seed * 100003 + epoch) % 2 ** 63
-            summary = train_epoch(g, batches(ds, cfg.batch_size, shuffle_key), opt)
+            try:
+                summary = train_epoch(g, batches(ds, cfg.batch_size, shuffle_key), opt)
+            except NonFiniteActivation as exc:
+                exc.args = (f"epoch {epoch}, {exc}",)
+                raise
             history.append(summary)
             if writer:
                 for loss in summary.step_losses:
@@ -119,7 +129,7 @@ def evaluate(g: CompiledGraph, ds: LabeledDataset, batch_size: int) -> EvalRepor
     k = ds.num_categories
     confusion = np.zeros((k, k), dtype=np.int64)
     for xb, yb in batches(ds, batch_size, seed=0, shuffle=False):
-        pred = g.forward(xb).argmax(axis=1)
+        pred = g.forward(xb, keep=False).argmax(axis=1)
         np.add.at(confusion, (yb, pred), 1)
     totals = confusion.sum(axis=1)
     per_category = {int(c): float(confusion[c, c] / totals[c])

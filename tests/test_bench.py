@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from circuitforge import bench
 from circuitforge.bench import (
     STYLES,
     BenchmarkConfig,
@@ -18,9 +19,9 @@ from circuitforge.bench import (
 )
 from circuitforge.connectome import Direction, Role, top_k_neighbors
 from circuitforge.cri import CriTable, SelectedNeurons, TopK, select_correlated
-from circuitforge.datasets import batches, load_cifar, load_dataset
+from circuitforge.datasets import batches, load_cifar, load_dataset, subset
 from circuitforge.engine.optim import SGD, Adam
-from circuitforge.errors import EmptyVector, InvalidConfig, InvalidReport
+from circuitforge.errors import EmptyVector, InvalidConfig, InvalidReport, NonFiniteActivation
 from circuitforge.extraction import ExtractionConfig, extract_circuits
 from conftest import make_connectome, synthetic_dataset, write_bench_corpus
 
@@ -50,6 +51,11 @@ BAD_ARGUMENTS = {
     "cifar_variant": lambda d: load_cifar(d, "C20"),
     "cifar_split": lambda d: load_cifar(d, "C10", "val"),
     "batch_size": lambda d: list(batches(synthetic_dataset(n=4), 0, seed=0)),
+    "batch_size_float": lambda d: list(batches(synthetic_dataset(n=4), 2.5, seed=0)),
+    "batches_seed": lambda d: list(batches(synthetic_dataset(n=4), 2, seed=-1)),
+    "subset_n": lambda d: subset(synthetic_dataset(n=4), -1, seed=0),
+    "subset_n_float": lambda d: subset(synthetic_dataset(n=4), 2.0, seed=0),
+    "subset_seed": lambda d: subset(synthetic_dataset(n=4), 2, seed=-5),
     "sgd_lr": lambda d: SGD(lr=0.0),
     "sgd_momentum": lambda d: SGD(lr=0.1, momentum=1.0),
     "adam_lr": lambda d: Adam(lr=-1.0),
@@ -248,6 +254,21 @@ def test_run_benchmark_reruns_byte_identical(tmp_path):
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
     for rel in ("runs/circuit_s0/metrics.csv", "plots/loss_curves.csv"):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
+
+
+def test_run_benchmark_names_the_run_of_a_non_finite_activation(tmp_path, monkeypatch):
+    real = bench.compile_arch
+
+    def poisoned(spec, seed):
+        g = real(spec, seed)
+        next(value for slot, value, _ in g.param_slots() if slot.endswith("/b"))[0] = np.nan
+        return g
+
+    monkeypatch.setattr(bench, "compile_arch", poisoned)
+    data = write_bench_corpus(tmp_path / "data")
+    with pytest.raises(NonFiniteActivation, match=r"^sequential seed 1: epoch 0, step 0: "
+                       r"block '[^']+' produced non-finite values$"):
+        run_benchmark(_tiny_config(data, tmp_path / "out", styles=("sequential",), seeds=(1,)))
 
 
 def test_run_benchmark_respects_circuit_dir(tmp_path):

@@ -13,7 +13,6 @@ from circuitforge.cri import (
     FoldChangeTable,
     TopK,
     ZScore,
-    apply_min_expression,
     clip_fold_changes,
     compute_cri,
     load_cri_table,
@@ -132,15 +131,6 @@ def test_select_zscore_flat_distribution_selects_nothing():
     cri = CriTable({"A": 2.0, "B": 2.0, "C": 2.0, "D": 2.0}, n_genes=1)
     sel = select_correlated(cri, ROLES, ZScore(threshold=1.0))
     assert sel.all == frozenset()
-
-
-def test_apply_min_expression_filters_and_renormalizes():
-    w = ExpressionMatrix({("g", "n1"): 0.04, ("g", "n2"): 0.6, ("g", "n3"): 0.2})
-    cut = apply_min_expression(w, 0.05)
-    assert ("g", "n1") not in cut.w
-    renorm = apply_min_expression(w, 0.05, renormalize=True)
-    assert renorm.w[("g", "n2")] == pytest.approx(0.75)
-    assert renorm.w[("g", "n3")] == pytest.approx(0.25)
 
 
 def test_load_fold_changes(tmp_path):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -111,6 +113,18 @@ def test_backward_requires_fresh_forward():
         g.forward(np.full((2, 1, 12, 12), np.inf, dtype=np.float32))
     with pytest.raises(StaleActivation):  # a failed forward leaves nothing behind
         g.backward(grad)
+
+
+def test_evaluation_forward_keeps_nothing():
+    g = tiny_graph()
+    x = np.random.default_rng(1).normal(size=(2, 1, 12, 12)).astype(np.float32)
+    logits = g.forward(x, keep=False)
+    assert g._acts is None
+    with pytest.raises(StaleActivation):  # nothing was saved for it
+        g.backward(np.ones((2, 4), dtype=np.float32))
+    assert np.array_equal(g.forward(x), logits)
+    g.forward(x, keep=False)  # and it frees what a training forward kept
+    assert g._acts is None
 
 
 def test_backward_rejects_non_finite_gradient():
@@ -464,6 +478,10 @@ def test_non_finite_sibling_is_named():
     g.params["conv:S2/b"][0] = np.nan  # lands in the group's bias buffer
     with pytest.raises(NonFiniteActivation, match="'conv:S2'"):
         g.forward(x)
+    # through fit, the message also names the epoch and the step
+    with pytest.raises(NonFiniteActivation,
+                       match="^epoch 0, step 0: block 'conv:S2' produced non-finite values$"):
+        fit(g, synthetic_dataset(n=8, side=12), TrainConfig(epochs=1, batch_size=4))
 
 
 # case -> (graph, kernel, slot whose buffer the poisoned call reads as `w`,
@@ -496,3 +514,93 @@ def test_non_finite_parameter_gradient_is_named(monkeypatch, case):
     with pytest.raises(NonFiniteActivation,
                        match=f"'{block}' produced a non-finite parameter gradient"):
         g.backward(np.ones((2, 4), dtype=np.float32))
+
+
+# --- liveness ----------------------------------------------------------------
+
+def _root(a: np.ndarray) -> np.ndarray:
+    """The array that owns a view's memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+FORWARD_KERNELS = ("conv2d", "relu", "maxpool", "concat_channels", "global_avg_pool", "dense")
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("style", sorted(SPECS))
+def test_evaluation_drops_each_tensor_after_its_last_reader(ref_circuit, monkeypatch, style,
+                                                           channels):
+    """When a step starts, every conv or pool output still alive is read
+    by this kernel call or a later one.
+    graph.py looks kernels up as `K.<name>` at call time, so the wrappers
+    see every call."""
+    g = compile_arch(validate(SPECS[style](ref_circuit, channels)), seed=0)
+    x = np.random.default_rng(0).normal(size=(2,) + g.spec.input_shape).astype(np.float32)
+    made: list = []  # a weakref to the memory of each conv and pool output
+    last_read: dict[int, int] = {}  # index into made -> the last call that read it
+    alive_at: list = []  # (call, indices into made still alive) at each step's start
+    calls = itertools.count()
+
+    def watch(name):
+        real = getattr(K, name)
+
+        def kernel(*args):
+            call = next(calls)
+            roots = [_root(a) for arg in args for a in (arg if isinstance(arg, list) else [arg])
+                     if isinstance(a, np.ndarray)]
+            for i, ref in enumerate(made):
+                if any(ref() is r for r in roots):
+                    last_read[i] = call
+            # a concat or a global pool starts a step, and so does a conv or dense
+            # layer that reads the batch or a conv or pool output; the others read
+            # a value their own step made (a merge's concat, a hidden activation)
+            if name in ("concat_channels", "global_avg_pool") or name in ("conv2d", "dense") and (
+                    args[0] is x or any(ref() is roots[0] for ref in made)):
+                alive_at.append((call, [i for i, ref in enumerate(made) if ref() is not None]))
+            out = real(*args)
+            if name in ("conv2d", "maxpool"):
+                made.append(weakref.ref(_root(out)))
+            return out
+
+        monkeypatch.setattr(K, name, kernel)
+
+    for name in FORWARD_KERNELS:
+        watch(name)
+    g.forward(x, keep=False)
+    assert len(alive_at) >= 2
+    for call, alive in alive_at:
+        assert all(last_read[i] >= call for i in alive), (call, alive, last_read)
+    assert all(ref() is None for ref in made)
+
+
+@pytest.mark.parametrize("style", ["circuit", "sequential", "siblings"])
+def test_backward_frees_a_group_conv_output_before_its_conv_backward(ref_circuit, monkeypatch,
+                                                                    style):
+    """The conv output of a group that reads the batch (the ten sensory
+    convs of the circuit net) is dead when that group's
+    `conv2d_backward` is entered: only the gradient built from it lives."""
+    g = compile_arch(validate(SPECS[style](ref_circuit, 3)), seed=0)
+    x = np.random.default_rng(0).normal(size=(2,) + g.spec.input_shape).astype(np.float32)
+    real_conv, real_backward = K.conv2d, K.conv2d_backward
+    made: list = []  # (kernel buffer, weakref to the output) per conv that reads the batch
+    dead: list[bool] = []
+
+    def conv2d(xin, w, b, pad):
+        out = real_conv(xin, w, b, pad)
+        if xin is x:
+            made.append((w, weakref.ref(_root(out))))
+        return out
+
+    def conv2d_backward(gy, xin, w, pad):
+        if xin is x:
+            dead.extend(ref() is None for kw, ref in made if kw is w)
+        return real_backward(gy, xin, w, pad)
+
+    monkeypatch.setattr(K, "conv2d", conv2d)
+    monkeypatch.setattr(K, "conv2d_backward", conv2d_backward)
+    logits = g.forward(x)
+    assert made and all(ref() is not None for _, ref in made)  # kept for backward
+    g.backward(softmax_xent(logits, np.array([0, 3]))[1])
+    assert dead == [True] * len(made)

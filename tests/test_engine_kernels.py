@@ -27,7 +27,6 @@ from circuitforge.engine.kernels import (
     maxpool_backward,
     relu,
     relu_backward,
-    softmax_probs,
     softmax_xent,
 )
 from circuitforge.errors import LabelOutOfRange, ShapeMismatch
@@ -293,13 +292,6 @@ def test_softmax_xent_is_shift_invariant_and_overflow_safe():
     assert loss == pytest.approx(small, rel=1e-12)
     assert np.allclose(grad, sgrad)
     assert np.isfinite(loss)
-
-
-def test_softmax_probs_rows_sum_to_one():
-    rng = np.random.default_rng(6)
-    p = softmax_probs(rng.normal(size=(5, 7)))
-    assert np.allclose(p.sum(axis=1), 1.0)
-    assert np.all(p > 0)
 
 
 def test_softmax_xent_validates_inputs():
