@@ -7,9 +7,9 @@ Three generators share one block vocabulary:
     several inputs get a channel-concat Merge (projected back to c by a
     1x1 convolution), motor outputs are concatenated, average-pooled
     and fed to a dense head;
-  * randomized style: same node and edge counts, wiring drawn from a
-    seeded generator (role-preserving tripartite by default), mapped
-    onto blocks by the same DAG compiler as the circuit style;
+  * randomized style: same node and edge counts, a fresh role-preserving
+    tripartite wiring drawn from a seeded generator, mapped onto blocks
+    by the same DAG compiler as the circuit style;
   * sequential style: a LeNet-like chain of two 5x5 valid convolutions
     with 2x pooling and a hidden dense layer.
 
@@ -45,6 +45,7 @@ from .errors import (
     UnreachableBlock,
     check_int,
     read_input,
+    seeded_generator,
 )
 from .extraction import FunctionalCircuit
 
@@ -302,8 +303,8 @@ def _compile_dag(nodes: list[str], edges: list[tuple[str, str]], entries: list[s
     Nodes become 3x3 ConvBlocks, edges become wires, and fan-in goes
     through concat Merges projected back to c channels.  Entry nodes read
     the stem and downsample by 2; exit outputs feed concat -> global
-    average pool -> dense head.  The caller picks entries and exits: by
-    neuron role for circuits, by degree for free DAGs.
+    average pool -> dense head.  The caller picks entries and exits by
+    neuron role: sensory nodes enter, motor nodes exit.
     """
     if not exits:
         raise InvalidArchitecture(f"{topology_source}: no exit nodes to collect outputs from")
@@ -330,8 +331,7 @@ def _compile_dag(nodes: list[str], edges: list[tuple[str, str]], entries: list[s
 
 
 def synthesize_circuit_arch(circuit: FunctionalCircuit, c: int, input_shape: Shape,
-                            num_categories: int, *, topology_source: str = "circuit"
-                            ) -> ArchitectureSpec:
+                            num_categories: int) -> ArchitectureSpec:
     """Map a circuit one-to-one onto a block graph: sensory nodes are the
     entries and motor nodes the exits of `_compile_dag`."""
     if not circuit.edges:
@@ -339,7 +339,7 @@ def synthesize_circuit_arch(circuit: FunctionalCircuit, c: int, input_shape: Sha
     return _compile_dag(sorted(circuit.nodes), list(circuit.edges),
                         circuit.nodes_with_role(Role.SENSORY),
                         circuit.nodes_with_role(Role.MOTOR),
-                        c, input_shape, num_categories, topology_source)
+                        c, input_shape, num_categories, "circuit")
 
 
 def circuit_wires(spec: ArchitectureSpec) -> frozenset[tuple[str, str]]:
@@ -364,9 +364,6 @@ def circuit_wires(spec: ArchitectureSpec) -> frozenset[tuple[str, str]]:
 
 
 # --- synthesis: randomized style ---
-
-_MAX_ATTEMPTS = 1000
-
 
 def _min_cover_edges(sensory: list[str], inter: list[str], motor: list[str],
                      rng) -> set[tuple[str, str]]:
@@ -404,66 +401,31 @@ def _min_cover_edges(sensory: list[str], inter: list[str], motor: list[str],
 
 
 def synthesize_randomized_arch(circuit: FunctionalCircuit, c: int, seed: int,
-                               input_shape: Shape, num_categories: int, *,
-                               role_preserving: bool = True) -> ArchitectureSpec:
-    """Control architecture: same node and edge counts as the circuit,
-    wiring drawn from a counter-based generator.
-
-    Role-preserving mode (default) samples a fresh tripartite DAG over the
-    same neurons; with role_preserving=False any acyclic wiring over as
-    many nodes and edges is allowed, in-degree-0 blocks acting as the
-    downsampling entry points.
-    """
+                               input_shape: Shape, num_categories: int) -> ArchitectureSpec:
+    """Control architecture: a fresh tripartite DAG over the circuit's
+    neurons, with as many edges, drawn from a counter-based generator."""
     if not circuit.edges:
         raise EmptyCircuit("cannot synthesize from a circuit with no edges")
-    check_int("seed", seed, 0, InvalidArchitecture)
-    if seed >= 2 ** 64:
-        raise InvalidArchitecture(f"seed must fit in 64 unsigned bits, got {seed}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seeded_generator("seed", seed, InvalidArchitecture)
     n_edges = circuit.n_edges
-    nodes = sorted(circuit.nodes)
-
-    if role_preserving:
-        sensory = circuit.nodes_with_role(Role.SENSORY)
-        inter = circuit.nodes_with_role(Role.INTER)
-        motor = circuit.nodes_with_role(Role.MOTOR)
-        all_slots = sorted(
-            {(a, b) for a in sensory for b in inter + motor} |
-            {(a, b) for a in inter for b in motor})
-        edges = _min_cover_edges(sensory, inter, motor, rng)
-        if len(edges) > n_edges:
-            raise ConstraintUnsatisfiable(
-                f"{n_edges} edges cannot wire every neuron "
-                f"({len(edges)} needed for {len(sensory)}/{len(inter)}/{len(motor)} roles)")
-        if n_edges > len(all_slots):
-            raise ConstraintUnsatisfiable(
-                f"{n_edges} edges exceed the {len(all_slots)} legal connections")
-        free = [slot for slot in all_slots if slot not in edges]
-        extra = rng.choice(len(free), size=n_edges - len(edges), replace=False)
-        edges.update(free[t] for t in sorted(extra))
-        entries, exits = sensory, motor
-    else:
-        n = len(nodes)
-        if n_edges > n * (n - 1) // 2:
-            raise ConstraintUnsatisfiable(
-                f"{n_edges} edges exceed acyclic capacity of {n} nodes")
-        for _ in range(_MAX_ATTEMPTS):
-            perm = [nodes[t] for t in rng.permutation(n)]
-            pos = {node: t for t, node in enumerate(perm)}
-            all_slots = sorted((a, b) for a in nodes for b in nodes if pos[a] < pos[b])
-            picked = rng.choice(len(all_slots), size=n_edges, replace=False)
-            edges = {all_slots[t] for t in sorted(picked)}
-            touched = {x for e in edges for x in e}
-            if len(touched) == n:
-                break
-        else:
-            raise ConstraintUnsatisfiable(
-                f"could not cover all {n} nodes with {n_edges} edges "
-                f"in {_MAX_ATTEMPTS} attempts")
-        heads, tails = {b for _, b in edges}, {a for a, _ in edges}
-        entries = [x for x in nodes if x not in heads]
-        exits = [x for x in nodes if x not in tails]
-    return _compile_dag(nodes, sorted(edges), entries, exits, c, input_shape,
+    sensory = circuit.nodes_with_role(Role.SENSORY)
+    inter = circuit.nodes_with_role(Role.INTER)
+    motor = circuit.nodes_with_role(Role.MOTOR)
+    all_slots = sorted(
+        {(a, b) for a in sensory for b in inter + motor} |
+        {(a, b) for a in inter for b in motor})
+    edges = _min_cover_edges(sensory, inter, motor, rng)
+    if len(edges) > n_edges:
+        raise ConstraintUnsatisfiable(
+            f"{n_edges} edges cannot wire every neuron "
+            f"({len(edges)} needed for {len(sensory)}/{len(inter)}/{len(motor)} roles)")
+    if n_edges > len(all_slots):
+        raise ConstraintUnsatisfiable(
+            f"{n_edges} edges exceed the {len(all_slots)} legal connections")
+    free = [slot for slot in all_slots if slot not in edges]
+    extra = rng.choice(len(free), size=n_edges - len(edges), replace=False)
+    edges.update(free[t] for t in sorted(extra))
+    return _compile_dag(sorted(circuit.nodes), sorted(edges), sensory, motor, c, input_shape,
                         num_categories, f"randomized:{seed}")
 
 

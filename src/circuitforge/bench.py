@@ -34,6 +34,7 @@ from .errors import (
     NonFiniteActivation,
     check_int,
     read_input,
+    seeded_generator,
 )
 from .extraction import FunctionalCircuit
 from .reference import source_circuit
@@ -73,6 +74,10 @@ class BenchmarkConfig:
                                     f"got {values!r}")
         for name, low in (("c", 1), ("train_subset", 0), ("test_subset", 0), ("subset_seed", 0)):
             check_int(name, getattr(self, name), low, InvalidConfig)
+        # a seed no generator takes is refused here, not after earlier runs finish
+        for seed in self.seeds:
+            seeded_generator("seeds", seed, InvalidConfig)
+        seeded_generator("subset_seed + 1", self.subset_seed + 1, InvalidConfig)
         TrainConfig(epochs=self.epochs, batch_size=self.batch_size, optimizer=self.optimizer,
                     lr=self.lr)
         for name in ("data_dir", "circuit_dir", "out_dir"):
@@ -108,6 +113,10 @@ class MetricsReport:
                                 f"got {self.style!r}")
         if not self.epoch_mean_losses:
             raise InvalidReport("epoch_mean_losses must be a non-empty list, got []")
+        for name in ("step_losses", "epoch_mean_losses"):
+            for i, loss in enumerate(getattr(self, name)):
+                if not 0 <= loss < math.inf:  # json.loads reads NaN and Infinity
+                    raise InvalidReport(f"{name}[{i}] must be a finite number >= 0, got {loss!r}")
 
     to_json = json_text
     from_json = classmethod(partial(read_json, error=InvalidReport, name="run report"))
@@ -126,9 +135,10 @@ def consistency(values) -> float:
 
 def convergence_rate(epoch_mean_losses, threshold: float) -> int | None:
     """First epoch index whose mean loss is at or below the threshold;
-    None when the curve never gets there."""
-    if threshold <= 0:
-        raise InvalidConfig(f"threshold must be > 0, got {threshold}")
+    None when the curve never gets there.  A threshold of 0 is met by a
+    loss of 0, which `softmax_xent` gives when every pick is certain."""
+    if not threshold >= 0:
+        raise InvalidConfig(f"threshold must be >= 0, got {threshold}")
     losses = list(epoch_mean_losses)
     if not losses:
         raise EmptyVector("empty loss curve")

@@ -46,9 +46,9 @@ REPORTED_ROLE_SPLIT = (10, 5, 7)  # published circuit size to diff against
 def _parse_policy(text: str):
     kind, _, value = text.partition(":")
     if kind == "topk":
-        return TopK(int(value) if value else 11)
+        return TopK(int(value)) if value else TopK()
     if kind == "zscore":
-        return ZScore(float(value) if value else 1.0)
+        return ZScore(float(value)) if value else ZScore()
     raise argparse.ArgumentTypeError(
         f"policy must be topk:<k> or zscore:<threshold>, got {text!r}")
 
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--foldchanges", required=True, help="fold-change table (CSV)")
     p.add_argument("--expression", required=True, help="expression table (CSV)")
     p.add_argument("--roles", required=True, help="role table (TSV) or cri CSV with roles")
-    p.add_argument("--policy", type=_parse_policy, default=TopK(11))
+    p.add_argument("--policy", type=_parse_policy, default=TopK())
     p.add_argument("--out", required=True, help="output cri_table.csv")
     p.set_defaults(func=_cmd_cri)
 
@@ -161,8 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roles", help="neuron role TSV (default: bundled)")
     p.add_argument("--aggregation", help="raw->functional name map TSV")
     p.add_argument("--cri", help="cri_table.csv (default: bundled)")
-    p.add_argument("--policy", type=_parse_policy, default=TopK(11))
-    p.add_argument("--k", type=int, default=3, help="connections followed per hop")
+    p.add_argument("--policy", type=_parse_policy, default=TopK())
+    p.add_argument("--k", type=int, default=ExtractionConfig().k,
+                   help="connections followed per hop")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_extract)
 

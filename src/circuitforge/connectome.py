@@ -316,13 +316,13 @@ def load_roles(path) -> dict[NeuronId, Role]:
     return dict(zip(table.columns["neuron"], table.roles("role")))
 
 
-def load_connectome(path, roles_path, *, allow_self_loops: bool = False) -> Connectome:
+def load_connectome(path, roles_path) -> Connectome:
     """Parse connectome.tsv against roles.tsv and return a validated graph.
 
     Electrical counts are symmetrized by storing both directions; a pair
     whose rows disagree on the electrical count raises AsymmetricElectrical.
     Neurons appearing in edges but absent from the role table raise
-    UnknownRole.  Self-loop rows are rejected unless allow_self_loops.
+    UnknownRole.  Self-loop rows raise SelfLoopRejected.
     """
     role_table = load_roles(roles_path)
     table = read_table(path, CONNECTOME_TSV)
@@ -334,7 +334,7 @@ def load_connectome(path, roles_path, *, allow_self_loops: bool = False) -> Conn
                                         table.numbers("chem", int), table.numbers("elec", int)):
         if c < 0 or e < 0:
             raise NegativeCount(path, line_no, f"negative synapse count ({c}, {e})")
-        if pre == post and not allow_self_loops:
+        if pre == post:
             raise SelfLoopRejected(path, line_no, f"self-loop on {pre!r} rejected")
         try:
             roles[pre], roles[post] = role_table[pre], role_table[post]

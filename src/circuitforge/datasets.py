@@ -41,6 +41,7 @@ from .errors import (
     check_int,
     read_input,
     read_text,
+    seeded_generator,
 )
 
 DATA_DIR_ENV = "CIRCUITFORGE_DATA_DIR"
@@ -101,9 +102,9 @@ def _idx_header(blob: bytes, path, n_dims: int) -> tuple[int, list[int]]:
     return magic, dims
 
 
-def load_idx(images_path, labels_path,
-             category_names: tuple[str, ...] | None = None) -> LabeledDataset:
-    """Load an IDX image/label file pair (optionally gzipped)."""
+def load_idx(images_path, labels_path) -> LabeledDataset:
+    """Load an IDX image/label file pair (optionally gzipped); category i
+    is named str(i), one per label up to the largest."""
     img_blob = _read_binary(images_path)
     magic, (n, rows, cols) = _idx_header(img_blob, images_path, 3)
     if magic != IDX_IMAGE_MAGIC:
@@ -125,10 +126,9 @@ def load_idx(images_path, labels_path,
         raise TruncatedFile(labels_path, expected, len(lab_blob))
     labels = np.frombuffer(lab_blob, dtype=np.uint8, count=n_labels, offset=8).astype(np.int64)
 
-    if category_names is None:
-        k = int(labels.max()) + 1 if labels.size else 0
-        category_names = tuple(str(i) for i in range(k))
-    return LabeledDataset(images=images, labels=labels, category_names=category_names)
+    k = int(labels.max()) + 1 if labels.size else 0
+    return LabeledDataset(images=images, labels=labels,
+                          category_names=tuple(str(i) for i in range(k)))
 
 
 def _read_cifar_records(path, label_bytes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,13 +192,12 @@ def subset(ds: LabeledDataset, n: int, seed: int) -> LabeledDataset:
     one of exact proportionality (floor allocation, then largest
     fractional remainders).  Deterministic per seed."""
     check_int("n", n, 0, InvalidConfig)
-    check_int("seed", seed, 0, InvalidConfig)
+    rng = seeded_generator("seed", seed, InvalidConfig)
     total = len(ds)
     if n > total:
         raise InsufficientExamples(f"asked for {n} of {total} examples")
     if n == total:
         return ds
-    rng = np.random.Generator(np.random.Philox(key=seed))
     present = np.unique(ds.labels)
     counts = {int(c): int((ds.labels == c).sum()) for c in present}
     quota = {c: n * cnt / total for c, cnt in counts.items()}
@@ -220,13 +219,10 @@ def batches(ds: LabeledDataset, batch_size: int, seed: int, *, shuffle: bool = T
     """Yield (images, labels) covering every example exactly once.  The one
     place pixels become float32: each batch's bytes are divided by 255."""
     check_int("batch_size", batch_size, 1, InvalidConfig)
-    check_int("seed", seed, 0, InvalidConfig)
+    rng = seeded_generator("seed", seed, InvalidConfig)
     if len(ds) == 0:
         raise EmptyDataset("cannot iterate an empty dataset")
-    if shuffle:
-        order = np.random.Generator(np.random.Philox(key=seed)).permutation(len(ds))
-    else:
-        order = np.arange(len(ds))
+    order = rng.permutation(len(ds)) if shuffle else np.arange(len(ds))
     for start in range(0, len(ds), batch_size):
         idx = order[start:start + batch_size]
         images = ds.images[idx].astype(np.float32)

@@ -3,7 +3,7 @@
 from .graph import CompiledGraph, compile_arch, load_checkpoint, save_checkpoint
 from .kernels import softmax_xent
 from .optim import SGD, Adam
-from .train import EpochSummary, EvalReport, TrainConfig, evaluate, fit, train_epoch
+from .train import EpochSummary, EvalReport, TrainConfig, evaluate, fit
 
 __all__ = [
     "Adam",
@@ -18,5 +18,4 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "softmax_xent",
-    "train_epoch",
 ]

@@ -62,11 +62,13 @@ from ..arch import ArchitectureSpec, BlockKind, ValidatedArch, validate
 from ..errors import (
     BadMagic,
     CheckpointError,
+    InvalidConfig,
     NonFiniteActivation,
     ShapeMismatch,
     StaleActivation,
     TruncatedFile,
     read_input,
+    seeded_generator,
 )
 from . import kernels as K
 
@@ -93,7 +95,7 @@ class CompiledGraph:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self._acts: tuple[list, list] | None = None  # forward's tensors and saved values
-        rng = np.random.Generator(np.random.Philox(key=int(seed)))
+        rng = seeded_generator("seed", seed, InvalidConfig)
         for block_id in v.order:
             for name, shape, fan_in in v.slots[block_id]:
                 if fan_in == 0:  # bias
@@ -147,9 +149,6 @@ class CompiledGraph:
         """(slot, value, grad) triples in the canonical checkpoint order."""
         for slot, value in self.params.items():
             yield slot, value, self.grads[slot]
-
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params.values())
 
     # --- execution ---
 
@@ -310,7 +309,7 @@ def save_checkpoint(g: CompiledGraph, path) -> None:
             fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
 
 
-def load_checkpoint(path, *, dtype=np.float32) -> CompiledGraph:
+def load_checkpoint(path) -> CompiledGraph:
     blob = read_input(path)
     if len(blob) < 8 or blob[:4] != CHECKPOINT_MAGIC:
         raise BadMagic(f"{path}: not a checkpoint (magic {blob[:4]!r})")
@@ -318,14 +317,14 @@ def load_checkpoint(path, *, dtype=np.float32) -> CompiledGraph:
     if len(blob) < 8 + doc_len:
         raise TruncatedFile(path, 8 + doc_len, len(blob))
     spec = ArchitectureSpec.from_json(blob[8:8 + doc_len])
-    g = compile_arch(spec, seed=0, dtype=dtype)
+    g = compile_arch(spec, seed=0)
     offset = 8 + doc_len
     for slot, value, _ in g.param_slots():
         nbytes = value.size * 4
         if len(blob) < offset + nbytes:
             raise TruncatedFile(path, offset + nbytes, len(blob))
         flat = np.frombuffer(blob, dtype="<f4", count=value.size, offset=offset)
-        value[...] = flat.reshape(value.shape).astype(g.dtype)
+        value[...] = flat.reshape(value.shape)
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..datasets import LabeledDataset, batches
-from ..errors import EmptyDataset, InvalidConfig, NonFiniteActivation, check_int
+from ..errors import EmptyDataset, InvalidConfig, NonFiniteActivation, check_int, seeded_generator
 from . import kernels as K
 from .graph import CompiledGraph
 from .optim import Adam, Optimizer, SGD
@@ -31,8 +31,9 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         """Refuse a bad field with InvalidConfig; BenchmarkConfig reuses these rules."""
-        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+        for name, low in (("epochs", 1), ("batch_size", 1)):
             check_int(name, getattr(self, name), low, InvalidConfig)
+        seeded_generator("seed", self.seed, InvalidConfig)  # the one seed rule
         if self.optimizer not in ("adam", "sgd"):
             raise InvalidConfig(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         lr = self.lr
@@ -53,36 +54,12 @@ class EpochSummary:
     step_losses: list[float] = field(default_factory=list)
 
 
-def train_epoch(g: CompiledGraph, batch_iter, opt: Optimizer) -> EpochSummary:
-    """One pass over the iterator: forward, loss, backward, update.  A
-    NonFiniteActivation names the step, counted from 0 in this pass."""
-    losses: list[float] = []
-    correct = 0
-    seen = 0
-    for xb, yb in batch_iter:
-        try:
-            logits = g.forward(xb)
-            loss, grad = K.softmax_xent(logits, yb)
-            g.backward(grad)
-        except NonFiniteActivation as exc:
-            exc.args = (f"step {len(losses)}: {exc}",)
-            raise
-        opt.step(g)
-        losses.append(loss)
-        correct += int((logits.argmax(axis=1) == yb).sum())
-        seen += len(yb)
-    if seen == 0:
-        raise EmptyDataset("training iterator yielded no batches")
-    return EpochSummary(mean_loss=float(np.mean(losses)),
-                        accuracy=correct / seen,
-                        step_losses=losses)
-
-
 def fit(g: CompiledGraph, ds: LabeledDataset, cfg: TrainConfig,
         metrics_path=None) -> list[EpochSummary]:
-    """Train for cfg.epochs, reshuffling per epoch from the run seed.
-    Optionally streams step,epoch,loss,accuracy rows to a CSV.  A
-    NonFiniteActivation names the epoch and the step within it."""
+    """Train for cfg.epochs, reshuffling per epoch from the run seed; each
+    batch runs forward, loss, backward and an optimizer step.  Optionally
+    streams step,epoch,loss,accuracy rows to a CSV.  A NonFiniteActivation
+    names the epoch and the step within it, counted from 0."""
     opt = make_optimizer(cfg)
     history: list[EpochSummary] = []
     writer_fh = open(metrics_path, "w", encoding="utf-8", newline="") if metrics_path else None
@@ -94,11 +71,22 @@ def fit(g: CompiledGraph, ds: LabeledDataset, cfg: TrainConfig,
         step = 0
         for epoch in range(cfg.epochs):
             shuffle_key = (cfg.seed * 100003 + epoch) % 2 ** 63
-            try:
-                summary = train_epoch(g, batches(ds, cfg.batch_size, shuffle_key), opt)
-            except NonFiniteActivation as exc:
-                exc.args = (f"epoch {epoch}, {exc}",)
-                raise
+            losses: list[float] = []
+            correct = 0
+            # `batches` refuses an empty dataset and covers every example once
+            for xb, yb in batches(ds, cfg.batch_size, shuffle_key):
+                try:
+                    logits = g.forward(xb)
+                    loss, grad = K.softmax_xent(logits, yb)
+                    g.backward(grad)
+                except NonFiniteActivation as exc:
+                    exc.args = (f"epoch {epoch}, step {len(losses)}: {exc}",)
+                    raise
+                opt.step(g)
+                losses.append(loss)
+                correct += int((logits.argmax(axis=1) == yb).sum())
+            summary = EpochSummary(mean_loss=float(np.mean(losses)),
+                                   accuracy=correct / len(ds), step_losses=losses)
             history.append(summary)
             if writer:
                 for loss in summary.step_losses:

@@ -7,6 +7,8 @@ Loader errors carry enough context (line numbers, byte offsets, field
 paths) to point at the offending input.
 """
 
+import numpy as np
+
 
 class CircuitForgeError(Exception):
     pass
@@ -22,6 +24,16 @@ def check_int(what: str, value, low: int, error: type[CircuitForgeError]) -> Non
     float such as 5.0 or a numpy integer raises `error`."""
     if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
         raise error(f"{what} must be an integer >= {low}, got {value!r}")
+
+
+def seeded_generator(what: str, seed, error: type[CircuitForgeError]) -> np.random.Generator:
+    """The counter-based (Philox) generator keyed by `seed`, a Python int in
+    [0, 2**64): the one rule for every seed.  Anything else raises `error`
+    here rather than a bare ValueError inside Philox."""
+    check_int(what, seed, 0, error)
+    if seed >= 2 ** 64:
+        raise error(f"{what} must be below 2**64, got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 class MissingInput(CircuitForgeError, FileNotFoundError):

@@ -91,12 +91,6 @@ class FunctionalCircuit:
     def incoming(self, node: NeuronId) -> list[tuple[NeuronId, float]]:
         return sorted((i, w) for (i, j), w in self.edges.items() if j == node)
 
-    def as_connectome(self) -> Connectome:
-        """Re-interpret the circuit as a connectome (weights become
-        chemical counts) so extraction rules can be applied again."""
-        chem = {pair: int(round(w)) for pair, w in self.edges.items()}
-        return Connectome(roles=dict(self.roles), chem=chem, elec={})
-
 
 class _Builder:
     """Accumulates retained edges; nodes exist only via retained edges."""

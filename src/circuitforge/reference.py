@@ -39,17 +39,18 @@ def load_reference_cri() -> tuple[CriTable, dict]:
     return load_cri_table(bundled_data_path("cri_table.csv"))
 
 
-def reference_selection(k: int = 11) -> SelectedNeurons:
+def reference_selection() -> SelectedNeurons:
+    """The standard selection: `TopK()` by correlation index."""
     cri, roles = load_reference_cri()
-    return select_correlated(cri, roles, TopK(k))
+    return select_correlated(cri, roles, TopK())
 
 
-def reference_circuit(k: int = 3) -> FunctionalCircuit:
+def reference_circuit() -> FunctionalCircuit:
     """Functional circuit extracted from the bundled data with the
-    standard selection (top 11 by correlation index)."""
+    standard selection and `ExtractionConfig()`."""
     conn = load_functional_connectome()
     sel = reference_selection()
-    return extract_circuits(conn, sel, ExtractionConfig(k=k))
+    return extract_circuits(conn, sel, ExtractionConfig())
 
 
 def source_circuit(edges_path=None, roles_path=None) -> FunctionalCircuit:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from circuitforge import bench
+from circuitforge.arch import synthesize_sequential_arch
 from circuitforge.bench import (
     STYLES,
     BenchmarkConfig,
@@ -20,7 +21,9 @@ from circuitforge.bench import (
 from circuitforge.connectome import Direction, Role, top_k_neighbors
 from circuitforge.cri import CriTable, SelectedNeurons, TopK, select_correlated
 from circuitforge.datasets import batches, load_cifar, load_dataset, subset
+from circuitforge.engine.graph import compile_arch
 from circuitforge.engine.optim import SGD, Adam
+from circuitforge.engine.train import TrainConfig
 from circuitforge.errors import EmptyVector, InvalidConfig, InvalidReport, NonFiniteActivation
 from circuitforge.extraction import ExtractionConfig, extract_circuits
 from conftest import make_connectome, synthetic_dataset, write_bench_corpus
@@ -38,8 +41,9 @@ def test_convergence_rate_first_crossing():
     assert convergence_rate([5.0, 2.0, 1.0], 2.5) == 1
     assert convergence_rate([5.0, 2.0, 1.0], 5.0) == 0
     assert convergence_rate([5.0, 2.0, 1.0], 0.5) is None
+    assert convergence_rate([1.0, -0.0], 0.0) == 1  # a loss of 0 gives a threshold of 0
     with pytest.raises(ValueError):
-        convergence_rate([1.0], 0.0)
+        convergence_rate([1.0], -0.5)
     with pytest.raises(EmptyVector):
         convergence_rate([], 1.0)
 
@@ -56,12 +60,17 @@ BAD_ARGUMENTS = {
     "subset_n": lambda d: subset(synthetic_dataset(n=4), -1, seed=0),
     "subset_n_float": lambda d: subset(synthetic_dataset(n=4), 2.0, seed=0),
     "subset_seed": lambda d: subset(synthetic_dataset(n=4), 2, seed=-5),
-    "sgd_lr": lambda d: SGD(lr=0.0),
+    # a seed is an int in [0, 2**64); Philox would take up to 2**128, then fail bare
+    "subset_seed_huge": lambda d: subset(synthetic_dataset(n=4), 2, seed=2 ** 128),
+    "batches_seed_huge": lambda d: list(batches(synthetic_dataset(n=4), 2, seed=2 ** 128)),
+    "compile_seed_huge": lambda d: compile_arch(synthesize_sequential_arch(2, (1, 16, 16), 4),
+                                                2 ** 128),
+    "train_seed_huge": lambda d: TrainConfig(seed=2 ** 128),
+    "train_seed_64_bits": lambda d: TrainConfig(seed=2 ** 64),
+    "sgd_lr": lambda d: SGD(lr=0.0, momentum=0.9),
     "sgd_momentum": lambda d: SGD(lr=0.1, momentum=1.0),
     "adam_lr": lambda d: Adam(lr=-1.0),
-    "adam_beta2": lambda d: Adam(beta2=1.0),
-    "adam_eps": lambda d: Adam(eps=0.0),
-    "convergence_threshold": lambda d: convergence_rate([1.0], 0.0),
+    "convergence_threshold": lambda d: convergence_rate([1.0], -1.0),
     "empty_selection": lambda d: extract_circuits(
         make_connectome({("S1", "I1"): 1}),
         SelectedNeurons(frozenset(), frozenset(), frozenset())),
@@ -99,6 +108,8 @@ def test_benchmark_config_round_trip():
     ("seeds", (-1,)), ("seeds", (True,)), ("c", 0), ("train_subset", -1), ("subset_seed", 2.0),
     ("epochs", 0), ("batch_size", 8.0), ("optimizer", "rmsprop"), ("lr", 0.0),
     ("lr", float("nan")), ("data_dir", 3), ("out_dir", None),
+    # seeds follow the generators' rule, [0, 2**64), so no run starts on one they refuse
+    ("seeds", (2 ** 64,)), ("seeds", (0, 2 ** 128)), ("subset_seed", 2 ** 64 - 1),
 ])
 def test_benchmark_config_refuses_bad_field(field, value):
     with pytest.raises(InvalidConfig) as info:

@@ -210,12 +210,16 @@ def _report_doc() -> dict:
     (lambda doc: doc["step_losses"].append(False), "step_losses[2] must be a number"),
     (lambda doc: doc.update(style="bogus"), "style must be one of 'circuit', 'randomized'"),
     (lambda doc: doc.update(epoch_mean_losses=[]), "epoch_mean_losses must be a non-empty list"),
+    (lambda doc: doc["step_losses"].__setitem__(1, -0.5),
+     "step_losses[1] must be a finite number >= 0, got -0.5"),
+    (lambda doc: doc["epoch_mean_losses"].__setitem__(0, float("nan")),
+     "epoch_mean_losses[0] must be a finite number >= 0, got nan"),
     (lambda doc: json.dumps(doc)[:-1].encode("utf-8") + b', "seed": 0}',
      "unparsable run report: duplicate key 'seed'"),
 ], ids=["not_utf8", "not_json", "document_list", "missing_seed", "unknown_field",
         "seed_string", "accuracy_null", "category_key_word", "category_key_padded",
         "confusion_float", "step_loss_bool", "style_unknown", "no_epoch_losses",
-        "duplicate_key"])
+        "step_loss_negative", "epoch_loss_nan", "duplicate_key"])
 def test_bench_summarize_bad_report_exits_one_naming_it(tmp_path, capsys, mutate, message):
     doc = _report_doc()
     replaced = mutate(doc)

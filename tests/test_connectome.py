@@ -62,12 +62,6 @@ def test_load_rejects_bad_rows(tmp_path, rows, exc):
         load_connectome(conn_path, roles_path)
 
 
-def test_self_loops_allowed_when_opted_in(tmp_path):
-    conn_path, roles_path = write_connectome_tsv(tmp_path, [("I1", "I1", 2, 0)], ROLES_SIM)
-    conn = load_connectome(conn_path, roles_path, allow_self_loops=True)
-    assert conn.chem[("I1", "I1")] == 2
-
-
 def test_load_unknown_role(tmp_path):
     conn_path, roles_path = write_connectome_tsv(
         tmp_path, [("S1", "X9", 1, 0)], ROLES_SIM)

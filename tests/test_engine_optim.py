@@ -5,7 +5,7 @@ import pytest
 
 from circuitforge.arch import synthesize_sequential_arch, validate
 from circuitforge.engine.graph import compile_arch
-from circuitforge.engine.optim import SGD, Adam
+from circuitforge.engine.optim import BETA1, BETA2, EPS, SGD, Adam
 
 
 class _OneSlot:
@@ -21,7 +21,7 @@ class _OneSlot:
 
 def test_sgd_plain_step():
     g = _OneSlot([1.0, 2.0], [0.5, -1.0])
-    SGD(lr=0.1).step(g)
+    SGD(lr=0.1, momentum=0.0).step(g)
     assert g.value.tolist() == [0.95, 2.1]
 
 
@@ -36,16 +36,16 @@ def test_sgd_momentum_two_steps():
 
 def test_sgd_validates_hyperparams():
     with pytest.raises(ValueError):
-        SGD(lr=0.0)
+        SGD(lr=0.0, momentum=0.9)
     with pytest.raises(ValueError):
         SGD(lr=0.1, momentum=1.0)
 
 
 def test_adam_matches_hand_trace(monkeypatch):
     w0, grad = 1.0, 0.5
-    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    lr, b1, b2, eps = 1e-2, BETA1, BETA2, EPS
     g = _OneSlot([w0], [grad])
-    opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = Adam(lr=lr)
     allocated = []  # the moment buffers are made on a slot's first step only
     zeros_like = np.zeros_like
     monkeypatch.setattr(np, "zeros_like", lambda a: allocated.append(a) or zeros_like(a))
@@ -76,7 +76,7 @@ def test_adam_validates_hyperparams():
     with pytest.raises(ValueError):
         Adam(lr=-1.0)
     with pytest.raises(ValueError):
-        Adam(beta1=1.0)
+        Adam(lr=0.0)
 
 
 def test_optimizers_drive_real_graph_without_shape_drift():

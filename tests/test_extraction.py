@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from circuitforge.connectome import Direction, Role, top_k_neighbors
+from circuitforge.connectome import Connectome, Direction, Role, top_k_neighbors
 from circuitforge.cri import SelectedNeurons
 from circuitforge.errors import DegenerateCircuit, InvalidCircuit, RoleMismatch
 from circuitforge.extraction import (
@@ -248,7 +248,10 @@ def test_extraction_is_idempotent():
                                     sel.motor & kept)
         if not inner_sel.all:
             continue
-        again = extract_circuits(circuit.as_connectome(), inner_sel, K3)
+        # the circuit as a connectome, its weights as chemical counts
+        chem = {pair: int(round(w)) for pair, w in circuit.edges.items()}
+        again = extract_circuits(Connectome(roles=dict(circuit.roles), chem=chem, elec={}),
+                                 inner_sel, K3)
         assert set(again.edges) <= set(circuit.edges), seed
 
 
