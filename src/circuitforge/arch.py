@@ -44,7 +44,6 @@ from .errors import (
     ShapeMismatchAtMerge,
     UnreachableBlock,
     check_int,
-    read_input,
     seeded_generator,
 )
 from .extraction import FunctionalCircuit
@@ -178,10 +177,6 @@ class ArchitectureSpec:
 
 def save_arch(spec: ArchitectureSpec, path) -> None:
     write_json(path, spec)
-
-
-def load_arch(path) -> ArchitectureSpec:
-    return ArchitectureSpec.from_json(read_input(path))
 
 
 # --- validation / shape inference ---
@@ -340,27 +335,6 @@ def synthesize_circuit_arch(circuit: FunctionalCircuit, c: int, input_shape: Sha
                         circuit.nodes_with_role(Role.SENSORY),
                         circuit.nodes_with_role(Role.MOTOR),
                         c, input_shape, num_categories, "circuit")
-
-
-def circuit_wires(spec: ArchitectureSpec) -> frozenset[tuple[str, str]]:
-    """Project block wires back onto circuit edges (for isomorphism checks).
-
-    conv:X -> conv:Y and conv:X -> merge:Y both project to (X, Y); plumbing
-    wires (stem, merges into their own conv, output collection) drop out.
-    """
-    def neuron(block_id: str) -> str | None:
-        if block_id.startswith("conv:"):
-            return block_id[len("conv:"):]
-        if block_id.startswith("merge:") and block_id != "merge:out":
-            return block_id[len("merge:"):]
-        return None
-
-    edges = set()
-    for a, b in spec.wires:
-        na, nb = neuron(a), neuron(b)
-        if na is not None and nb is not None and na != nb:
-            edges.add((na, nb))
-    return frozenset(edges)
 
 
 # --- synthesis: randomized style ---

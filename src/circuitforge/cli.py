@@ -18,27 +18,19 @@ from pathlib import Path
 
 from . import arch as A
 from . import bench as B
-from .connectome import (
-    aggregate_functional,
-    bundled_data_path,
-    load_aggregation,
-    load_connectome,
-    load_roles,
-)
+from .connectome import load_roles
 from .cri import (
     TopK,
     ZScore,
-    clip_fold_changes,
     compute_cri,
-    load_cri_table,
     load_expression,
     load_fold_changes,
     select_correlated,
     write_cri_table,
 )
 from .errors import CircuitForgeError, read_input
-from .extraction import ExtractionConfig, export_circuit, extract_circuits, sparsity
-from .reference import source_circuit
+from .extraction import ExtractionConfig, export_circuit, sparsity
+from .reference import extract_from_tables, source_circuit
 
 REPORTED_ROLE_SPLIT = (10, 5, 7)  # published circuit size to diff against
 
@@ -63,7 +55,7 @@ def _parse_shape(text: str) -> tuple[int, int, int]:
 
 
 def _cmd_cri(args) -> int:
-    fold = clip_fold_changes(load_fold_changes(args.foldchanges))
+    fold = load_fold_changes(args.foldchanges)
     expr = load_expression(args.expression)
     roles = load_roles(args.roles)
     cri = compute_cri(expr, fold, set(roles))
@@ -78,18 +70,8 @@ def _cmd_cri(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    cfg = ExtractionConfig(k=args.k)
-    conn = load_connectome(args.connectome or bundled_data_path("connectome.tsv"),
-                           args.roles or bundled_data_path("roles.tsv"))
-    agg_path = args.aggregation
-    if agg_path is None and args.connectome is None:
-        agg_path = bundled_data_path("aggregation.tsv")
-    if agg_path:
-        conn = aggregate_functional(conn, load_aggregation(agg_path))
-    cri, cri_roles = load_cri_table(args.cri or bundled_data_path("cri_table.csv"))
-    roles = cri_roles or conn.roles
-    sel = select_correlated(cri, roles, args.policy)
-    circuit = extract_circuits(conn, sel, cfg)
+    sel, circuit = extract_from_tables(args.connectome, args.roles, args.aggregation, args.cri,
+                                       args.policy, ExtractionConfig(k=args.k))
     paths = export_circuit(circuit, args.out)
 
     s, i, m = circuit.role_counts()

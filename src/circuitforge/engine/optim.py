@@ -12,22 +12,20 @@ import numpy as np
 
 from ..errors import InvalidConfig
 
-# Adam's moment decay rates and denominator guard
+# SGD's velocity decay; Adam's moment decay rates and denominator guard
+MOMENTUM = 0.9
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
 
 class SGD:
-    """v <- momentum * v + grad;  p <- p - lr * v."""
+    """v <- MOMENTUM * v + grad;  p <- p - lr * v."""
 
-    def __init__(self, lr: float, momentum: float):
+    def __init__(self, lr: float):
         if lr <= 0:
             raise InvalidConfig(f"lr must be > 0, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise InvalidConfig(f"momentum must be in [0, 1), got {momentum}")
         self.lr = lr
-        self.momentum = momentum
         self.velocity: dict[str, np.ndarray] = {}
         self.steps = 0
 
@@ -38,7 +36,7 @@ class SGD:
             if v is None:
                 v = np.zeros_like(value)
                 self.velocity[slot] = v
-            v *= self.momentum
+            v *= MOMENTUM
             v += grad
             value -= self.lr * v
 

@@ -26,7 +26,6 @@ class TrainConfig:
     batch_size: int = 64
     optimizer: str = "adam"  # "adam" or "sgd"
     lr: float = 1e-3
-    momentum: float = 0.9  # sgd only
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -43,7 +42,7 @@ class TrainConfig:
 
 def make_optimizer(cfg: TrainConfig) -> Optimizer:
     if cfg.optimizer == "sgd":
-        return SGD(lr=cfg.lr, momentum=cfg.momentum)
+        return SGD(lr=cfg.lr)
     return Adam(lr=cfg.lr)
 
 

@@ -2,23 +2,24 @@
 
 Starting from the learning-correlated neurons, three role-specific
 extension rules carve a sparse tripartite circuit out of the full
-connectome:
+connectome.  Each rule is made of hops.  A hop ranks one node's k
+strongest connections in one direction (outgoing or incoming), keeps the
+neighbors whose role is listed, and records each kept edge as
+pre -> post:
 
-  * a sensory start keeps its k strongest outgoing connections onto
-    interneurons or motor neurons, then each kept interneuron keeps its
-    k strongest outgoing connections onto motor neurons;
-  * an interneuron start keeps sensory sources among its k strongest
-    incoming connections and motor targets among its k strongest
-    outgoing ones;
-  * a motor start keeps sensory and interneuron sources among its k
-    strongest incoming connections, then each kept interneuron keeps
-    sensory sources among its own k strongest incoming connections.
+  * a sensory start hops outgoing onto interneurons and motor neurons,
+    then each kept interneuron hops outgoing onto motor neurons;
+  * an interneuron start hops incoming onto sensory neurons and outgoing
+    onto motor neurons;
+  * a motor start hops incoming onto sensory neurons and interneurons,
+    then each kept interneuron hops incoming onto sensory neurons.
 
 Ranking is by combined chemical plus electrical weight; ties break by
-ascending neuron name so extraction is deterministic.  Neighbors of the
-wrong role inside a top-k list are dropped, not replaced, so a start can
-retain fewer than k edges.  The union over all starts is the functional
-circuit.  Edges between two interneurons are never retained.
+ascending neuron name, and nodes hop in name order, so extraction is
+deterministic.  Neighbors of the wrong role inside a top-k list are
+dropped, not replaced, so a start can retain fewer than k edges.  The
+union over all starts is the functional circuit.  Edges between two
+interneurons are never retained.
 """
 
 from __future__ import annotations
@@ -85,34 +86,34 @@ class FunctionalCircuit:
     def nodes_with_role(self, role: Role) -> list[NeuronId]:
         return sorted(n for n, r in self.roles.items() if r is role)
 
-    def outgoing(self, node: NeuronId) -> list[tuple[NeuronId, float]]:
-        return sorted((j, w) for (i, j), w in self.edges.items() if i == node)
 
-    def incoming(self, node: NeuronId) -> list[tuple[NeuronId, float]]:
-        return sorted((i, w) for (i, j), w in self.edges.items() if j == node)
-
-
-class _Builder:
-    """Accumulates retained edges; nodes exist only via retained edges."""
-
-    def __init__(self, conn: Connectome):
-        self.conn = conn
-        self.roles: dict[NeuronId, Role] = {}
-        self.edges: dict[tuple[NeuronId, NeuronId], float] = {}
-
-    def keep(self, pre: NeuronId, post: NeuronId, weight: float) -> None:
-        self.roles[pre] = self.conn.role(pre)
-        self.roles[post] = self.conn.role(post)
-        self.edges[(pre, post)] = weight
-
-    def circuit(self) -> FunctionalCircuit:
-        return FunctionalCircuit(roles=self.roles, edges=self.edges)
+def _start(conn: Connectome, starts, want: Role) -> FunctionalCircuit:
+    """An empty circuit, once every start has role want."""
+    for neuron in starts:
+        got = conn.role(neuron)
+        if got is not want:
+            raise RoleMismatch(f"{neuron} has role {got.value}, expected {want.value}")
+    return FunctionalCircuit(roles={}, edges={})
 
 
-def _require_role(conn: Connectome, neuron: NeuronId, want: Role) -> None:
-    got = conn.role(neuron)
-    if got is not want:
-        raise RoleMismatch(f"{neuron} has role {got.value}, expected {want.value}")
+def _hop(conn: Connectome, circuit: FunctionalCircuit, nodes, direction: Direction,
+         keep: tuple[Role, ...], k: int) -> set[NeuronId]:
+    """For each node in name order, rank its k strongest connections in
+    direction and add to circuit the edge to every neighbor whose role is
+    in keep, oriented pre -> post; returns the interneurons kept."""
+    kept_inter: set[NeuronId] = set()
+    for node in sorted(nodes):
+        for j, w in top_k_neighbors(conn, node, direction, k):
+            role = conn.role(j)
+            if role not in keep:
+                continue
+            pre, post = (node, j) if direction is Direction.OUTGOING else (j, node)
+            circuit.roles[pre] = conn.role(pre)
+            circuit.roles[post] = conn.role(post)
+            circuit.edges[(pre, post)] = w
+            if role is Role.INTER:
+                kept_inter.add(j)
+    return kept_inter
 
 
 def extend_from_sensory(conn: Connectome, starts: set[NeuronId] | frozenset[NeuronId],
@@ -120,59 +121,30 @@ def extend_from_sensory(conn: Connectome, starts: set[NeuronId] | frozenset[Neur
     """First scenario: follow strongest outgoing connections of each
     sensory start, then the strongest outgoing connections of every
     interneuron reached that way."""
-    for s in starts:
-        _require_role(conn, s, Role.SENSORY)
-    b = _Builder(conn)
-    reached_inter: set[NeuronId] = set()
-    for s in sorted(starts):
-        for j, w in top_k_neighbors(conn, s, Direction.OUTGOING, cfg.k):
-            role = conn.role(j)
-            if role is Role.INTER:
-                b.keep(s, j, w)
-                reached_inter.add(j)
-            elif role is Role.MOTOR:
-                b.keep(s, j, w)
-    for i in sorted(reached_inter):
-        for j, w in top_k_neighbors(conn, i, Direction.OUTGOING, cfg.k):
-            if conn.role(j) is Role.MOTOR:
-                b.keep(i, j, w)
-    return b.circuit()
+    circuit = _start(conn, starts, Role.SENSORY)
+    inter = _hop(conn, circuit, starts, Direction.OUTGOING, (Role.INTER, Role.MOTOR), cfg.k)
+    _hop(conn, circuit, inter, Direction.OUTGOING, (Role.MOTOR,), cfg.k)
+    return circuit
 
 
 def extend_from_interneuron(conn: Connectome, inter: NeuronId,
                             cfg: ExtractionConfig = ExtractionConfig()) -> FunctionalCircuit:
     """Second scenario: sensory sources feeding the interneuron and motor
     targets fed by it, both restricted to its strongest connections."""
-    _require_role(conn, inter, Role.INTER)
-    b = _Builder(conn)
-    for j, w in top_k_neighbors(conn, inter, Direction.INCOMING, cfg.k):
-        if conn.role(j) is Role.SENSORY:
-            b.keep(j, inter, w)
-    for j, w in top_k_neighbors(conn, inter, Direction.OUTGOING, cfg.k):
-        if conn.role(j) is Role.MOTOR:
-            b.keep(inter, j, w)
-    return b.circuit()
+    circuit = _start(conn, [inter], Role.INTER)
+    _hop(conn, circuit, [inter], Direction.INCOMING, (Role.SENSORY,), cfg.k)
+    _hop(conn, circuit, [inter], Direction.OUTGOING, (Role.MOTOR,), cfg.k)
+    return circuit
 
 
 def extend_from_motor(conn: Connectome, motor: NeuronId,
                       cfg: ExtractionConfig = ExtractionConfig()) -> FunctionalCircuit:
     """Third scenario: walk backwards from a motor neuron through its
     strongest sources, and one hop further back from any interneuron."""
-    _require_role(conn, motor, Role.MOTOR)
-    b = _Builder(conn)
-    reached_inter: set[NeuronId] = set()
-    for j, w in top_k_neighbors(conn, motor, Direction.INCOMING, cfg.k):
-        role = conn.role(j)
-        if role is Role.SENSORY:
-            b.keep(j, motor, w)
-        elif role is Role.INTER:
-            b.keep(j, motor, w)
-            reached_inter.add(j)
-    for i in sorted(reached_inter):
-        for j, w in top_k_neighbors(conn, i, Direction.INCOMING, cfg.k):
-            if conn.role(j) is Role.SENSORY:
-                b.keep(j, i, w)
-    return b.circuit()
+    circuit = _start(conn, [motor], Role.MOTOR)
+    inter = _hop(conn, circuit, [motor], Direction.INCOMING, (Role.SENSORY, Role.INTER), cfg.k)
+    _hop(conn, circuit, inter, Direction.INCOMING, (Role.SENSORY,), cfg.k)
+    return circuit
 
 
 def merge_circuits(*parts: FunctionalCircuit) -> FunctionalCircuit:

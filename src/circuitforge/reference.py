@@ -1,10 +1,11 @@
-"""Convenience loaders for the bundled nematode reference data.
+"""The tables -> circuit pipeline, defaulting to the bundled reference data.
 
 The package ships a raw connectome, a neuron role table, the left/right
 and dorsal/ventral aggregation map, and the published per-neuron
-correlation indexes.  These helpers run the standard pipeline over
-those files so callers (CLI defaults, benchmarks, examples) do not have
-to wire the steps themselves.
+correlation indexes.  `extract_from_tables` runs the standard pipeline
+(load, aggregate, select, extract) over given tables or those files, so
+callers (CLI, benchmarks, examples) do not have to wire the steps
+themselves.
 """
 
 from __future__ import annotations
@@ -12,45 +13,40 @@ from __future__ import annotations
 from pathlib import Path
 
 from .connectome import (
-    Connectome,
     aggregate_functional,
     bundled_data_path,
     load_aggregation,
     load_connectome,
 )
-from .cri import CriTable, SelectedNeurons, TopK, load_cri_table, select_correlated
+from .cri import SelectedNeurons, SelectionPolicy, TopK, load_cri_table, select_correlated
 from .extraction import ExtractionConfig, FunctionalCircuit, extract_circuits, load_circuit
 
 
-def load_reference_connectome() -> Connectome:
-    """The bundled raw connectome (per-neuron resolution)."""
-    return load_connectome(bundled_data_path("connectome.tsv"),
-                           bundled_data_path("roles.tsv"))
+def extract_from_tables(connectome=None, roles=None, aggregation=None, cri=None,
+                        policy: SelectionPolicy = TopK(),
+                        cfg: ExtractionConfig = ExtractionConfig()
+                        ) -> tuple[SelectedNeurons, FunctionalCircuit]:
+    """The selection and the circuit extracted from the given tables.
 
-
-def load_functional_connectome() -> Connectome:
-    """Raw connectome aggregated into functional (merged) neurons."""
-    raw = load_reference_connectome()
-    mapping = load_aggregation(bundled_data_path("aggregation.tsv"))
-    return aggregate_functional(raw, mapping)
-
-
-def load_reference_cri() -> tuple[CriTable, dict]:
-    return load_cri_table(bundled_data_path("cri_table.csv"))
-
-
-def reference_selection() -> SelectedNeurons:
-    """The standard selection: `TopK()` by correlation index."""
-    cri, roles = load_reference_cri()
-    return select_correlated(cri, roles, TopK())
+    Each path defaults to its bundled file.  The bundled aggregation map
+    applies when neither a connectome nor a map is given.  The CRI
+    table's roles, when it has a role column, win over the connectome's.
+    """
+    conn = load_connectome(connectome or bundled_data_path("connectome.tsv"),
+                           roles or bundled_data_path("roles.tsv"))
+    if aggregation is None and connectome is None:
+        aggregation = bundled_data_path("aggregation.tsv")
+    if aggregation:
+        conn = aggregate_functional(conn, load_aggregation(aggregation))
+    cri_table, cri_roles = load_cri_table(cri or bundled_data_path("cri_table.csv"))
+    sel = select_correlated(cri_table, cri_roles or conn.roles, policy)
+    return sel, extract_circuits(conn, sel, cfg)
 
 
 def reference_circuit() -> FunctionalCircuit:
     """Functional circuit extracted from the bundled data with the
-    standard selection and `ExtractionConfig()`."""
-    conn = load_functional_connectome()
-    sel = reference_selection()
-    return extract_circuits(conn, sel, ExtractionConfig())
+    standard selection `TopK()` and `ExtractionConfig()`."""
+    return extract_from_tables()[1]
 
 
 def source_circuit(edges_path=None, roles_path=None) -> FunctionalCircuit:

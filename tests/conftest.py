@@ -13,7 +13,16 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from circuitforge.connectome import Connectome, Role
+from circuitforge.arch import ArchitectureSpec
+from circuitforge.connectome import (
+    Connectome,
+    Role,
+    aggregate_functional,
+    bundled_data_path,
+    load_aggregation,
+    load_connectome,
+)
+from circuitforge.cri import CriTable, SelectedNeurons, TopK, load_cri_table, select_correlated
 from circuitforge.datasets import DATA_DIR_ENV, LabeledDataset
 
 ROLE_BY_PREFIX = {"S": Role.SENSORY, "I": Role.INTER, "M": Role.MOTOR}
@@ -74,6 +83,52 @@ def write_connectome_tsv(tmp_path: Path, rows: list[tuple[str, str, int, int]],
         for name, role in roles.items():
             fh.write(f"{name}\t{role}\n")
     return conn_path, roles_path
+
+
+# --- the bundled reference tables, each step wired by hand --------------------
+
+def load_reference_connectome() -> Connectome:
+    """The bundled raw connectome (per-neuron resolution)."""
+    return load_connectome(bundled_data_path("connectome.tsv"),
+                           bundled_data_path("roles.tsv"))
+
+
+def load_functional_connectome() -> Connectome:
+    """Raw connectome aggregated into functional (merged) neurons."""
+    raw = load_reference_connectome()
+    mapping = load_aggregation(bundled_data_path("aggregation.tsv"))
+    return aggregate_functional(raw, mapping)
+
+
+def load_reference_cri() -> tuple[CriTable, dict]:
+    return load_cri_table(bundled_data_path("cri_table.csv"))
+
+
+def reference_selection() -> SelectedNeurons:
+    """The standard selection: `TopK()` by correlation index."""
+    cri, roles = load_reference_cri()
+    return select_correlated(cri, roles, TopK())
+
+
+def circuit_wires(spec: ArchitectureSpec) -> frozenset[tuple[str, str]]:
+    """Project block wires back onto circuit edges (for isomorphism checks).
+
+    conv:X -> conv:Y and conv:X -> merge:Y both project to (X, Y); plumbing
+    wires (stem, merges into their own conv, output collection) drop out.
+    """
+    def neuron(block_id: str) -> str | None:
+        if block_id.startswith("conv:"):
+            return block_id[len("conv:"):]
+        if block_id.startswith("merge:") and block_id != "merge:out":
+            return block_id[len("merge:"):]
+        return None
+
+    edges = set()
+    for a, b in spec.wires:
+        na, nb = neuron(a), neuron(b)
+        if na is not None and nb is not None and na != nb:
+            edges.add((na, nb))
+    return frozenset(edges)
 
 
 # --- image-dataset fixtures -------------------------------------------------

@@ -19,7 +19,6 @@ import pytest
 from circuitforge.arch import (
     ArchitectureSpec,
     BlockKind,
-    circuit_wires,
     param_count,
     synthesize_circuit_arch,
     synthesize_randomized_arch,
@@ -52,8 +51,15 @@ from circuitforge.extraction import (
     sparsity,
     validate_circuit,
 )
-from circuitforge.reference import load_reference_cri, reference_circuit
-from conftest import make_connectome, official_data_dir, random_connectome, write_idx_pair
+from circuitforge.reference import reference_circuit
+from conftest import (
+    circuit_wires,
+    load_reference_cri,
+    make_connectome,
+    official_data_dir,
+    random_connectome,
+    write_idx_pair,
+)
 from test_engine_kernels import naive_conv
 
 K3 = ExtractionConfig(k=3)

@@ -11,8 +11,6 @@ from circuitforge.arch import (
     ArchitectureSpec,
     BlockKind,
     LayerBlock,
-    circuit_wires,
-    load_arch,
     param_count,
     save_arch,
     synthesize_circuit_arch,
@@ -31,10 +29,11 @@ from circuitforge.errors import (
     ShapeInferenceFailure,
     ShapeMismatchAtMerge,
     UnreachableBlock,
+    read_input,
 )
 from circuitforge.extraction import ExtractionConfig, FunctionalCircuit, extract_circuits
 from circuitforge.reference import reference_circuit
-from conftest import random_connectome
+from conftest import circuit_wires, random_connectome
 from test_extraction import _random_selection
 
 CONV = {"kernel": 3, "multiplier": 1, "pad": 1, "pool": 1}
@@ -73,7 +72,7 @@ def test_json_round_trip_identity():
 def test_save_load(tmp_path):
     spec = _chain_spec()
     save_arch(spec, tmp_path / "arch.json")
-    assert load_arch(tmp_path / "arch.json") == spec
+    assert ArchitectureSpec.from_json(read_input(tmp_path / "arch.json")) == spec
 
 
 def test_validate_shape_trace():
@@ -144,13 +143,21 @@ def test_circuit_arch_wire_isomorphism_on_reference():
     validate(spec)
 
 
+def _incoming(circuit: FunctionalCircuit, node: str) -> list[str]:
+    return [i for i, j in circuit.edges if j == node]
+
+
+def _outgoing(circuit: FunctionalCircuit, node: str) -> list[str]:
+    return [j for i, j in circuit.edges if i == node]
+
+
 def _plumbed(circuit: FunctionalCircuit) -> bool:
     """True when every block of the compiled arch can sit on a stem->head
     path: needs sensory and motor nodes, and no dangling interneurons."""
     if not (circuit.nodes_with_role(Role.MOTOR)
             and circuit.nodes_with_role(Role.SENSORY)):
         return False
-    return all(circuit.incoming(n) and circuit.outgoing(n)
+    return all(_incoming(circuit, n) and _outgoing(circuit, n)
                for n in circuit.nodes_with_role(Role.INTER))
 
 
@@ -175,7 +182,7 @@ def test_circuit_arch_merges_multi_input_nodes():
     spec = synthesize_circuit_arch(circuit, 8, (1, 28, 28), 10)
     merge_ids = {b.id for b in spec.blocks if b.kind is BlockKind.MERGE}
     multi_in = {n for n in circuit.nodes
-                if len(circuit.incoming(n)) >= 2}
+                if len(_incoming(circuit, n)) >= 2}
     assert {f"merge:{n}" for n in multi_in} <= merge_ids
     # final channel collector keeps every motor pathway un-projected
     out_merge = spec.block("merge:out")
@@ -340,7 +347,7 @@ def test_malformed_fields_raise_invalid_architecture(case, tmp_path):
     # the same document as an arch.json file
     (tmp_path / "arch.json").write_bytes(raw)
     with pytest.raises(InvalidArchitecture, match=names):
-        load_arch(tmp_path / "arch.json")
+        ArchitectureSpec.from_json(read_input(tmp_path / "arch.json"))
 
     # and as the spec inside a checkpoint
     path = tmp_path / "model.ckpt"
@@ -398,7 +405,8 @@ def ref_circuit() -> FunctionalCircuit:
     return reference_circuit()
 
 
-@pytest.mark.parametrize("shape, style", sorted(ARCH_JSON_GOLDENS))
+@pytest.mark.parametrize("shape, style", sorted(ARCH_JSON_GOLDENS),
+                         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v)
 def test_arch_json_goldens(ref_circuit, shape, style):
     spec = _synthesize(ref_circuit, style, shape)
     prefix, n_params = ARCH_JSON_GOLDENS[shape, style]

@@ -67,8 +67,7 @@ BAD_ARGUMENTS = {
                                                 2 ** 128),
     "train_seed_huge": lambda d: TrainConfig(seed=2 ** 128),
     "train_seed_64_bits": lambda d: TrainConfig(seed=2 ** 64),
-    "sgd_lr": lambda d: SGD(lr=0.0, momentum=0.9),
-    "sgd_momentum": lambda d: SGD(lr=0.1, momentum=1.0),
+    "sgd_lr": lambda d: SGD(lr=0.0),
     "adam_lr": lambda d: Adam(lr=-1.0),
     "convergence_threshold": lambda d: convergence_rate([1.0], -1.0),
     "empty_selection": lambda d: extract_circuits(

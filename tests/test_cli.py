@@ -6,6 +6,8 @@ import pytest
 
 from circuitforge.bench import BenchmarkConfig, MetricsReport
 from circuitforge.cli import build_parser, main
+from circuitforge.extraction import export_circuit
+from circuitforge.reference import reference_circuit
 from conftest import write_bench_corpus
 
 
@@ -17,6 +19,10 @@ def test_extract_bundled_defaults(tmp_path, capsys):
     assert "diff vs reported (10, 5, 7): (0, 0, 0)" in printed
     for name in ("circuit.tsv", "circuit_roles.tsv", "circuit.dot"):
         assert (out / name).is_file()
+    # the CLI and reference_circuit run one pipeline with one set of defaults
+    ref = export_circuit(reference_circuit(), tmp_path / "ref")
+    for key, name in (("edges", "circuit.tsv"), ("roles", "circuit_roles.tsv")):
+        assert (out / name).read_bytes() == ref[key].read_bytes()
 
 
 def test_extract_malformed_input_exits_one(tmp_path, capsys):

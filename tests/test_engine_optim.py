@@ -5,7 +5,7 @@ import pytest
 
 from circuitforge.arch import synthesize_sequential_arch, validate
 from circuitforge.engine.graph import compile_arch
-from circuitforge.engine.optim import BETA1, BETA2, EPS, SGD, Adam
+from circuitforge.engine.optim import BETA1, BETA2, EPS, MOMENTUM, SGD, Adam
 
 
 class _OneSlot:
@@ -20,25 +20,24 @@ class _OneSlot:
 
 
 def test_sgd_plain_step():
+    # the velocity starts at 0, so the first momentum step is the plain step
     g = _OneSlot([1.0, 2.0], [0.5, -1.0])
-    SGD(lr=0.1, momentum=0.0).step(g)
+    SGD(lr=0.1).step(g)
     assert g.value.tolist() == [0.95, 2.1]
 
 
 def test_sgd_momentum_two_steps():
     g = _OneSlot([1.0], [1.0])
-    opt = SGD(lr=0.1, momentum=0.9)
+    opt = SGD(lr=0.1)
     opt.step(g)           # v=1.0,   w=1-0.1 = 0.9
     assert g.value[0] == pytest.approx(0.9)
-    opt.step(g)           # v=0.9+1, w=0.9-0.19
-    assert g.value[0] == pytest.approx(0.71)
+    opt.step(g)           # v=MOMENTUM+1, w=0.9-0.1*v
+    assert g.value[0] == pytest.approx(0.9 - 0.1 * (MOMENTUM + 1.0))
 
 
 def test_sgd_validates_hyperparams():
     with pytest.raises(ValueError):
-        SGD(lr=0.0, momentum=0.9)
-    with pytest.raises(ValueError):
-        SGD(lr=0.1, momentum=1.0)
+        SGD(lr=0.0)
 
 
 def test_adam_matches_hand_trace(monkeypatch):

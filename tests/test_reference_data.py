@@ -5,12 +5,19 @@ import hashlib
 import numpy as np
 
 from circuitforge.connectome import Role, bundled_data_path, load_aggregation, load_roles
-from circuitforge.extraction import sparsity, validate_circuit
-from circuitforge.reference import (
+from circuitforge.extraction import (
+    ExtractionConfig,
+    extend_from_interneuron,
+    extend_from_motor,
+    extend_from_sensory,
+    sparsity,
+    validate_circuit,
+)
+from circuitforge.reference import reference_circuit
+from conftest import (
     load_functional_connectome,
     load_reference_connectome,
     load_reference_cri,
-    reference_circuit,
     reference_selection,
 )
 
@@ -105,3 +112,24 @@ def _bundled_digests() -> dict[str, str]:
 
 def test_bundled_tables_parse_as_recorded():
     assert _bundled_digests() == BUNDLED_DIGESTS
+
+
+def test_extension_order_as_recorded():
+    """Every bundled functional neuron as a single start, all sensory neurons
+    as one start, at k = 1, 2, 3 and 5, then the reference circuit: edges
+    and roles in insertion order, recorded before the extension rules were
+    written as hops."""
+    conn = load_functional_connectome()
+    extend = {Role.SENSORY: lambda c, n, cfg: extend_from_sensory(c, {n}, cfg),
+              Role.INTER: extend_from_interneuron, Role.MOTOR: extend_from_motor}
+    sensory = frozenset(n for n, r in conn.roles.items() if r is Role.SENSORY)
+    parts = []
+    for k in (1, 2, 3, 5):
+        cfg = ExtractionConfig(k=k)
+        parts += [extend[conn.roles[n]](conn, n, cfg) for n in sorted(conn.roles)]
+        parts.append(extend_from_sensory(conn, sensory, cfg))
+    parts.append(reference_circuit())
+    dump = [(list(p.edges.items()), [(n, r.value) for n, r in p.roles.items()])
+            for p in parts]
+    assert len(dump) == 489
+    assert hashlib.sha256(repr(dump).encode()).hexdigest()[:16] == "e419c49336f97b03"

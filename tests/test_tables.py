@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import pytest
 
-from circuitforge.arch import load_arch
+from circuitforge.arch import ArchitectureSpec
 from circuitforge.connectome import (
     AGGREGATION_TSV,
     Role,
@@ -36,9 +36,10 @@ from circuitforge.errors import (
     MissingInput,
     RoleMismatch,
     UnknownRole,
+    read_input,
 )
 from circuitforge.extraction import FunctionalCircuit, export_circuit, load_circuit
-from circuitforge.reference import load_reference_connectome, load_reference_cri
+from conftest import load_reference_connectome, load_reference_cri
 
 ROLES = "neuron\trole\nS1\tsensory\nI1\tinter\nM1\tmotor\n"
 EDGES = "pre\tpost\tweight\nS1\tI1\t3\nI1\tM1\t2\n"
@@ -132,7 +133,8 @@ def test_malformed_table_names_file_and_line(case, tmp_path):
     assert f"{tmp_path / where}:" in str(info.value)
 
 
-@pytest.mark.parametrize("load", [lambda p: read_table(p, AGGREGATION_TSV), load_arch,
+@pytest.mark.parametrize("load", [lambda p: read_table(p, AGGREGATION_TSV),
+                                  lambda p: ArchitectureSpec.from_json(read_input(p)),
                                   load_checkpoint], ids=["read_table", "arch", "checkpoint"])
 def test_missing_input_names_the_path(tmp_path, load):
     path = tmp_path / "nope.txt"
