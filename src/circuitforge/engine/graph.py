@@ -26,18 +26,32 @@ form one sibling group, run as one step at its first member:
 Slot order, initialization, checkpoints and optimizer state are still
 those of separate convs.
 
+A group that reads the batch and pools runs in pool-offset order when
+`K.pool_ordered` allows it (im2col, and at least as many output channels
+as columns: the 80-channel stems of the circuit nets, not the sequential
+nets' 8-channel 5x5 stems); the step's `fold` is then its pool.  Its conv
+writes (N, channels, p*p, Hq, Wq), each member's pooled activation is the
+maximum over that slice's p*p contiguous slabs followed by ReLU, and
+backward routes each member's gradient to its windows' first maxima by
+comparing the slabs with the member's pooled output.  No conv that reads
+the batch computes an input gradient, in either order.
+
 ReLU and pooling must not run over the whole fused tensor.  The stem
 group of a 1x28x28 circuit at batch 64 is a (64, 80, 28, 28) float32
 tensor of 16 MB, four times a 4 MB L2, while one member's slice is
 1.6 MB.  A prototype that did so, and also kept a second copy for the
 ReLU output, trained the 1x28x28 circuit 15% slower on such a core and
-raised the benchmark's peak memory by 13-18%.  `K.relu` writes into its
-input instead, so member activations are views of the one conv output.
+raised the benchmark's peak memory by 13-18%.  In plain order `K.relu`
+writes into its input instead, so member activations are views of the
+one conv output; in pool-offset order the conv output stays the
+pre-activation, and each member's activation is a new pooled array,
+1/p^2 of its slice's size.
 
 One liveness rule, read off each step's `src` and `out`, decides how
 long a tensor lives.  A training forward keeps every tensor plus one
-saved value per step (a conv group's ReLU'd output, the merge concat or
-the dense hidden activation).  Backward walks the plan in reverse and
+saved value per step (a conv group's output, ReLU'd in plain order and
+the pre-activation in pool-offset order, the merge concat or the dense
+hidden activation).  Backward walks the plan in reverse and
 adds into one gradient per tensor.  In reverse every consumer of a
 tensor runs before its producer, so once a step's backward has run
 nothing reads its saved value, its outputs or their gradients again,
@@ -85,6 +99,8 @@ class _Step(NamedTuple):
     bounds: tuple[int, ...]
     p: dict[str, np.ndarray]  # slot name -> the buffer its blocks' slots view
     g: dict[str, np.ndarray]  # slot name -> the gradient buffer, viewed alike
+    # a conv group's pool when its output is in pool-offset order, else 1
+    fold: int
 
 
 class CompiledGraph:
@@ -139,8 +155,11 @@ class CompiledGraph:
                     hi = lo + self.params[s].shape[0]
                     self.params[s], self.grads[s] = p[name][lo:hi], g[name][lo:hi]
                     lo = hi
-            plan.append(_Step(block.kind, block.params, tuple(tensor[s] for s in srcs),
-                              tuple(tensor[m] for m in ids), bounds, p, g))
+            src = tuple(tensor[s] for s in srcs)
+            fold = (block.params["pool"] if block.kind is BlockKind.CONV and src == (0,)
+                    and K.pool_ordered(p["w"], block.params["pool"]) else 1)
+            plan.append(_Step(block.kind, block.params, src, tuple(tensor[m] for m in ids),
+                              bounds, p, g, fold))
         return plan
 
     # --- parameter access ---
@@ -184,10 +203,16 @@ class CompiledGraph:
 
     def _forward_step(self, step: _Step, outs: list) -> np.ndarray | None:
         """Run one step, writing its output tensors into `outs`, and return
-        the value its backward reads: a conv group's ReLU'd output, whose
-        channel slices are the members' activations, the merge concat or
-        the dense hidden activation.  The stem's output is the batch."""
-        kind, params, src, out, bounds, p, _ = step
+        the value its backward reads: a conv group's output (in plain
+        order ReLU'd, its channel slices the members' activations; in
+        pool-offset order the pre-activation), the merge concat or the
+        dense hidden activation.  The stem's output is the batch."""
+        kind, params, src, out, bounds, p, _, fold = step
+        if kind is BlockKind.CONV and fold > 1:
+            z = K.conv2d_pool_ordered(outs[src[0]], p["w"], p["b"], params["pad"], fold)
+            for t, lo, hi in zip(out, bounds, bounds[1:]):
+                outs[t] = K.pool_relu(z[:, lo:hi])
+            return z
         if kind is BlockKind.CONV:
             z = K.conv2d(outs[src[0]], p["w"], p["b"], params["pad"])
             pool = params["pool"]
@@ -231,7 +256,7 @@ class CompiledGraph:
         """Write step i's parameter gradients and add its inputs' gradients
         into `grads`.  The step first takes its saved value, its outputs and
         their gradients out of the lists: no step after it reads them."""
-        kind, params, src, out, bounds, p, g = self._plan[i]
+        kind, params, src, out, bounds, p, g, fold = self._plan[i]
         keep, saved[i] = saved[i], None
         ys, gys = [outs[t] for t in out], [grads[t] for t in out]
         for t in out:
@@ -240,8 +265,11 @@ class CompiledGraph:
             pool = params["pool"]
             # each member's gradient goes into its channel slice of one
             # buffer; a lone member's gradient is the group's
-            gz = np.empty(keep.shape, keep.dtype) if len(out) > 1 else None
+            gz = np.empty(keep.shape, keep.dtype) if len(out) > 1 or fold > 1 else None
             for lo, hi, y, gy in zip(bounds, bounds[1:], ys, gys):
+                if fold > 1:
+                    K.pool_relu_backward(gy, y, keep[:, lo:hi], gz[:, lo:hi])
+                    continue
                 # ReLU back on the pooled gradient, a quarter of the cells:
                 # a window's max is > 0 exactly where its winner's relu(z)
                 # is, and relu(z) > 0 exactly where z > 0
@@ -252,12 +280,17 @@ class CompiledGraph:
                     gz = gy
                 else:
                     gz[:, lo:hi] = gy
-            # the conv output (the members' activations view it) dies before
-            # conv2d_backward allocates its patches
+            # the conv output (the members' activations may view it) dies
+            # before the conv backward allocates its patches
             del keep, ys, gys, y, gy
-            gx, g["w"][...], g["b"][...] = K.conv2d_backward(
-                gz, outs[src[0]], p["w"], params["pad"])
-            gins = [gx]
+            if src[0]:
+                gx, g["w"][...], g["b"][...] = K.conv2d_backward(
+                    gz, outs[src[0]], p["w"], params["pad"])
+                gins = [gx]
+            else:  # nothing reads the batch's gradient
+                g["w"][...], g["b"][...] = K.conv2d_param_backward(
+                    gz, outs[0], p["w"], params["pad"], fold)
+                gins = []
         elif kind is BlockKind.MERGE:
             gcat = gys[0]
             if params["project"]:

@@ -88,8 +88,9 @@ class FunctionalCircuit:
 
 
 def _start(conn: Connectome, starts, want: Role) -> FunctionalCircuit:
-    """An empty circuit, once every start has role want."""
-    for neuron in starts:
+    """An empty circuit, once every start has role want; starts are
+    checked in name order, so an error names the same neuron every run."""
+    for neuron in sorted(starts):
         got = conn.role(neuron)
         if got is not want:
             raise RoleMismatch(f"{neuron} has role {got.value}, expected {want.value}")

@@ -19,6 +19,7 @@ from .connectome import (
     load_connectome,
 )
 from .cri import SelectedNeurons, SelectionPolicy, TopK, load_cri_table, select_correlated
+from .errors import InvalidConfig
 from .extraction import ExtractionConfig, FunctionalCircuit, extract_circuits, load_circuit
 
 
@@ -31,7 +32,12 @@ def extract_from_tables(connectome=None, roles=None, aggregation=None, cri=None,
     Each path defaults to its bundled file.  The bundled aggregation map
     applies when neither a connectome nor a map is given.  The CRI
     table's roles, when it has a role column, win over the connectome's.
+    An empty path is refused: it names no file, bundled or given.
     """
+    given = {"connectome": connectome, "roles": roles, "aggregation": aggregation, "cri": cri}
+    for name, path in given.items():
+        if path == "":
+            raise InvalidConfig(f"{name} path is empty")
     conn = load_connectome(connectome or bundled_data_path("connectome.tsv"),
                            roles or bundled_data_path("roles.tsv"))
     if aggregation is None and connectome is None:

@@ -154,6 +154,15 @@ def test_extract_bad_flag_exits_one_before_writing(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["connectome", "roles", "aggregation", "cri"])
+def test_extract_empty_path_exits_one_naming_the_argument(tmp_path, capsys, name):
+    """An empty path names no file: neither the bundled one nor "no map"."""
+    out = tmp_path / "out"
+    assert main(["extract", f"--{name}", "", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {name} path is empty"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc,message", [
     ({"seeds": []}, "seeds must be a non-empty list"),
     ({"styles": "circuit"}, "styles must be a list"),

@@ -404,6 +404,9 @@ SPECS = {
     # two 5x5 valid convs with 2x pooling need at least 16x16
     "sequential": lambda circ, ch: synthesize_sequential_arch(2, (ch, 16, 16), 4),
     "siblings": lambda circ, ch: sibling_spec(ch),
+    # 30 stem channels: at least the 3x3 stem's columns for 1 and 3 input
+    # channels (9 and 27), so the stem runs in pool-offset order
+    "circuit_c3": lambda circ, ch: synthesize_circuit_arch(circ, 3, (ch, 12, 12), 4),
 }
 
 
@@ -416,6 +419,10 @@ def rel_diff(got: np.ndarray, want: np.ndarray) -> float:
 def test_grouped_plan_matches_per_block_reference(ref_circuit, style, channels):
     spec = SPECS[style](ref_circuit, channels)
     g = compile_arch(validate(spec), seed=7, dtype=np.float64)
+    # at c=2 only the 1-channel circuit and randomized stems (20 channels
+    # >= 9 columns) take the pool-offset order; at c=3 both circuit stems do
+    pooled = style == "circuit_c3" or channels == 1 and style in ("circuit", "randomized")
+    assert sum(step.fold > 1 for step in g._plan) == pooled
     ref = ReferenceGraph(g)
     rng = np.random.default_rng(channels)
     x = rng.normal(size=(3,) + spec.input_shape)
@@ -486,7 +493,7 @@ def test_non_finite_sibling_is_named():
 #          index of the poisoned output, its poisoned rows, block named)
 NAN_PARAM_GRADS = {
     # the stem group's weight gradient, whose rows 2: belong to conv:S2
-    "sibling": (tiny_graph, "conv2d_backward", "conv:S1/w", 1, slice(2, None), "conv:S2"),
+    "sibling": (tiny_graph, "conv2d_param_backward", "conv:S1/w", 0, slice(2, None), "conv:S2"),
     "merge_projection": (tiny_graph, "conv2d_backward", "merge:I1/w", 2, slice(None),
                          "merge:I1"),
     "dense_hidden": (lambda: compile_arch(validate(synthesize_sequential_arch(2, (1, 16, 16), 4)),
@@ -523,7 +530,9 @@ def _root(a: np.ndarray) -> np.ndarray:
     return a
 
 
-FORWARD_KERNELS = ("conv2d", "relu", "maxpool", "concat_channels", "global_avg_pool", "dense")
+FORWARD_KERNELS = ("conv2d", "conv2d_pool_ordered", "relu", "maxpool", "pool_relu",
+                   "concat_channels", "global_avg_pool", "dense")
+CONVS = ("conv2d", "conv2d_pool_ordered")
 
 
 @pytest.mark.parametrize("channels", [1, 3])
@@ -554,11 +563,11 @@ def test_evaluation_drops_each_tensor_after_its_last_reader(ref_circuit, monkeyp
             # a concat or a global pool starts a step, and so does a conv or dense
             # layer that reads the batch or a conv or pool output; the others read
             # a value their own step made (a merge's concat, a hidden activation)
-            if name in ("concat_channels", "global_avg_pool") or name in ("conv2d", "dense") and (
+            if name in ("concat_channels", "global_avg_pool") or name in (*CONVS, "dense") and (
                     args[0] is x or any(ref() is roots[0] for ref in made)):
                 alive_at.append((call, [i for i, ref in enumerate(made) if ref() is not None]))
             out = real(*args)
-            if name in ("conv2d", "maxpool"):
+            if name in (*CONVS, "maxpool", "pool_relu"):
                 made.append(weakref.ref(_root(out)))
             return out
 
@@ -573,32 +582,66 @@ def test_evaluation_drops_each_tensor_after_its_last_reader(ref_circuit, monkeyp
     assert all(ref() is None for ref in made)
 
 
-@pytest.mark.parametrize("style", ["circuit", "sequential", "siblings"])
+@pytest.mark.parametrize("style", ["circuit", "sequential", "siblings", "circuit_c3"])
 def test_backward_frees_a_group_conv_output_before_its_conv_backward(ref_circuit, monkeypatch,
                                                                     style):
     """The conv output of a group that reads the batch (the ten sensory
     convs of the circuit net) is dead when that group's
-    `conv2d_backward` is entered: only the gradient built from it lives."""
+    `conv2d_param_backward` is entered: only the gradient built from it
+    lives.  circuit_c3's stem runs in pool-offset order, the others in
+    plain order."""
     g = compile_arch(validate(SPECS[style](ref_circuit, 3)), seed=0)
     x = np.random.default_rng(0).normal(size=(2,) + g.spec.input_shape).astype(np.float32)
-    real_conv, real_backward = K.conv2d, K.conv2d_backward
     made: list = []  # (kernel buffer, weakref to the output) per conv that reads the batch
     dead: list[bool] = []
 
-    def conv2d(xin, w, b, pad):
-        out = real_conv(xin, w, b, pad)
-        if xin is x:
-            made.append((w, weakref.ref(_root(out))))
-        return out
+    def forward(name):
+        real = getattr(K, name)
 
-    def conv2d_backward(gy, xin, w, pad):
+        def conv(xin, w, *rest):
+            out = real(xin, w, *rest)
+            if xin is x:
+                made.append((w, weakref.ref(_root(out))))
+            return out
+
+        monkeypatch.setattr(K, name, conv)
+
+    real_backward = K.conv2d_param_backward
+
+    def conv2d_param_backward(gy, xin, w, *rest):
         if xin is x:
             dead.extend(ref() is None for kw, ref in made if kw is w)
-        return real_backward(gy, xin, w, pad)
+        return real_backward(gy, xin, w, *rest)
 
-    monkeypatch.setattr(K, "conv2d", conv2d)
-    monkeypatch.setattr(K, "conv2d_backward", conv2d_backward)
+    for name in CONVS:
+        forward(name)
+    monkeypatch.setattr(K, "conv2d_param_backward", conv2d_param_backward)
     logits = g.forward(x)
     assert made and all(ref() is not None for _, ref in made)  # kept for backward
     g.backward(softmax_xent(logits, np.array([0, 3]))[1])
     assert dead == [True] * len(made)
+
+
+@pytest.mark.parametrize("style", sorted(SPECS))
+def test_a_group_that_reads_the_batch_computes_no_input_gradient(ref_circuit, monkeypatch,
+                                                                 style):
+    g = compile_arch(validate(SPECS[style](ref_circuit, 1)), seed=0)
+    x = np.random.default_rng(0).normal(size=(2,) + g.spec.input_shape).astype(np.float32)
+    reads = {"conv2d_backward": [], "conv2d_param_backward": []}
+
+    def watch(name):
+        real = getattr(K, name)
+
+        def kernel(gy, xin, *rest):
+            reads[name].append(xin is x)
+            return real(gy, xin, *rest)
+
+        monkeypatch.setattr(K, name, kernel)
+
+    for name in reads:
+        watch(name)
+    logits = g.forward(x)
+    g.backward(softmax_xent(logits, np.array([0, 3]))[1])
+    batch_groups = sum(step.src == (0,) for step in g._plan if step.kind is BlockKind.CONV)
+    assert reads["conv2d_param_backward"] == [True] * batch_groups
+    assert True not in reads["conv2d_backward"]

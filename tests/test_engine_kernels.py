@@ -19,12 +19,17 @@ from circuitforge.engine.kernels import (
     concat_channels_backward,
     conv2d,
     conv2d_backward,
+    conv2d_param_backward,
+    conv2d_pool_ordered,
     dense,
     dense_backward,
     global_avg_pool,
     global_avg_pool_backward,
     maxpool,
     maxpool_backward,
+    pool_ordered,
+    pool_relu,
+    pool_relu_backward,
     relu,
     relu_backward,
     softmax_xent,
@@ -197,6 +202,116 @@ def test_maxpool_and_backward_match_first_max_oracle():
                 pooled_first = maxpool_backward(relu_backward(g, want), x, p)
                 full_first = relu_backward(maxpool_backward(g, x, p), x)
             assert pooled_first.tobytes() == full_first.tobytes(), case
+
+
+def to_pool_order(a: np.ndarray, p: int) -> np.ndarray:
+    """(N, C, H, W) -> (N, C, p*p, H//p, W//p): slab a*p + b holds the
+    cells (i*p + a, j*p + b); trailing rows and columns are dropped."""
+    n, c, h, w = a.shape
+    hq, wq = h // p, w // p
+    return (a[:, :, :hq * p, :wq * p].reshape(n, c, hq, p, wq, p)
+            .transpose(0, 1, 3, 5, 2, 4).reshape(n, c, p * p, hq, wq))
+
+
+def from_pool_order(z: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The inverse of to_pool_order, with zeros in the dropped cells."""
+    n, c, pp, hq, wq = z.shape
+    p = math.isqrt(pp)
+    out = np.zeros((n, c, h, w), dtype=z.dtype)
+    out[:, :, :hq * p, :wq * p] = (z.reshape(n, c, p, p, hq, wq).transpose(0, 1, 4, 2, 5, 3)
+                                   .reshape(n, c, hq * p, wq * p))
+    return out
+
+
+def test_pool_ordered_conv_forward_matches_conv_relu_maxpool():
+    """The conv is the plain conv re-ordered, up to the order in which BLAS
+    sums a column's dot product, which can depend on the column's place in
+    the GEMM; given those values, the epilogue is bit-equal to
+    maxpool(relu(.))."""
+    rng = np.random.default_rng(11)
+    # odd sizes leave rows and columns that no window covers
+    grid = itertools.product((2, 3), (1, 3), (3, 5), (0, 1), (np.float32, np.float64))
+    for case, (p, cin, k, pad, dtype) in enumerate(grid):
+        h, w = (int(v) for v in rng.integers(k + p, k + 4 * p, size=2))
+        x = rng.normal(size=(2, cin, h, w)).astype(dtype)
+        wt = rng.normal(size=(5, cin, k, k)).astype(dtype)
+        b = rng.normal(size=5).astype(dtype)
+        plain = conv2d(x, wt, b, pad)
+        z = conv2d_pool_ordered(x, wt, b, pad, p)
+        assert z.dtype == dtype, case
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        assert rel_err(z, to_pool_order(plain, p)) <= tol, case
+        want = maxpool(relu(from_pool_order(z, *plain.shape[2:])), p)
+        assert pool_relu(z).tobytes() == want.tobytes(), case
+
+
+def test_pool_relu_backward_matches_relu_then_maxpool_backward():
+    """The cases of the first-max oracle test, as conv pre-activations z:
+    the gradient, un-permuted, has the bytes of the plain-order epilogue
+    (ReLU backward on the pooled gradient, then maxpool_backward against
+    relu(z)), non-finite upstream gradients included."""
+    rng = np.random.default_rng(7)
+    grid = itertools.product((2, 3), ("relu", "quantized", "late_tie"))
+    for case, (p, inputs) in enumerate(grid):
+        h, w = (int(v) for v in rng.integers(p, 4 * p, size=2))
+        z = rng.normal(size=(2, 3, h, w))
+        if inputs == "relu":
+            z = np.maximum(z - 0.7, 0.0)
+            z[:, :, :p, :p] = 0.0
+        elif inputs == "quantized":
+            z = np.round(z)
+        else:
+            for i in range(h // p):
+                for j in range(w // p):
+                    top = z[:, :, i * p:(i + 1) * p, j * p:(j + 1) * p].max() + 1.0
+                    z[:, :, i * p, j * p + p - 1] = top
+                    z[:, :, i * p + p - 1, j * p + 1] = top
+        a = relu(z.copy())
+        y = pool_relu(to_pool_order(z, p))
+        assert np.array_equal(y, maxpool(a, p)), case
+        gy = rng.normal(size=y.shape)
+        bad = gy.copy()
+        bad.flat[::5] = np.nan
+        bad.flat[1::7] = -np.inf
+        for g in (gy, bad):
+            gz = np.empty((2, 3, p * p) + y.shape[2:])
+            with np.errstate(invalid="ignore"):  # inf * 0
+                pool_relu_backward(g, y, to_pool_order(z, p), gz)
+                want = maxpool_backward(relu_backward(g, maxpool(a, p)), a, p)
+            assert from_pool_order(gz, h, w).tobytes() == want.tobytes(), case
+
+
+def test_conv_param_backward_matches_naive_oracle():
+    """Weight and bias gradients from either column order and either
+    conv layout, with no input gradient."""
+    rng = np.random.default_rng(12)
+    grid = itertools.product((1, 2, 3), (1, 3, SHIFT_MIN_CIN), (3, 5), (0, 1))
+    for case, (p, cin, k, pad) in enumerate(grid):
+        if p > 1 and cin >= SHIFT_MIN_CIN:  # pool order is an im2col layout
+            continue
+        h, w = (int(v) for v in rng.integers(k + p, k + 4 * p, size=2))
+        x = rng.normal(size=(2, cin, h, w))
+        wt = rng.normal(size=(4, cin, k, k))
+        ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+        gy = rng.normal(size=(2, 4, ho, wo))
+        if p > 1:  # cells outside every pool window get no gradient
+            gy = from_pool_order(to_pool_order(gy, p), ho, wo)
+            got = conv2d_param_backward(to_pool_order(gy, p), x, wt, pad, p)
+        else:
+            got = conv2d_param_backward(gy, x, wt, pad, p)
+        _, *want = naive_conv_backward(gy, x, wt, pad)
+        for g, h_ in zip(got, want):
+            assert g.shape == h_.shape, case
+            assert np.max(np.abs(g - h_)) <= 1e-9 * max(1.0, np.max(np.abs(h_))), case
+
+
+def test_pool_order_is_taken_by_wide_im2col_convs_only():
+    stem = lambda cout, cin, k: np.zeros((cout, cin, k, k))
+    assert pool_ordered(stem(80, 1, 3), 2) and pool_ordered(stem(80, 3, 3), 2)
+    assert pool_ordered(stem(27, 3, 3), 2) and not pool_ordered(stem(26, 3, 3), 2)
+    assert not pool_ordered(stem(8, 1, 5), 2) and not pool_ordered(stem(8, 3, 5), 2)
+    assert not pool_ordered(stem(80, 1, 3), 1)  # nothing to pool
+    assert not pool_ordered(stem(80, SHIFT_MIN_CIN, 3), 2)  # shifted-GEMM layout
 
 
 def test_maxpool_backward_finite_difference():

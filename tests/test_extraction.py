@@ -5,7 +5,7 @@ import pytest
 
 from circuitforge.connectome import Connectome, Direction, Role, top_k_neighbors
 from circuitforge.cri import SelectedNeurons
-from circuitforge.errors import DegenerateCircuit, InvalidCircuit, RoleMismatch
+from circuitforge.errors import DegenerateCircuit, InvalidCircuit, RoleMismatch, UnknownNeuron
 from circuitforge.extraction import (
     ExtractionConfig,
     FunctionalCircuit,
@@ -108,6 +108,14 @@ def test_extension_checks_start_role():
         extend_from_interneuron(conn, "M1", K3)
     with pytest.raises(RoleMismatch):
         extend_from_motor(conn, "S1", K3)
+
+
+@pytest.mark.parametrize("starts", [["ZED", "S9", "BOB"], frozenset({"ZED", "S9", "BOB"})],
+                         ids=["list", "frozenset"])
+def test_extension_names_the_first_unknown_start_by_name(starts):
+    conn = make_connectome({("S1", "I1"): 3, ("I1", "M1"): 2})
+    with pytest.raises(UnknownNeuron, match="^neuron 'BOB' not in connectome$"):
+        extend_from_sensory(conn, starts, K3)
 
 
 def test_electrical_weight_contributes_both_directions():
