@@ -17,42 +17,42 @@ Conv blocks that read the same tensor with the same kernel, pad and pool
 form one sibling group, run as one step at its first member:
 
   * forward runs one conv whose kernels are the members' kernels
-    stacked along the output channels, then ReLU and pooling per member
-    on that member's channel slice;
-  * backward pools and ReLUs back per member into that member's channel
-    slice of one gradient buffer, and runs one conv backward, so the
-    shared input's im2col patches and its gradient are built once per
-    group rather than once per member.
+    stacked along the output channels, then one epilogue per member on
+    that member's channel slice: `K.pool_relu` when the group pools,
+    else `K.relu` in place;
+  * backward runs each member's epilogue backward into that member's
+    channel slice of one gradient buffer, and runs one conv backward, so
+    the shared input's im2col patches and its gradient are built once
+    per group rather than once per member.
 Slot order, initialization, checkpoints and optimizer state are still
 those of separate convs.
 
-A group that reads the batch and pools runs in pool-offset order when
-`K.pool_ordered` allows it (im2col, and at least as many output channels
-as columns: the 80-channel stems of the circuit nets, not the sequential
-nets' 8-channel 5x5 stems); the step's `fold` is then its pool.  Its conv
-writes (N, channels, p*p, Hq, Wq), each member's pooled activation is the
-maximum over that slice's p*p contiguous slabs followed by ReLU, and
-backward routes each member's gradient to its windows' first maxima by
-comparing the slabs with the member's pooled output.  No conv that reads
-the batch computes an input gradient, in either order.
+A pooled group's conv writes plain (N, channels, H, W) output, or, when
+the group reads the batch and `K.pool_ordered` allows it (the
+80-channel circuit stems, not the sequential nets' 8-channel 5x5
+stems), pool-offset order (N, channels, p*p, Hq, Wq); the step's `fold`
+is then its pool.  The epilogue is the same in both: `K.pool_relu`
+takes each window's maximum and then ReLU, and `K.pool_relu_backward`
+routes each member's gradient to its windows' first maxima by comparing
+them with the member's pooled output.  No conv that reads the batch
+computes an input gradient, in either layout.
 
-ReLU and pooling must not run over the whole fused tensor.  The stem
+The epilogue must not run over the whole fused tensor.  The stem
 group of a 1x28x28 circuit at batch 64 is a (64, 80, 28, 28) float32
 tensor of 16 MB, four times a 4 MB L2, while one member's slice is
 1.6 MB.  A prototype that did so, and also kept a second copy for the
 ReLU output, trained the 1x28x28 circuit 15% slower on such a core and
-raised the benchmark's peak memory by 13-18%.  In plain order `K.relu`
+raised the benchmark's peak memory by 13-18%.  Unpooled, `K.relu`
 writes into its input instead, so member activations are views of the
-one conv output; in pool-offset order the conv output stays the
-pre-activation, and each member's activation is a new pooled array,
-1/p^2 of its slice's size.
+one conv output; pooled, the conv output stays the pre-activation, and
+each member's activation is a new pooled array, 1/p^2 of its slice.
 
 One liveness rule, read off each step's `src` and `out`, decides how
 long a tensor lives.  A training forward keeps every tensor plus one
-saved value per step (a conv group's output, ReLU'd in plain order and
-the pre-activation in pool-offset order, the merge concat or the dense
-hidden activation).  Backward walks the plan in reverse and
-adds into one gradient per tensor.  In reverse every consumer of a
+saved value per step (a conv group's output, the pre-activation when it
+pools and ReLU'd when not, the merge concat or the dense hidden
+activation).  Backward walks the plan in reverse and adds into one
+gradient per tensor.  In reverse every consumer of a
 tensor runs before its producer, so once a step's backward has run
 nothing reads its saved value, its outputs or their gradients again,
 and the step drops them; a conv group drops its conv output before
@@ -203,23 +203,18 @@ class CompiledGraph:
 
     def _forward_step(self, step: _Step, outs: list) -> np.ndarray | None:
         """Run one step, writing its output tensors into `outs`, and return
-        the value its backward reads: a conv group's output (in plain
-        order ReLU'd, its channel slices the members' activations; in
-        pool-offset order the pre-activation), the merge concat or the
-        dense hidden activation.  The stem's output is the batch."""
+        the value its backward reads: a conv group's output (the
+        pre-activation when the group pools; else ReLU'd, its channel
+        slices the members' activations), the merge concat or the dense
+        hidden activation.  The stem's output is the batch."""
         kind, params, src, out, bounds, p, _, fold = step
-        if kind is BlockKind.CONV and fold > 1:
-            z = K.conv2d_pool_ordered(outs[src[0]], p["w"], p["b"], params["pad"], fold)
-            for t, lo, hi in zip(out, bounds, bounds[1:]):
-                outs[t] = K.pool_relu(z[:, lo:hi])
-            return z
         if kind is BlockKind.CONV:
-            z = K.conv2d(outs[src[0]], p["w"], p["b"], params["pad"])
             pool = params["pool"]
+            z = (K.conv2d_pool_ordered(outs[src[0]], p["w"], p["b"], params["pad"], fold)
+                 if fold > 1 else K.conv2d(outs[src[0]], p["w"], p["b"], params["pad"]))
             # per member, never over the whole of z (see the module docstring)
             for t, lo, hi in zip(out, bounds, bounds[1:]):
-                a = K.relu(z[:, lo:hi])
-                outs[t] = K.maxpool(a, pool) if pool > 1 else a
+                outs[t] = K.pool_relu(z[:, lo:hi], pool) if pool > 1 else K.relu(z[:, lo:hi])
             return z
         if kind is BlockKind.MERGE:
             cat = K.concat_channels([outs[t] for t in src])
@@ -264,22 +259,15 @@ class CompiledGraph:
         if kind is BlockKind.CONV:
             pool = params["pool"]
             # each member's gradient goes into its channel slice of one
-            # buffer; a lone member's gradient is the group's
-            gz = np.empty(keep.shape, keep.dtype) if len(out) > 1 or fold > 1 else None
+            # buffer; a lone unpooled member's gradient is the group's
+            gz = np.empty(keep.shape, keep.dtype) if len(out) > 1 or pool > 1 else None
             for lo, hi, y, gy in zip(bounds, bounds[1:], ys, gys):
-                if fold > 1:
-                    K.pool_relu_backward(gy, y, keep[:, lo:hi], gz[:, lo:hi])
-                    continue
-                # ReLU back on the pooled gradient, a quarter of the cells:
-                # a window's max is > 0 exactly where its winner's relu(z)
-                # is, and relu(z) > 0 exactly where z > 0
-                gy = K.relu_backward(gy, y)
                 if pool > 1:
-                    gy = K.maxpool_backward(gy, keep[:, lo:hi], pool)
-                if gz is None:
-                    gz = gy
+                    K.pool_relu_backward(gy, y, keep[:, lo:hi], pool, gz[:, lo:hi])
+                elif gz is None:
+                    gz = K.relu_backward(gy, y)
                 else:
-                    gz[:, lo:hi] = gy
+                    gz[:, lo:hi] = K.relu_backward(gy, y)
             # the conv output (the members' activations may view it) dies
             # before the conv backward allocates its patches
             del keep, ys, gys, y, gy

@@ -2,10 +2,11 @@
 
 Activations are (batch, channels, height, width) throughout; dense
 layers work on (batch, features).  Every backward function takes the
-upstream gradient plus whatever the forward pass needs again, and
-recomputes cheap intermediates instead of caching them.  All kernels
-preserve the input dtype so the same code runs the float32 training
-path and the float64 gradient-check path.
+upstream gradient plus the forward values it needs (a conv backward
+rebuilds its input's columns; the pooled epilogue's backward reads the
+pooled output and does not pool again).  All kernels preserve the input
+dtype so the same code runs the float32 training path and the float64
+gradient-check path.
 
 Convolutions (stride 1) take one of two layouts, chosen by the input
 channel count alone:
@@ -22,24 +23,28 @@ channel count alone:
     those GEMMs are too thin for the large stem maps, which is why the
     stems stay on im2col.
 
+Pooling.  A pooled conv has one epilogue in either output layout, plain
+or pool-offset order (below): `_windows` views its (N, C, p, p, Hq, Wq)
+pool windows, `pool_relu` takes each window's maximum and then ReLU (max
+and ReLU commute), and `pool_relu_backward` routes each gradient to its
+window's first maximum by comparing the window with the pooled output.
+`maxpool` and `maxpool_backward` pool without ReLU through the same
+view; they are reference kernels, which no engine step calls.
+
 Pool-offset order.  `_patches(x, k, pad, p)` can order its columns by
 the offset (a, b) of each output inside its pxp pool window, as in
 space-to-depth: `conv2d_pool_ordered` then writes (N, Cout, p*p, Hq, Wq),
 in which slab a*p + b holds outputs (i*p + a, j*p + b), and rows and
-columns that no window covers are not computed.  Max-pooling is then a
-maximum over contiguous slabs (`pool_relu`), ReLU runs after it on the
-pooled cells (max and ReLU commute), and `pool_relu_backward` routes each
-gradient to its window's first maximum by comparing the slabs with the
-pooled output.  The gather is strided, so building these columns costs
-more than the plain order (4.4 against 3.0 ms for a 5x5 conv of a
-64x3x32x32 batch); it pays when the conv output, which the epilogue
-walks, is at least as wide as the columns, Cout >= Cin*k*k
-(`pool_ordered`): the 80-channel stems of the circuit nets (80 >= 9 or
-27), not the 8-channel 5x5 stems of the sequential nets (8 < 25 or 75),
-whose evaluation ran 5-10% slower in this order.
-Only a conv that reads the batch takes this order, as its input gradient
-is never needed: `conv2d_param_backward` returns the parameter
-gradients alone, in either order and either layout.
+columns that no window covers are not computed.  The gather is strided,
+so building these columns costs more than the plain order (4.4 against
+3.0 ms for a 5x5 conv of a 64x3x32x32 batch); it pays when the conv
+output, whose windows the epilogue reads as contiguous slabs, is at
+least as wide as the columns, Cout >= Cin*k*k (`pool_ordered`): the
+80-channel stems of the circuit nets (80 >= 9 or 27), not the 8-channel
+5x5 stems of the sequential nets (8 < 25 or 75), whose evaluation ran
+5-10% slower in this order.  Only a conv that reads the batch takes this
+order, as its input gradient is never needed: `conv2d_param_backward`
+returns the parameter gradients alone, in either order and either layout.
 """
 
 from __future__ import annotations
@@ -216,68 +221,75 @@ def _conv_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int, p: in
     return gx, gw, gb
 
 
-def _pool_offsets(x: np.ndarray, p: int):
-    """Yield the strided (N, C, Ho, Wo) view of each window offset, in
-    row-major order within the pxp window."""
-    ho, wo = x.shape[2] // p, x.shape[3] // p
-    for di in range(p):
-        for dj in range(p):
-            yield x[:, :, di:ho * p:p, dj:wo * p:p]
+def _windows(z: np.ndarray, p: int) -> np.ndarray:
+    """A (N, C, p, p, Hq, Wq) view of z's pxp pool windows, whose
+    [:, :, a, b, i, j] is conv output (i*p + a, j*p + b).  z is a conv2d
+    output (N, C, H, W), whose rows and columns past the last full window
+    the view leaves out, or a conv2d_pool_ordered one (N, C, p*p, Hq, Wq)."""
+    if z.ndim == 5:  # splitting one axis always gives a view
+        return z.reshape(*z.shape[:2], p, p, *z.shape[3:])
+    n, c, h, w = z.shape
+    if h // p < 1 or w // p < 1:
+        raise ShapeMismatch(f"pool {p} does not fit {h}x{w} input")
+    sn, sc, sh, sw = z.strides
+    return as_strided(z, (n, c, p, p, h // p, w // p), (sn, sc, sh, sw, p * sh, p * sw))
+
+
+def _window_max(z: np.ndarray, p: int) -> np.ndarray:
+    win = _windows(z, p)
+    y = win[:, :, 0, 0].copy()
+    for o in range(1, p * p):
+        np.maximum(y, win[:, :, o // p, o % p], out=y)
+    return y
+
+
+def _route(g: np.ndarray, y: np.ndarray, z: np.ndarray, p: int, out: np.ndarray) -> None:
+    """Writes g, the gradient of y = _window_max(z, p) or of its ReLU,
+    into out (z's shape and layout) at each window's first cell, in
+    row-major order, that equals y, so ties break identically on every
+    run.  The window's other cells get g * 0 (NaN where g is not finite),
+    and cells that no window covers get 0."""
+    zw, ow = _windows(z, p), _windows(out, p)
+    taken = np.zeros(y.shape, dtype=bool)
+    hit = np.empty(y.shape, dtype=bool)
+    for o in range(p * p):
+        np.equal(zw[:, :, o // p, o % p], y, out=hit)
+        np.greater(hit, taken, out=hit)  # a hit in a window not yet taken
+        # a multiply into the strided view runs ~2.5x faster than copyto(where=)
+        np.multiply(g, hit, out=ow[:, :, o // p, o % p])
+        taken |= hit
+    if out.ndim == 4:
+        out[:, :, y.shape[2] * p:] = 0
+        out[:, :, :, y.shape[3] * p:] = 0
 
 
 def maxpool(x: np.ndarray, p: int) -> np.ndarray:
     """Non-overlapping pxp max pooling; trailing rows/cols that do not
     fill a window are dropped (floor semantics)."""
-    h, w = x.shape[2:]
-    if h // p < 1 or w // p < 1:
-        raise ShapeMismatch(f"pool {p} does not fit {h}x{w} input")
-    views = _pool_offsets(x, p)
-    out = next(views).copy()
-    for v in views:
-        np.maximum(out, v, out=out)
-    return out
+    return _window_max(x, p)
 
 
 def maxpool_backward(gy: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
     """Routes each gradient to the first maximum of its window in
-    row-major order, so ties break identically on every run.  The other
-    cells get gy * 0, which is NaN where gy is not finite."""
-    m = maxpool(x, p)
-    gx = np.zeros_like(x)
-    taken = np.zeros(m.shape, dtype=bool)
-    for xv, gv in zip(_pool_offsets(x, p), _pool_offsets(gx, p)):
-        hit = xv == m
-        hit &= ~taken
-        # a multiply into the strided view runs ~2.5x faster than copyto(where=)
-        np.multiply(gy, hit, out=gv)
-        taken |= hit
+    row-major order; the other cells get gy * 0 (see `_route`)."""
+    gx = np.empty_like(x)
+    _route(gy, _window_max(x, p), x, p, gx)
     return gx
 
 
-def pool_relu(z: np.ndarray) -> np.ndarray:
-    """relu(maxpool) of a conv2d_pool_ordered output (N, C, p*p, Hq, Wq):
-    the maximum over its offset slabs, in maxpool's window order, then ReLU
-    on the pooled cells -> (N, C, Hq, Wq)."""
-    y = z[:, :, 0].copy()
-    for o in range(1, z.shape[2]):
-        np.maximum(y, z[:, :, o], out=y)
+def pool_relu(z: np.ndarray, p: int) -> np.ndarray:
+    """relu(maxpool) of a conv output z in either layout -> (N, C, Hq, Wq)."""
+    y = _window_max(z, p)
     return np.maximum(y, 0, out=y)
 
 
-def pool_relu_backward(gy: np.ndarray, y: np.ndarray, z: np.ndarray, out: np.ndarray) -> None:
-    """Writes the gradient of pool_relu's input z into out, z's shape,
-    given y = pool_relu(z).  Where y > 0, gy goes to the first slab that
-    equals y in its window, as maxpool_backward routes it; every other
-    cell gets gy * 0 (NaN where gy is not finite).  Where y is 0, every
-    cell of the window gets gy * 0, whichever slab matches."""
-    g = gy * (y > 0)
-    taken = np.zeros(y.shape, dtype=bool)
-    hit = np.empty(y.shape, dtype=bool)
-    for o in range(z.shape[2]):
-        np.equal(z[:, :, o], y, out=hit)
-        np.greater(hit, taken, out=hit)  # a hit in a window not yet taken
-        np.multiply(g, hit, out=out[:, :, o])
-        taken |= hit
+def pool_relu_backward(gy: np.ndarray, y: np.ndarray, z: np.ndarray, p: int,
+                       out: np.ndarray) -> None:
+    """Writes the gradient of pool_relu's input z into out, z's shape and
+    layout, given y = pool_relu(z, p): gy * (y > 0) routed as `_route`
+    does.  A window whose y is 0 gets gy * 0 in every cell, whichever
+    cell matches."""
+    _route(gy * (y > 0), y, z, p, out)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

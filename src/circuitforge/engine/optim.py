@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidConfig
+from ..errors import check_lr
 
 # SGD's velocity decay; Adam's moment decay rates and denominator guard
 MOMENTUM = 0.9
@@ -23,8 +23,7 @@ class SGD:
     """v <- MOMENTUM * v + grad;  p <- p - lr * v."""
 
     def __init__(self, lr: float):
-        if lr <= 0:
-            raise InvalidConfig(f"lr must be > 0, got {lr}")
+        check_lr(lr)
         self.lr = lr
         self.velocity: dict[str, np.ndarray] = {}
         self.steps = 0
@@ -45,8 +44,7 @@ class Adam:
     """Standard bias-corrected moment estimates."""
 
     def __init__(self, lr: float):
-        if lr <= 0:
-            raise InvalidConfig(f"lr must be > 0, got {lr}")
+        check_lr(lr)
         self.lr = lr
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}

@@ -8,13 +8,13 @@ and epoch index, and every kernel in the stack is tie-deterministic.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..datasets import LabeledDataset, batches
-from ..errors import EmptyDataset, InvalidConfig, NonFiniteActivation, check_int, seeded_generator
+from ..errors import (EmptyDataset, InvalidConfig, NonFiniteActivation, check_int, check_lr,
+                      seeded_generator)
 from . import kernels as K
 from .graph import CompiledGraph
 from .optim import Adam, Optimizer, SGD
@@ -35,9 +35,7 @@ class TrainConfig:
         seeded_generator("seed", self.seed, InvalidConfig)  # the one seed rule
         if self.optimizer not in ("adam", "sgd"):
             raise InvalidConfig(f"optimizer must be adam or sgd, got {self.optimizer!r}")
-        lr = self.lr
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
-            raise InvalidConfig(f"lr must be a finite number > 0, got {lr!r}")
+        check_lr(self.lr)
 
 
 def make_optimizer(cfg: TrainConfig) -> Optimizer:

@@ -7,6 +7,8 @@ Loader errors carry enough context (line numbers, byte offsets, field
 paths) to point at the offending input.
 """
 
+import math
+
 import numpy as np
 
 
@@ -24,6 +26,12 @@ def check_int(what: str, value, low: int, error: type[CircuitForgeError]) -> Non
     float such as 5.0 or a numpy integer raises `error`."""
     if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
         raise error(f"{what} must be an integer >= {low}, got {value!r}")
+
+
+def check_lr(lr) -> None:
+    """The one learning-rate rule: a finite int or float > 0, not a bool."""
+    if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
+        raise InvalidConfig(f"lr must be a finite number > 0, got {lr!r}")
 
 
 def seeded_generator(what: str, seed, error: type[CircuitForgeError]) -> np.random.Generator:

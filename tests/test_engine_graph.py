@@ -407,6 +407,9 @@ SPECS = {
     # 30 stem channels: at least the 3x3 stem's columns for 1 and 3 input
     # channels (9 and 27), so the stem runs in pool-offset order
     "circuit_c3": lambda circ, ch: synthesize_circuit_arch(circ, 3, (ch, 12, 12), 4),
+    # odd maps leave a row and a column that no pool window covers
+    "circuit_odd": lambda circ, ch: synthesize_circuit_arch(circ, 2, (ch, 13, 13), 4),
+    "sequential_odd": lambda circ, ch: synthesize_sequential_arch(2, (ch, 17, 17), 4),
 }
 
 
@@ -421,7 +424,8 @@ def test_grouped_plan_matches_per_block_reference(ref_circuit, style, channels):
     g = compile_arch(validate(spec), seed=7, dtype=np.float64)
     # at c=2 only the 1-channel circuit and randomized stems (20 channels
     # >= 9 columns) take the pool-offset order; at c=3 both circuit stems do
-    pooled = style == "circuit_c3" or channels == 1 and style in ("circuit", "randomized")
+    pooled = style == "circuit_c3" or channels == 1 and style in (
+        "circuit", "circuit_odd", "randomized")
     assert sum(step.fold > 1 for step in g._plan) == pooled
     ref = ReferenceGraph(g)
     rng = np.random.default_rng(channels)
@@ -530,8 +534,8 @@ def _root(a: np.ndarray) -> np.ndarray:
     return a
 
 
-FORWARD_KERNELS = ("conv2d", "conv2d_pool_ordered", "relu", "maxpool", "pool_relu",
-                   "concat_channels", "global_avg_pool", "dense")
+FORWARD_KERNELS = ("conv2d", "conv2d_pool_ordered", "relu", "pool_relu", "concat_channels",
+                   "global_avg_pool", "dense")
 CONVS = ("conv2d", "conv2d_pool_ordered")
 
 
@@ -567,7 +571,7 @@ def test_evaluation_drops_each_tensor_after_its_last_reader(ref_circuit, monkeyp
                     args[0] is x or any(ref() is roots[0] for ref in made)):
                 alive_at.append((call, [i for i, ref in enumerate(made) if ref() is not None]))
             out = real(*args)
-            if name in (*CONVS, "maxpool", "pool_relu"):
+            if name in (*CONVS, "pool_relu"):
                 made.append(weakref.ref(_root(out)))
             return out
 

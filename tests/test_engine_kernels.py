@@ -164,43 +164,67 @@ def naive_maxpool(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def naive_maxpool_backward(gy: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """gy at each window's first maximum; the window's other cells get
+    gy * 0 (NaN where gy is not finite), cells no window covers get 0."""
     _, where = naive_maxpool(x, p)
     gx = np.zeros_like(x)
+    n, c, hq, wq = gy.shape
+    for ni in range(n):
+        for ci in range(c):
+            for i in range(hq):
+                for j in range(wq):
+                    gx[ni, ci, i * p:(i + 1) * p, j * p:(j + 1) * p] = gy[ni, ci, i, j] * 0
     gx.reshape(-1)[where.reshape(-1)] = gy.reshape(-1)
     return gx
 
 
+def pool_inputs(rng: np.random.Generator, p: int, inputs: str) -> np.ndarray:
+    """A (2, 3, H, W) batch with H, W in [p, 4p), so odd sizes leave rows
+    and columns that no window covers: after a ReLU with many all-zero
+    windows, quantized to integers, or with two equal maxima at
+    non-first offsets of every window."""
+    h, w = (int(v) for v in rng.integers(p, 4 * p, size=2))
+    x = rng.normal(size=(2, 3, h, w))
+    if inputs == "relu":
+        x = np.maximum(x - 0.7, 0.0)
+        x[:, :, :p, :p] = 0.0
+    elif inputs == "quantized":
+        x = np.round(x)
+    else:  # "late_tie"
+        for i in range(h // p):
+            for j in range(w // p):
+                top = x[:, :, i * p:(i + 1) * p, j * p:(j + 1) * p].max() + 1.0
+                x[:, :, i * p, j * p + p - 1] = top
+                x[:, :, i * p + p - 1, j * p + 1] = top
+    return x
+
+
+def with_non_finite(gy: np.ndarray) -> np.ndarray:
+    bad = gy.copy()
+    bad.flat[::5] = np.nan
+    bad.flat[1::7] = -np.inf
+    return bad
+
+
+POOL_CASES = list(itertools.product((2, 3), ("relu", "quantized", "late_tie")))
+
+
 def test_maxpool_and_backward_match_first_max_oracle():
     rng = np.random.default_rng(7)
-    grid = itertools.product((2, 3), ("relu", "quantized", "late_tie"))
-    for case, (p, inputs) in enumerate(grid):
-        h, w = (int(v) for v in rng.integers(p, 4 * p, size=2))
-        x = rng.normal(size=(2, 3, h, w))
-        if inputs == "relu":  # many all-zero windows after a ReLU
-            x = np.maximum(x - 0.7, 0.0)
-            x[:, :, :p, :p] = 0.0
-        elif inputs == "quantized":
-            x = np.round(x)
-        else:  # two equal maxima at non-first offsets of every window
-            for i in range(h // p):
-                for j in range(w // p):
-                    top = x[:, :, i * p:(i + 1) * p, j * p:(j + 1) * p].max() + 1.0
-                    x[:, :, i * p, j * p + p - 1] = top
-                    x[:, :, i * p + p - 1, j * p + 1] = top
+    for case, (p, inputs) in enumerate(POOL_CASES):
+        x = pool_inputs(rng, p, inputs)
         want, _ = naive_maxpool(x, p)
         assert np.array_equal(maxpool(x, p), want), case
         gy = rng.normal(size=want.shape)
-        assert np.array_equal(maxpool_backward(gy, x, p), naive_maxpool_backward(gy, x, p)), case
-        # the graph runs ReLU backward on the pooled gradient, masked by the
-        # pooled output; it must give the bytes of the full-size order,
-        # non-finite gradients included
-        bad = gy.copy()
-        bad.flat[::5] = np.nan
-        bad.flat[1::7] = -np.inf
-        for g in (gy, bad):
+        for g in (gy, with_non_finite(gy)):
             with np.errstate(invalid="ignore"):  # inf * 0
+                got, oracle = maxpool_backward(g, x, p), naive_maxpool_backward(g, x, p)
+                # pool_relu_backward runs ReLU backward on the pooled
+                # gradient, masked by the pooled output; it must give the
+                # bytes of the full-size order, non-finite gradients included
                 pooled_first = maxpool_backward(relu_backward(g, want), x, p)
                 full_first = relu_backward(maxpool_backward(g, x, p), x)
+            assert got.tobytes() == oracle.tobytes(), case
             assert pooled_first.tobytes() == full_first.tobytes(), case
 
 
@@ -226,8 +250,8 @@ def from_pool_order(z: np.ndarray, h: int, w: int) -> np.ndarray:
 def test_pool_ordered_conv_forward_matches_conv_relu_maxpool():
     """The conv is the plain conv re-ordered, up to the order in which BLAS
     sums a column's dot product, which can depend on the column's place in
-    the GEMM; given those values, the epilogue is bit-equal to
-    maxpool(relu(.))."""
+    the GEMM; given those values, the epilogue in either layout is
+    bit-equal to the loop oracle of maxpool(relu(.))."""
     rng = np.random.default_rng(11)
     # odd sizes leave rows and columns that no window covers
     grid = itertools.product((2, 3), (1, 3), (3, 5), (0, 1), (np.float32, np.float64))
@@ -241,44 +265,34 @@ def test_pool_ordered_conv_forward_matches_conv_relu_maxpool():
         assert z.dtype == dtype, case
         tol = 1e-5 if dtype == np.float32 else 1e-12
         assert rel_err(z, to_pool_order(plain, p)) <= tol, case
-        want = maxpool(relu(from_pool_order(z, *plain.shape[2:])), p)
-        assert pool_relu(z).tobytes() == want.tobytes(), case
+        for got, a in ((pool_relu(z, p), relu(from_pool_order(z, *plain.shape[2:]))),
+                       (pool_relu(plain, p), relu(plain.copy()))):
+            want, _ = naive_maxpool(a, p)
+            assert got.tobytes() == want.tobytes(), case
 
 
 def test_pool_relu_backward_matches_relu_then_maxpool_backward():
-    """The cases of the first-max oracle test, as conv pre-activations z:
-    the gradient, un-permuted, has the bytes of the plain-order epilogue
-    (ReLU backward on the pooled gradient, then maxpool_backward against
-    relu(z)), non-finite upstream gradients included."""
+    """The cases of the first-max oracle test, as conv pre-activations z
+    in either layout: the gradient, un-permuted, has the bytes of the loop
+    oracle of the plain epilogue (ReLU backward on the pooled gradient,
+    then maxpool backward against relu(z)), non-finite upstream gradients
+    included, and exact zeros in the cells no window covers."""
     rng = np.random.default_rng(7)
-    grid = itertools.product((2, 3), ("relu", "quantized", "late_tie"))
-    for case, (p, inputs) in enumerate(grid):
-        h, w = (int(v) for v in rng.integers(p, 4 * p, size=2))
-        z = rng.normal(size=(2, 3, h, w))
-        if inputs == "relu":
-            z = np.maximum(z - 0.7, 0.0)
-            z[:, :, :p, :p] = 0.0
-        elif inputs == "quantized":
-            z = np.round(z)
-        else:
-            for i in range(h // p):
-                for j in range(w // p):
-                    top = z[:, :, i * p:(i + 1) * p, j * p:(j + 1) * p].max() + 1.0
-                    z[:, :, i * p, j * p + p - 1] = top
-                    z[:, :, i * p + p - 1, j * p + 1] = top
+    for case, (p, inputs) in enumerate(POOL_CASES):
+        z = pool_inputs(rng, p, inputs)
         a = relu(z.copy())
-        y = pool_relu(to_pool_order(z, p))
-        assert np.array_equal(y, maxpool(a, p)), case
-        gy = rng.normal(size=y.shape)
-        bad = gy.copy()
-        bad.flat[::5] = np.nan
-        bad.flat[1::7] = -np.inf
-        for g in (gy, bad):
-            gz = np.empty((2, 3, p * p) + y.shape[2:])
-            with np.errstate(invalid="ignore"):  # inf * 0
-                pool_relu_backward(g, y, to_pool_order(z, p), gz)
-                want = maxpool_backward(relu_backward(g, maxpool(a, p)), a, p)
-            assert from_pool_order(gz, h, w).tobytes() == want.tobytes(), case
+        pooled, _ = naive_maxpool(a, p)
+        gy = rng.normal(size=pooled.shape)
+        for layout in (z, to_pool_order(z, p)):
+            y = pool_relu(layout, p)
+            assert y.tobytes() == pooled.tobytes(), case
+            for g in (gy, with_non_finite(gy)):
+                out = np.full(layout.shape, np.nan)  # every cell must be written
+                with np.errstate(invalid="ignore"):  # inf * 0
+                    pool_relu_backward(g, y, layout, p, out)
+                    want = naive_maxpool_backward(relu_backward(g, pooled), a, p)
+                got = out if out.ndim == 4 else from_pool_order(out, *z.shape[2:])
+                assert got.tobytes() == want.tobytes(), (case, layout.ndim)
 
 
 def test_conv_param_backward_matches_naive_oracle():
@@ -332,6 +346,16 @@ def test_hot_kernels_keep_float32():
         y = conv2d(x, w, b, 1)
         outs = [y, *conv2d_backward(y, x, w, 1), maxpool(x, 2),
                 maxpool_backward(maxpool(x, 2), x, 2)]
+        # the pooled epilogue and the parameter gradients, in plain order
+        # and, on im2col, in pool-offset order
+        layouts = [(y, 1)]
+        if cin < SHIFT_MIN_CIN:
+            layouts.append((conv2d_pool_ordered(x, w, b, 1, 2), 2))
+        for z, order in layouts:
+            pooled = pool_relu(z, 2)
+            gz = np.empty_like(z)
+            pool_relu_backward(pooled, pooled, z, 2, gz)
+            outs += [z, pooled, gz, *conv2d_param_backward(gz, x, w, 1, order)]
         assert [o.dtype for o in outs] == [np.float32] * len(outs), cin
 
 

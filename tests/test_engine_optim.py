@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from circuitforge.arch import synthesize_sequential_arch, validate
 from circuitforge.engine.graph import compile_arch
 from circuitforge.engine.optim import BETA1, BETA2, EPS, MOMENTUM, SGD, Adam
+from circuitforge.engine.train import TrainConfig
+from circuitforge.errors import InvalidConfig
 
 
 class _OneSlot:
@@ -33,11 +37,6 @@ def test_sgd_momentum_two_steps():
     assert g.value[0] == pytest.approx(0.9)
     opt.step(g)           # v=MOMENTUM+1, w=0.9-0.1*v
     assert g.value[0] == pytest.approx(0.9 - 0.1 * (MOMENTUM + 1.0))
-
-
-def test_sgd_validates_hyperparams():
-    with pytest.raises(ValueError):
-        SGD(lr=0.0)
 
 
 def test_adam_matches_hand_trace(monkeypatch):
@@ -71,11 +70,12 @@ def test_adam_first_step_size_is_lr():
         assert abs(g.value[0] + 1e-3) <= 1e-6
 
 
-def test_adam_validates_hyperparams():
-    with pytest.raises(ValueError):
-        Adam(lr=-1.0)
-    with pytest.raises(ValueError):
-        Adam(lr=0.0)
+@pytest.mark.parametrize("make", [SGD, Adam, lambda lr: TrainConfig(lr=lr)],
+                         ids=["sgd", "adam", "train_config"])
+@pytest.mark.parametrize("lr", [math.nan, math.inf, 0, -1.0, True])
+def test_one_lr_rule_refuses_a_bad_lr(make, lr):
+    with pytest.raises(InvalidConfig, match="^lr must be a finite number > 0, got "):
+        make(lr)
 
 
 def test_optimizers_drive_real_graph_without_shape_drift():
