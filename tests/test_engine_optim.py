@@ -39,6 +39,11 @@ def test_sgd_momentum_two_steps():
     assert g.value[0] == pytest.approx(0.9 - 0.1 * (MOMENTUM + 1.0))
 
 
+def test_sgd_validates_hyperparams():
+    with pytest.raises(ValueError):
+        SGD(lr=0.0)
+
+
 def test_adam_matches_hand_trace(monkeypatch):
     w0, grad = 1.0, 0.5
     lr, b1, b2, eps = 1e-2, BETA1, BETA2, EPS
@@ -68,6 +73,13 @@ def test_adam_first_step_size_is_lr():
         g = _OneSlot([0.0], [grad])
         Adam(lr=1e-3).step(g)
         assert abs(g.value[0] + 1e-3) <= 1e-6
+
+
+def test_adam_validates_hyperparams():
+    with pytest.raises(ValueError):
+        Adam(lr=-1.0)
+    with pytest.raises(ValueError):
+        Adam(lr=0.0)
 
 
 @pytest.mark.parametrize("make", [SGD, Adam, lambda lr: TrainConfig(lr=lr)],
