@@ -37,20 +37,23 @@ REPORTED_ROLE_SPLIT = (10, 5, 7)  # published circuit size to diff against
 
 def _parse_policy(text: str):
     kind, _, value = text.partition(":")
-    if kind == "topk":
-        return TopK(int(value)) if value else TopK()
-    if kind == "zscore":
-        return ZScore(float(value)) if value else ZScore()
+    try:
+        if kind == "topk":
+            return TopK(int(value)) if value else TopK()
+        if kind == "zscore":
+            return ZScore(float(value)) if value else ZScore()
+    except ValueError:  # a value that is not a number
+        pass
     raise argparse.ArgumentTypeError(
         f"policy must be topk:<k> or zscore:<threshold>, got {text!r}")
 
 
 def _parse_shape(text: str) -> tuple[int, int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 3:
+    try:
+        c, h, w = (int(p) for p in text.lower().split("x"))
+    except ValueError:  # not three parts, or a part that is not an integer
         raise argparse.ArgumentTypeError(
-            f"input shape must be CxHxW (e.g. 1x28x28), got {text!r}")
-    c, h, w = (int(p) for p in parts)
+            f"input shape must be CxHxW (e.g. 1x28x28), got {text!r}") from None
     return (c, h, w)
 
 

@@ -145,6 +145,9 @@ def select_correlated(cri: CriTable, roles: dict[NeuronId, Role],
         ranked = sorted(cri.values.items(), key=lambda nv: (-nv[1], nv[0]))
         chosen = [n for n, _ in ranked[:policy.k]]
     else:
+        t = policy.threshold
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+            raise InvalidConfig(f"threshold must be a finite number, got {t!r}")
         n = len(cri.values)
         mean = sum(cri.values.values()) / n
         var = sum((v - mean) ** 2 for v in cri.values.values()) / n

@@ -115,6 +115,30 @@ def test_policy_argument_rejects_garbage():
                                    "--roles", "r", "--policy", "best:3", "--out", "o"])
 
 
+@pytest.mark.parametrize("flag, text, form", [
+    ("--policy", "zscore:high", "policy must be topk:<k> or zscore:<threshold>"),
+    ("--policy", "topk:2.5", "policy must be topk:<k> or zscore:<threshold>"),
+    ("--input", "1xax28", "input shape must be CxHxW (e.g. 1x28x28)"),
+    ("--input", "1x28", "input shape must be CxHxW (e.g. 1x28x28)"),
+], ids=["policy_word", "policy_fraction", "shape_letter", "shape_two_parts"])
+def test_bad_policy_or_shape_names_the_expected_form(capsys, flag, text, form):
+    argv = (["extract", flag, text, "--out", "o"] if flag == "--policy"
+            else ["synthesize", "--style", "sequential", flag, text, "--out", "o"])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.endswith(f"argument {flag}: {form}, got {text!r}"), err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_extract_non_finite_zscore_exits_one_naming_the_threshold(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert main(["extract", "--policy", f"zscore:{value}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: threshold must be a finite number, got {float(value)!r}"]
+    assert not out.exists()
+
+
 def test_bench_run_and_summarize(tmp_path, capsys):
     data = write_bench_corpus(tmp_path / "data")
     cfg = BenchmarkConfig(dataset="mnist", styles=("circuit",), seeds=(0,),

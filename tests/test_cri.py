@@ -23,6 +23,7 @@ from circuitforge.cri import (
 )
 from circuitforge.errors import (
     EmptyTable,
+    InvalidConfig,
     KExceedsPopulation,
     MalformedRow,
     MissingFoldChange,
@@ -131,6 +132,19 @@ def test_select_zscore_flat_distribution_selects_nothing():
     cri = CriTable({"A": 2.0, "B": 2.0, "C": 2.0, "D": 2.0}, n_genes=1)
     sel = select_correlated(cri, ROLES, ZScore(threshold=1.0))
     assert sel.all == frozenset()
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, True, "1.0", 1j, None])
+def test_select_zscore_refuses_a_bad_threshold(threshold):
+    cri = CriTable({"A": 10.0, "B": 1.0, "C": 1.0, "D": 0.0}, n_genes=1)
+    with pytest.raises(InvalidConfig, match=r"^threshold must be a finite number, got "):
+        select_correlated(cri, ROLES, ZScore(threshold))
+
+
+def test_select_zscore_takes_an_int_or_negative_threshold():
+    cri = CriTable({"A": 10.0, "B": 1.0, "C": 1.0, "D": 0.0}, n_genes=1)
+    assert select_correlated(cri, ROLES, ZScore(1)).all == {"A"}
+    assert select_correlated(cri, ROLES, ZScore(-5.0)).all == {"A", "B", "C", "D"}
 
 
 def test_load_fold_changes(tmp_path):

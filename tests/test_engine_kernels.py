@@ -337,9 +337,48 @@ def test_maxpool_backward_finite_difference():
     assert rel_err(gx, central_diff(loss, x)) <= 1e-4
 
 
-def test_hot_kernels_keep_float32():
+def test_im2col_blocks_match_one_block(monkeypatch):
+    """Plain-order columns built in several blocks, the last one short,
+    give the one-block result byte for byte: each example's GEMM is the
+    same call in any block, and the weight gradient's running sum is
+    carried from block to block.  Pool-offset columns stay one block."""
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(37, 3, 32, 32))
+    w = rng.normal(size=(8, 3, 5, 5))
+    b = rng.normal(size=8)
+    gy = rng.normal(size=(37, 8, 28, 28))
+
+    def run():
+        return (conv2d(x, w, b, 0), *conv2d_backward(gy, x, w, 0),
+                *conv2d_param_backward(gy, x, w, 0, 1))
+
+    monkeypatch.setattr(kernels, "COLS_BLOCK", 1 << 40)
+    assert kernels._col_blocks(x, 5, 0, 1)[0] == [slice(0, 37)]
+    one = run()
+    monkeypatch.setattr(kernels, "COLS_BLOCK", 5 * 3 * 25 * 28 * 28 * x.itemsize + 1)
+    blocks, _, _ = kernels._col_blocks(x, 5, 0, 1)
+    assert [sl.stop - sl.start for sl in blocks] == [5] * 7 + [2]
+    assert kernels._col_blocks(x, 5, 0, 2)[0] == [slice(0, 37)]
+    many = run()
+    names = ("y", "gx", "gw", "gb", "param gw", "param gb")
+    for name, a, c in zip(names, one, many):
+        assert a.shape == c.shape and a.tobytes() == c.tobytes(), name
+    monkeypatch.setattr(kernels, "COLS_BLOCK", 1)  # one example per block
+    for n in (3, 0):  # an empty batch has one empty block and zero gradients
+        got = (conv2d(x[:n], w, b, 0), *conv2d_backward(gy[:n], x[:n], w, 0))
+        want = (naive_conv(x[:n], w, b, 0), *naive_conv_backward(gy[:n], x[:n], w, 0))
+        for g, h_ in zip(got, want):
+            assert g.shape == h_.shape, n
+            scale = max(1.0, np.max(np.abs(h_), initial=0))
+            assert np.max(np.abs(g - h_), initial=0) <= 1e-12 * scale, n
+
+
+def test_hot_kernels_keep_float32(monkeypatch):
     rng = np.random.default_rng(8)
-    for cin in (SHIFT_MIN_CIN - 1, SHIFT_MIN_CIN):  # im2col and shifted conv paths
+    # im2col in one block and in one block per example, and shifted GEMMs
+    for cin, cols_block in ((SHIFT_MIN_CIN - 1, 1 << 20), (SHIFT_MIN_CIN - 1, 1),
+                            (SHIFT_MIN_CIN, 1 << 20)):
+        monkeypatch.setattr(kernels, "COLS_BLOCK", cols_block)
         x = rng.normal(size=(2, cin, 7, 7)).astype(np.float32)
         w = rng.normal(size=(4, cin, 3, 3)).astype(np.float32)
         b = np.zeros(4, dtype=np.float32)
@@ -356,7 +395,7 @@ def test_hot_kernels_keep_float32():
             gz = np.empty_like(z)
             pool_relu_backward(pooled, pooled, z, 2, gz)
             outs += [z, pooled, gz, *conv2d_param_backward(gz, x, w, 1, order)]
-        assert [o.dtype for o in outs] == [np.float32] * len(outs), cin
+        assert [o.dtype for o in outs] == [np.float32] * len(outs), (cin, cols_block)
 
 
 def test_relu_and_backward():
