@@ -42,10 +42,13 @@ group of a 1x28x28 circuit at batch 64 is a (64, 80, 28, 28) float32
 tensor of 16 MB, four times a 4 MB L2, while one member's slice is
 1.6 MB.  A prototype that did so, and also kept a second copy for the
 ReLU output, trained the 1x28x28 circuit 15% slower on such a core and
-raised the benchmark's peak memory by 13-18%.  Unpooled, `K.relu`
-writes into its input instead, so member activations are views of the
-one conv output; pooled, the conv output stays the pre-activation, and
-each member's activation is a new pooled array, 1/p^2 of its slice.
+raised the benchmark's peak memory by 13-18%.  In pool-offset order the
+whole-group epilogue still lost: on the same stem group its backward
+took 15.8-17.4 ms per step, against 10.4-13.8 ms run per member.
+Unpooled, `K.relu` writes into its input instead, so member activations
+are views of the one conv output; pooled, the conv output stays the
+pre-activation, and each member's activation is a new pooled array,
+1/p^2 of its slice.
 
 One liveness rule, read off each step's `src` and `out`, decides how
 long a tensor lives.  A training forward keeps every tensor plus one

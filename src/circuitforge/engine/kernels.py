@@ -12,15 +12,15 @@ Convolutions (stride 1) take one of two layouts, chosen by the input
 channel count alone:
 
   * Cin < SHIFT_MIN_CIN (the stems, which read the 1- or 3-channel
-    batch): im2col.  `_patches` stacks every kxk window into
+    batch, and the interior convs of a net whose width c is below
+    SHIFT_MIN_CIN): im2col.  `_patches` stacks every kxk window into
     (N, Cin*k*k, Ho*Wo) columns and a batched GEMM contracts them, one
-    GEMM per example; backward adds the window gradients back (col2im).
-    In plain order the columns are built and multiplied one block of
-    examples at a time, at most COLS_BLOCK bytes of columns per block
-    (`_col_blocks`), so the GEMM reads them from cache: for the
-    sequential nets' 5x5 stem on a 64x3x32x32 batch, whole-batch columns
-    take 15 MB.  Each example's GEMM is the same call in any block, so
-    the output and the input gradient do not depend on the block size,
+    GEMM per example.  In plain order the columns are built and
+    multiplied one block of examples at a time, at most COLS_BLOCK bytes
+    of columns per block (`_col_blocks`), so the GEMM reads them from
+    cache: for the sequential nets' 5x5 stem on a 64x3x32x32 batch,
+    whole-batch columns take 15 MB.  Each example's GEMM is the same
+    call in any block, so the output does not depend on the block size,
     and the weight gradient carries its running sum from block to block,
     so the examples add up in batch order as in one block.  Pool-offset
     columns (below) stay one block: blocked, both `conv2d_pool_ordered`
@@ -28,10 +28,23 @@ channel count alone:
   * Cin >= SHIFT_MIN_CIN: shifted GEMMs.  The input is padded once into a
     per-channel flat buffer (N, Cin, Hp*Wp + k-1) in which every tap of
     every output is a contiguous slice, so forward is a sum of k*k
-    batched GEMMs on views and backward adds k*k GEMMs into the same
-    layout.  No kxk-times-larger buffer is built.  With few channels
-    those GEMMs are too thin for the large stem maps, which is why the
-    stems stay on im2col.
+    batched GEMMs on views, and the weight gradient takes one GEMM per
+    tap against the same slices.  No kxk-times-larger buffer is built.
+    With few channels those GEMMs are too thin for the large stem maps,
+    which is why the stems stay on im2col.
+
+One body, `_conv`, computes both the forward pass and the input
+gradient.  At stride 1 the input gradient of a conv with kernels w and
+pad is the forward conv of gy with w flipped in both spatial axes and
+its channel axes swapped, padded k-1-pad (the transposed-convolution
+identity; Dumoulin & Visin 2016, "A guide to convolution arithmetic for
+deep learning", arXiv:1603.07285).  A pad >= k, legal in an arch, would
+need a negative pad: gy's outer pad-k+1 rows and columns reach no input
+cell, so they are cropped and the conv runs at pad 0.  That conv reads
+Cout channels, so it picks its layout from Cout: the 8-channel interior
+convs and merge projections run it on shifted GEMMs, and a conv with
+Cout < SHIFT_MIN_CIN on im2col.  Public kernels call private bodies,
+never each other, so a tracer that wraps them by name sees each call once.
 
 Pooling.  A pooled conv has one epilogue in either output layout, plain
 or pool-offset order (below): `_windows` views its (N, C, p, p, Hq, Wq)
@@ -140,6 +153,12 @@ def _conv_shapes(x: np.ndarray, w: np.ndarray) -> tuple[int, int, int, int]:
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int) -> np.ndarray:
     """x (N,Cin,H,W) * w (Cout,Cin,k,k) + b (Cout,) -> (N,Cout,Ho,Wo)."""
+    return _conv(x, w, b, pad)
+
+
+def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, pad: int) -> np.ndarray:
+    """conv2d's body, on the layout its input channels choose; no bias
+    when b is None."""
     n, cin, cout, k = _conv_shapes(x, w)
     if cin < SHIFT_MIN_CIN:
         return _im2col_conv(x, w, b, pad, 1)[:, :, 0]
@@ -147,14 +166,15 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int) -> np.ndarray:
     span = ho * wp
     taps = w.transpose(2, 3, 0, 1).copy()  # (k, k, Cout, Cin)
     y = np.empty((n, cout, span), dtype=np.result_type(x, w))
-    part = np.empty_like(y)
+    part = np.empty_like(y) if k > 1 else None
     for t in range(k * k):
         di, dj = divmod(t, k)
         start = di * wp + dj
         np.matmul(taps[di, dj], xf[:, :, start:start + span], out=part if t else y)
         if t:
             y += part
-    y += b[:, None]
+    if b is not None:
+        y += b[:, None]
     return y.reshape(n, cout, ho, wp)[:, :, :, :wo]
 
 
@@ -167,7 +187,7 @@ def conv2d_pool_ordered(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int, p
     return _im2col_conv(x, w, b, pad, p)
 
 
-def _im2col_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int, p: int
+def _im2col_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, pad: int, p: int
                  ) -> np.ndarray:
     n, cout, k = x.shape[0], w.shape[0], w.shape[2]
     blocks, hq, wq = _col_blocks(x, k, pad, p)
@@ -175,7 +195,8 @@ def _im2col_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int, p: int
     for sl in blocks:
         # one GEMM per example: W (Co, C*k*k) @ cols (C*k*k, p*p*Hq*Wq)
         np.matmul(w.reshape(cout, -1), _patches(x[sl], k, pad, p, hq, wq), out=y[sl])
-    y += b[:, None]
+    if b is not None:
+        y += b[:, None]
     return y.reshape(n, cout, p * p, hq, wq)
 
 
@@ -189,75 +210,53 @@ def pool_ordered(w: np.ndarray, p: int) -> bool:
 
 def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (gx, gw, gb) for conv2d, on the same path conv2d takes."""
-    return _conv_backward(gy, x, w, pad, 1, True)
+    """Returns (gx, gw, gb) for conv2d; gx is a forward conv of gy (see
+    the module docstring)."""
+    gw, gb = _param_backward(gy, x, w, pad, 1)
+    k = w.shape[2]
+    crop = pad - k + 1  # gy's outer rows and columns that reach no input cell
+    g = gy[:, :, crop:-crop, crop:-crop] if crop > 0 else gy
+    return _conv(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None, max(-crop, 0)), gw, gb
 
 
 def conv2d_param_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int, p: int
                           ) -> tuple[np.ndarray, np.ndarray]:
     """(gw, gb) alone, for a conv whose input gradient nothing reads; gy is
     laid out as conv2d (p = 1) or conv2d_pool_ordered (p > 1) wrote it."""
-    return _conv_backward(gy, x, w, pad, p, False)[1:]
+    return _param_backward(gy, x, w, pad, p)
 
 
-def _conv_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int, p: int,
-                   input_grad: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """(gx, gw, gb), with gx None unless input_grad; p > 1 only on im2col
-    and without input_grad."""
+def _param_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int, p: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(gw, gb) on the layout x's channels choose; p > 1 only on im2col."""
     n, cin, cout, k = _conv_shapes(x, w)
-    h, wdt = x.shape[2:]
     gb = gy.sum(axis=(0, *range(2, gy.ndim)))
-    gx = None
     if cin < SHIFT_MIN_CIN:
         blocks, ho, wo = _col_blocks(x, k, pad, p)
         g = gy.reshape(n, cout, p * p * ho * wo)
-        if input_grad:
-            gxp = np.zeros((n, cin, h + 2 * pad, wdt + 2 * pad), dtype=gy.dtype)
         gw = None
         for sl in blocks:
             part = np.matmul(g[sl], _patches(x[sl], k, pad, p, ho, wo).transpose(0, 2, 1))
             if gw is not None:  # carried in, so the examples add up in batch order
                 part[0] += gw
             gw = part.sum(axis=0)
-            if input_grad:
-                # spread each output gradient back over its kxk window
-                gcols = np.matmul(w.reshape(cout, -1).T, g[sl]).reshape(-1, cin, k, k, ho, wo)
-                gxb = gxp[sl]
-                for di in range(k):
-                    for dj in range(k):
-                        gxb[:, :, di:di + ho, dj:dj + wo] += gcols[:, :, di, dj]
-        if input_grad:
-            gx = gxp[:, :, pad:pad + h, pad:pad + wdt] if pad else gxp
-        return gx, gw.reshape(w.shape), gb
+        return gw.reshape(w.shape), gb
     ho, wo = gy.shape[2:]
     xf, _, _, wp = _flat_padded(x, k, pad)
     span = ho * wp
     if wo == wp:
         gf = gy.reshape(n, cout, span)
-    else:  # zero junk columns keep them out of gw and gx
+    else:  # zero junk columns keep them out of gw
         gf = np.zeros((n, cout, ho, wp), dtype=gy.dtype)
         gf[:, :, :, :wo] = gy
         gf = gf.reshape(n, cout, span)
     gw = np.empty(w.shape, dtype=gy.dtype)
-    if input_grad:
-        taps_t = w.transpose(2, 3, 1, 0).copy()  # (k, k, Cin, Cout)
-        # tap (0, 0) writes gxf's first span cells; only the cells past it need zeros
-        gxf = np.empty(xf.shape, dtype=gy.dtype)
-        gxf[:, :, span:] = 0
-        part = np.empty((n, cin, span), dtype=gy.dtype)
     for t in range(k * k):
         di, dj = divmod(t, k)
         start = di * wp + dj
         gw[:, :, di, dj] = np.matmul(
             gf, xf[:, :, start:start + span].transpose(0, 2, 1)).sum(axis=0)
-        if input_grad:
-            np.matmul(taps_t[di, dj], gf, out=part if t else gxf[:, :, :span])
-            if t:
-                gxf[:, :, start:start + span] += part
-    if input_grad:
-        hp = h + 2 * pad
-        gx = gxf[:, :, :hp * wp].reshape(n, cin, hp, wp)[:, :, pad:pad + h, pad:pad + wdt]
-    return gx, gw, gb
+    return gw, gb
 
 
 def _windows(z: np.ndarray, p: int) -> np.ndarray:

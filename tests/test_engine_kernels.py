@@ -74,11 +74,13 @@ def test_conv_forward_and_backward_match_naive_oracle():
     rng = np.random.default_rng(0)
     cins = (1, 2, 3, 4, 8, 16)  # both conv paths, and both sides of the switch
     assert cins[0] < SHIFT_MIN_CIN <= cins[-1]
+    # the input gradient is a conv that reads Cout channels: both paths again
+    couts = (1, 3, 4, 8)
+    assert couts[1] < SHIFT_MIN_CIN <= couts[2]
     # H != W: the shifted path's flat layout depends on the padded width
-    grid = itertools.product((1, 3, 5), (0, 1, 2), cins, ((5, 9), (9, 5), (7, 7)))
-    for case, (k, pad, cin, (h, wdt)) in enumerate(grid):
+    grid = itertools.product((1, 3, 5), (0, 1, 2), cins, ((5, 9), (9, 5), (7, 7)), couts)
+    for case, (k, pad, cin, (h, wdt), cout) in enumerate(grid):
         n = int(rng.integers(1, 3))
-        cout = int(rng.integers(1, 4))
         x = rng.normal(size=(n, cin, h, wdt))
         w = rng.normal(size=(cout, cin, k, k))
         b = rng.normal(size=cout)
@@ -375,13 +377,16 @@ def test_im2col_blocks_match_one_block(monkeypatch):
 
 def test_hot_kernels_keep_float32(monkeypatch):
     rng = np.random.default_rng(8)
-    # im2col in one block and in one block per example, and shifted GEMMs
-    for cin, cols_block in ((SHIFT_MIN_CIN - 1, 1 << 20), (SHIFT_MIN_CIN - 1, 1),
-                            (SHIFT_MIN_CIN, 1 << 20)):
+    # im2col in one block and in one block per example, and shifted GEMMs;
+    # the input gradient's conv reads Cout channels, so it takes im2col
+    # when Cout < SHIFT_MIN_CIN
+    for cin, cout, cols_block in ((SHIFT_MIN_CIN - 1, 4, 1 << 20), (SHIFT_MIN_CIN - 1, 4, 1),
+                                  (SHIFT_MIN_CIN, 4, 1 << 20),
+                                  (SHIFT_MIN_CIN, SHIFT_MIN_CIN - 1, 1 << 20)):
         monkeypatch.setattr(kernels, "COLS_BLOCK", cols_block)
         x = rng.normal(size=(2, cin, 7, 7)).astype(np.float32)
-        w = rng.normal(size=(4, cin, 3, 3)).astype(np.float32)
-        b = np.zeros(4, dtype=np.float32)
+        w = rng.normal(size=(cout, cin, 3, 3)).astype(np.float32)
+        b = np.zeros(cout, dtype=np.float32)
         y = conv2d(x, w, b, 1)
         outs = [y, *conv2d_backward(y, x, w, 1), maxpool(x, 2),
                 maxpool_backward(maxpool(x, 2), x, 2)]
@@ -395,7 +400,41 @@ def test_hot_kernels_keep_float32(monkeypatch):
             gz = np.empty_like(z)
             pool_relu_backward(pooled, pooled, z, 2, gz)
             outs += [z, pooled, gz, *conv2d_param_backward(gz, x, w, 1, order)]
-        assert [o.dtype for o in outs] == [np.float32] * len(outs), (cin, cols_block)
+        assert [o.dtype for o in outs] == [np.float32] * len(outs), (cin, cout, cols_block)
+
+
+def test_no_kernel_calls_a_public_kernel(monkeypatch):
+    """perfbench/spans.py wraps the public kernels by module name and sees
+    each call on the benchmark's path exactly once, so a kernel reaches
+    another's work through the private bodies only: the conv backward's
+    input gradient runs `_conv`, not `conv2d`."""
+    real = {name: fn for name, fn in vars(kernels).items()
+            if inspect.isfunction(fn) and fn.__module__ == kernels.__name__
+            and not name.startswith("_")}
+    assert {"conv2d", "conv2d_param_backward", "maxpool", "dense"} <= real.keys()
+
+    def stub(name):
+        def called(*args, **kwargs):
+            raise AssertionError(f"a kernel called kernels.{name}")
+        return called
+
+    for name in real:
+        monkeypatch.setattr(kernels, name, stub(name))
+    rng = np.random.default_rng(14)
+    # the input gradient on shifted GEMMs (Cout 8), and on im2col (Cout 2)
+    # with pad >= k
+    for cin, cout, k, pad in ((3, 8, 3, 1), (8, 2, 1, 2)):
+        x = rng.normal(size=(2, cin, 6, 6))
+        w = rng.normal(size=(cout, cin, k, k))
+        y = real["conv2d"](x, w, np.zeros(cout), pad)
+        real["conv2d_backward"](y, x, w, pad)
+        real["conv2d_param_backward"](y, x, w, pad, 1)
+        pooled = real["pool_relu"](y, 2)
+        real["pool_relu_backward"](pooled, pooled, y, 2, np.empty_like(y))
+        real["maxpool_backward"](real["maxpool"](y, 2), y, 2)
+        if cin < SHIFT_MIN_CIN:  # pool-offset order is an im2col layout
+            z = real["conv2d_pool_ordered"](x, w, np.zeros(cout), pad, 2)
+            real["conv2d_param_backward"](z, x, w, pad, 2)
 
 
 def test_relu_and_backward():
