@@ -205,7 +205,8 @@ def validate(spec: ArchitectureSpec) -> ValidatedArch:
             raise InvalidArchitecture(f"need exactly one {kind.value}, found {len(found)}")
         return found[0]
 
-    stem, head = only(BlockKind.STEM), only(BlockKind.DENSE_HEAD)
+    only(BlockKind.STEM)
+    head = only(BlockKind.DENSE_HEAD)
 
     if len(set(spec.wires)) != len(spec.wires):
         raise InvalidArchitecture("duplicate wires")
@@ -246,14 +247,8 @@ def validate(spec: ArchitectureSpec) -> ValidatedArch:
         stuck = sorted(i for i in ids if indeg[i] > 0)
         raise CycleDetected(f"cycle through blocks: {', '.join(stuck)}")
 
-    # reachability both ways
-    fwd = {stem}
-    for i in order:
-        if i in fwd:
-            fwd.update(outputs[i])
-    missing = sorted(set(ids) - fwd)
-    if missing:
-        raise UnreachableBlock(f"not reachable from stem: {', '.join(missing)}")
+    # every block but the stem has an input and the graph is acyclic, so
+    # every block is reachable from the stem; check the other way
     back = {head}
     for i in reversed(order):
         if i in back:

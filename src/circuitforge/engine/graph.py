@@ -22,20 +22,23 @@ form one sibling group, run as one step at its first member:
     else `K.relu` in place;
   * backward runs each member's epilogue backward into that member's
     channel slice of one gradient buffer, and runs one conv backward, so
-    the shared input's im2col patches and its gradient are built once
-    per group rather than once per member.
+    the shared input's columns or padded copy and its gradient are built
+    once per group rather than once per member.
 Slot order, initialization, checkpoints and optimizer state are still
 those of separate convs.
 
-A pooled group's conv writes plain (N, channels, H, W) output, or, when
-the group reads the batch and `K.pool_ordered` allows it (the
-80-channel circuit stems, not the sequential nets' 8-channel 5x5
-stems), pool-offset order (N, channels, p*p, Hq, Wq); the step's `fold`
-is then its pool.  The epilogue is the same in both: `K.pool_relu`
-takes each window's maximum and then ReLU, and `K.pool_relu_backward`
-routes each member's gradient to its windows' first maxima by comparing
-them with the member's pooled output.  No conv that reads the batch
-computes an input gradient, in either layout.
+A group's conv kernel follows from what it reads.  A group that reads
+the batch runs `K.conv2d_pool_ordered` on im2col and, in backward,
+`K.conv2d_param_backward`: nothing reads the batch's gradient, so none
+is computed.  Every other group runs `K.conv2d` and `K.conv2d_backward`
+on shifted GEMMs.  A pooled group's conv writes plain (N, channels, H,
+W) output, or, when the group reads the batch and `K.pool_ordered`
+allows it (the 80-channel circuit stems, not the sequential nets'
+8-channel 5x5 stems), pool-offset order (N, channels, p*p, Hq, Wq); the
+step's `fold` is then its pool, else 1.  The epilogue is the same in
+both: `K.pool_relu` takes each window's maximum and then ReLU, and
+`K.pool_relu_backward` routes each member's gradient to its windows'
+first maxima by comparing them with the member's pooled output.
 
 The epilogue must not run over the whole fused tensor.  The stem
 group of a 1x28x28 circuit at batch 64 is a (64, 80, 28, 28) float32
@@ -213,8 +216,8 @@ class CompiledGraph:
         kind, params, src, out, bounds, p, _, fold = step
         if kind is BlockKind.CONV:
             pool = params["pool"]
-            z = (K.conv2d_pool_ordered(outs[src[0]], p["w"], p["b"], params["pad"], fold)
-                 if fold > 1 else K.conv2d(outs[src[0]], p["w"], p["b"], params["pad"]))
+            z = (K.conv2d(outs[src[0]], p["w"], p["b"], params["pad"]) if src[0]
+                 else K.conv2d_pool_ordered(outs[0], p["w"], p["b"], params["pad"], fold))
             # per member, never over the whole of z (see the module docstring)
             for t, lo, hi in zip(out, bounds, bounds[1:]):
                 outs[t] = K.pool_relu(z[:, lo:hi], pool) if pool > 1 else K.relu(z[:, lo:hi])
@@ -238,12 +241,18 @@ class CompiledGraph:
     def backward(self, grad_logits: np.ndarray) -> None:
         """Populate parameter gradients from the logits gradient.  Consumes
         the activations of the latest forward pass, each as soon as the
-        step that produced it has run."""
+        step that produced it has run; a gradient not shaped like the
+        logits raises ShapeMismatch and consumes nothing."""
         if self._acts is None:
             raise StaleActivation("backward called without a preceding forward")
+        grad_logits = np.asarray(grad_logits, self.dtype)
+        logits = self._acts[0][-1]
+        if grad_logits.shape != logits.shape:
+            raise ShapeMismatch(
+                f"logits gradient {grad_logits.shape} does not match logits {logits.shape}")
         (outs, saved), self._acts = self._acts, None
         grads: list = [None] * len(outs)
-        grads[-1] = np.asarray(grad_logits, self.dtype)
+        grads[-1] = grad_logits
         # every consumer of a tensor runs after its producer, so in reverse each
         # tensor's gradient is complete when its producer's step runs; step 0
         # is the stem

@@ -8,30 +8,31 @@ pooled output and does not pool again).  All kernels preserve the input
 dtype so the same code runs the float32 training path and the float64
 gradient-check path.
 
-Convolutions (stride 1) take one of two layouts, chosen by the input
-channel count alone:
+Convolutions (stride 1) take one of two layouts, chosen by what the
+conv reads; each public conv kernel runs one of them:
 
-  * Cin < SHIFT_MIN_CIN (the stems, which read the 1- or 3-channel
-    batch, and the interior convs of a net whose width c is below
-    SHIFT_MIN_CIN): im2col.  `_patches` stacks every kxk window into
-    (N, Cin*k*k, Ho*Wo) columns and a batched GEMM contracts them, one
-    GEMM per example.  In plain order the columns are built and
-    multiplied one block of examples at a time, at most COLS_BLOCK bytes
-    of columns per block (`_col_blocks`), so the GEMM reads them from
-    cache: for the sequential nets' 5x5 stem on a 64x3x32x32 batch,
-    whole-batch columns take 15 MB.  Each example's GEMM is the same
-    call in any block, so the output does not depend on the block size,
-    and the weight gradient carries its running sum from block to block,
-    so the examples add up in batch order as in one block.  Pool-offset
-    columns (below) stay one block: blocked, both `conv2d_pool_ordered`
-    and its `conv2d_param_backward` ran 0-7% slower on the circuit stems.
-  * Cin >= SHIFT_MIN_CIN: shifted GEMMs.  The input is padded once into a
-    per-channel flat buffer (N, Cin, Hp*Wp + k-1) in which every tap of
-    every output is a contiguous slice, so forward is a sum of k*k
-    batched GEMMs on views, and the weight gradient takes one GEMM per
-    tap against the same slices.  No kxk-times-larger buffer is built.
-    With few channels those GEMMs are too thin for the large stem maps,
-    which is why the stems stay on im2col.
+  * A conv that reads the batch runs on im2col (`conv2d_pool_ordered`
+    and its backward `conv2d_param_backward`).  `_patches` stacks every
+    kxk window into (N, Cin*k*k, Ho*Wo) columns and a batched GEMM
+    contracts them, one GEMM per example.  In plain order (p = 1) the
+    columns are built and multiplied one block of examples at a time, at
+    most COLS_BLOCK bytes of columns per block (`_col_blocks`), so the
+    GEMM reads them from cache: for the sequential nets' 5x5 stem on a
+    64x3x32x32 batch, whole-batch columns take 15 MB.  Each example's
+    GEMM is the same call in any block, so the output does not depend on
+    the block size, and the weight gradient carries its running sum from
+    block to block, so the examples add up in batch order as in one
+    block.  Pool-offset columns (below) stay one block: blocked, both
+    kernels ran 0-7% slower on the circuit stems.  The datasets' batches
+    have 1 or 3 channels, too few for shifted GEMMs on their large maps,
+    and nothing reads the batch's gradient, so these convs compute none.
+  * Every other conv, interior convs and merge projections, runs on
+    shifted GEMMs (`conv2d` and `conv2d_backward`).  The input is padded
+    once into a per-channel flat buffer (N, Cin, Hp*Wp + k-1) in which
+    every tap of every output is a contiguous slice, so forward is a sum
+    of k*k batched GEMMs on views, and the weight gradient takes one GEMM
+    per tap against the same slices.  No kxk-times-larger buffer is
+    built.
 
 One body, `_conv`, computes both the forward pass and the input
 gradient.  At stride 1 the input gradient of a conv with kernels w and
@@ -40,11 +41,9 @@ its channel axes swapped, padded k-1-pad (the transposed-convolution
 identity; Dumoulin & Visin 2016, "A guide to convolution arithmetic for
 deep learning", arXiv:1603.07285).  A pad >= k, legal in an arch, would
 need a negative pad: gy's outer pad-k+1 rows and columns reach no input
-cell, so they are cropped and the conv runs at pad 0.  That conv reads
-Cout channels, so it picks its layout from Cout: the 8-channel interior
-convs and merge projections run it on shifted GEMMs, and a conv with
-Cout < SHIFT_MIN_CIN on im2col.  Public kernels call private bodies,
-never each other, so a tracer that wraps them by name sees each call once.
+cell, so they are cropped and the conv runs at pad 0.  Public kernels
+call private bodies, never each other, so a tracer that wraps them by
+name sees each call once.
 
 Pooling.  A pooled conv has one epilogue in either output layout, plain
 or pool-offset order (below): `_windows` views its (N, C, p, p, Hq, Wq)
@@ -65,9 +64,11 @@ output, whose windows the epilogue reads as contiguous slabs, is at
 least as wide as the columns, Cout >= Cin*k*k (`pool_ordered`): the
 80-channel stems of the circuit nets (80 >= 9 or 27), not the 8-channel
 5x5 stems of the sequential nets (8 < 25 or 75), whose evaluation ran
-5-10% slower in this order.  Only a conv that reads the batch takes this
-order, as its input gradient is never needed: `conv2d_param_backward`
-returns the parameter gradients alone, in either order and either layout.
+5-10% slower in this order; in plain order the circuit nets trained
+14-18% slower.  Only a conv that reads the batch takes this order, as it
+runs on im2col and its input gradient is never needed:
+`conv2d_param_backward` returns the parameter gradients alone, in either
+order.
 """
 
 from __future__ import annotations
@@ -77,13 +78,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from ..errors import LabelOutOfRange, ShapeMismatch
 
-
-# Smallest input channel count that takes the shifted-GEMM path.  For a
-# 3x3 pad-1 conv at batch 64, forward + backward is faster shifted from
-# Cin 3 at 28x28 (a tie at 32x32) and from Cin 2 at 14x14, but forward
-# alone, all that evaluation runs, stays faster on im2col up to Cin 4 on
-# the large maps.  4 keeps the 1- and 3-channel stems on im2col.
-SHIFT_MIN_CIN = 4
 
 # Most bytes of plain-order im2col columns built and multiplied at once
 # (see the module docstring).  For the 5x5 stem of a 64x3x32x32 float32
@@ -152,16 +146,14 @@ def _conv_shapes(x: np.ndarray, w: np.ndarray) -> tuple[int, int, int, int]:
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int) -> np.ndarray:
-    """x (N,Cin,H,W) * w (Cout,Cin,k,k) + b (Cout,) -> (N,Cout,Ho,Wo)."""
+    """x (N,Cin,H,W) * w (Cout,Cin,k,k) + b (Cout,) -> (N,Cout,Ho,Wo), on
+    shifted GEMMs."""
     return _conv(x, w, b, pad)
 
 
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, pad: int) -> np.ndarray:
-    """conv2d's body, on the layout its input channels choose; no bias
-    when b is None."""
-    n, cin, cout, k = _conv_shapes(x, w)
-    if cin < SHIFT_MIN_CIN:
-        return _im2col_conv(x, w, b, pad, 1)[:, :, 0]
+    """conv2d's body; no bias when b is None."""
+    n, _, cout, k = _conv_shapes(x, w)
     xf, ho, wo, wp = _flat_padded(x, k, pad)
     span = ho * wp
     taps = w.transpose(2, 3, 0, 1).copy()  # (k, k, Cout, Cin)
@@ -180,67 +172,32 @@ def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, pad: int) -> np.nd
 
 def conv2d_pool_ordered(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int, p: int
                         ) -> np.ndarray:
-    """conv2d on the im2col path with its output in pool-offset order:
-    (N, Cout, p*p, Hq, Wq), where [:, :, a*p + b, i, j] is output
-    (i*p + a, j*p + b)."""
-    _conv_shapes(x, w)
-    return _im2col_conv(x, w, b, pad, p)
-
-
-def _im2col_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, pad: int, p: int
-                 ) -> np.ndarray:
-    n, cout, k = x.shape[0], w.shape[0], w.shape[2]
+    """The conv of a batch, on im2col: (N, Cout, Ho, Wo) when p = 1, else
+    in pool-offset order (N, Cout, p*p, Hq, Wq), where [:, :, a*p + b, i, j]
+    is output (i*p + a, j*p + b)."""
+    n, _, cout, k = _conv_shapes(x, w)
     blocks, hq, wq = _col_blocks(x, k, pad, p)
     y = np.empty((n, cout, p * p * hq * wq), dtype=np.result_type(x, w))
     for sl in blocks:
         # one GEMM per example: W (Co, C*k*k) @ cols (C*k*k, p*p*Hq*Wq)
         np.matmul(w.reshape(cout, -1), _patches(x[sl], k, pad, p, hq, wq), out=y[sl])
-    if b is not None:
-        y += b[:, None]
-    return y.reshape(n, cout, p * p, hq, wq)
+    y += b[:, None]
+    return y.reshape(n, cout, hq, wq) if p == 1 else y.reshape(n, cout, p * p, hq, wq)
 
 
 def pool_ordered(w: np.ndarray, p: int) -> bool:
     """Whether a conv with kernels w that reads the batch and pools pxp
-    runs in pool-offset order: im2col, and an output at least as wide as
-    its columns (see the module docstring)."""
+    runs in pool-offset order: an output at least as wide as its columns
+    (see the module docstring)."""
     cout, cin, k, _ = w.shape
-    return p > 1 and cin < SHIFT_MIN_CIN and cout >= cin * k * k
+    return p > 1 and cout >= cin * k * k
 
 
 def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (gx, gw, gb) for conv2d; gx is a forward conv of gy (see
-    the module docstring)."""
-    gw, gb = _param_backward(gy, x, w, pad, 1)
-    k = w.shape[2]
-    crop = pad - k + 1  # gy's outer rows and columns that reach no input cell
-    g = gy[:, :, crop:-crop, crop:-crop] if crop > 0 else gy
-    return _conv(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None, max(-crop, 0)), gw, gb
-
-
-def conv2d_param_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int, p: int
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """(gw, gb) alone, for a conv whose input gradient nothing reads; gy is
-    laid out as conv2d (p = 1) or conv2d_pool_ordered (p > 1) wrote it."""
-    return _param_backward(gy, x, w, pad, p)
-
-
-def _param_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int, p: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(gw, gb) on the layout x's channels choose; p > 1 only on im2col."""
-    n, cin, cout, k = _conv_shapes(x, w)
-    gb = gy.sum(axis=(0, *range(2, gy.ndim)))
-    if cin < SHIFT_MIN_CIN:
-        blocks, ho, wo = _col_blocks(x, k, pad, p)
-        g = gy.reshape(n, cout, p * p * ho * wo)
-        gw = None
-        for sl in blocks:
-            part = np.matmul(g[sl], _patches(x[sl], k, pad, p, ho, wo).transpose(0, 2, 1))
-            if gw is not None:  # carried in, so the examples add up in batch order
-                part[0] += gw
-            gw = part.sum(axis=0)
-        return gw.reshape(w.shape), gb
+    """Returns (gx, gw, gb) for conv2d, on shifted GEMMs; gx is a forward
+    conv of gy (see the module docstring)."""
+    n, _, cout, k = _conv_shapes(x, w)
     ho, wo = gy.shape[2:]
     xf, _, _, wp = _flat_padded(x, k, pad)
     span = ho * wp
@@ -256,7 +213,26 @@ def _param_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int, p: i
         start = di * wp + dj
         gw[:, :, di, dj] = np.matmul(
             gf, xf[:, :, start:start + span].transpose(0, 2, 1)).sum(axis=0)
-    return gw, gb
+    crop = pad - k + 1  # gy's outer rows and columns that reach no input cell
+    g = gy[:, :, crop:-crop, crop:-crop] if crop > 0 else gy
+    gx = _conv(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None, max(-crop, 0))
+    return gx, gw, gy.sum(axis=(0, 2, 3))
+
+
+def conv2d_param_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int, p: int
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """(gw, gb) alone for conv2d_pool_ordered, whose input gradient nothing
+    reads; gy is laid out as it wrote its output."""
+    n, _, cout, k = _conv_shapes(x, w)
+    blocks, hq, wq = _col_blocks(x, k, pad, p)
+    g = gy.reshape(n, cout, p * p * hq * wq)
+    gw = None
+    for sl in blocks:
+        part = np.matmul(g[sl], _patches(x[sl], k, pad, p, hq, wq).transpose(0, 2, 1))
+        if gw is not None:  # carried in, so the examples add up in batch order
+            part[0] += gw
+        gw = part.sum(axis=0)
+    return gw.reshape(w.shape), gy.sum(axis=(0, *range(2, gy.ndim)))
 
 
 def _windows(z: np.ndarray, p: int) -> np.ndarray:

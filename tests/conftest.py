@@ -110,6 +110,18 @@ def reference_selection() -> SelectedNeurons:
     return select_correlated(cri, roles, TopK())
 
 
+def random_selection(rng, conn) -> SelectedNeurons:
+    """A random nonempty selection per role, for the property tests."""
+    by_role = {r: sorted(n for n in conn.roles if conn.roles[n] is r)
+               for r in (Role.SENSORY, Role.INTER, Role.MOTOR)}
+    pick = lambda pool, hi: frozenset(
+        str(n) for n in rng.choice(pool, size=min(len(pool), int(rng.integers(1, hi))),
+                                   replace=False))
+    return SelectedNeurons(pick(by_role[Role.SENSORY], 4),
+                           pick(by_role[Role.INTER], 3),
+                           pick(by_role[Role.MOTOR], 3))
+
+
 def circuit_wires(spec: ArchitectureSpec) -> frozenset[tuple[str, str]]:
     """Project block wires back onto circuit edges (for isomorphism checks).
 
@@ -129,6 +141,43 @@ def circuit_wires(spec: ArchitectureSpec) -> frozenset[tuple[str, str]]:
         if na is not None and nb is not None and na != nb:
             edges.add((na, nb))
     return frozenset(edges)
+
+
+# --- conv loop oracles ------------------------------------------------------
+
+def naive_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int) -> np.ndarray:
+    """Loop oracle of a stride-1 conv, one output cell at a time."""
+    n, _, h, wdt = x.shape
+    cout, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = h + 2 * pad - k + 1, wdt + 2 * pad - k + 1
+    out = np.zeros((n, cout, ho, wo), dtype=x.dtype)
+    for ni in range(n):
+        for co in range(cout):
+            for i in range(ho):
+                for j in range(wo):
+                    out[ni, co, i, j] = np.sum(xp[ni, :, i:i + k, j:j + k] * w[co]) + b[co]
+    return out
+
+
+def naive_conv_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Loop oracle of naive_conv's (gx, gw, gb)."""
+    n, _, h, wdt = x.shape
+    cout, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    gb = np.zeros(cout, dtype=gy.dtype)
+    for ni in range(n):
+        for co in range(cout):
+            for i in range(gy.shape[2]):
+                for j in range(gy.shape[3]):
+                    g = gy[ni, co, i, j]
+                    gb[co] += g
+                    gw[co] += g * xp[ni, :, i:i + k, j:j + k]
+                    gxp[ni, :, i:i + k, j:j + k] += g * w[co]
+    return gxp[:, :, pad:pad + h, pad:pad + wdt], gw, gb
 
 
 # --- image-dataset fixtures -------------------------------------------------

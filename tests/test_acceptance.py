@@ -30,7 +30,6 @@ from circuitforge.connectome import Direction, Role, top_k_neighbors
 from circuitforge.cri import (
     ExpressionMatrix,
     FoldChangeTable,
-    SelectedNeurons,
     TopK,
     clip_fold_changes,
     compute_cri,
@@ -56,11 +55,12 @@ from conftest import (
     circuit_wires,
     load_reference_cri,
     make_connectome,
+    naive_conv,
     official_data_dir,
     random_connectome,
+    random_selection,
     write_idx_pair,
 )
-from test_engine_kernels import naive_conv
 
 K3 = ExtractionConfig(k=3)
 
@@ -122,17 +122,6 @@ def test_02_index_matches_double_loop_oracle(capsys):
     assert clip_ok
 
 
-def _random_selection(rng, conn) -> SelectedNeurons:
-    by_role = {r: sorted(n for n in conn.roles if conn.roles[n] is r)
-               for r in (Role.SENSORY, Role.INTER, Role.MOTOR)}
-    pick = lambda pool, hi: frozenset(
-        str(n) for n in rng.choice(pool, size=min(len(pool), int(rng.integers(1, hi))),
-                                   replace=False))
-    return SelectedNeurons(pick(by_role[Role.SENSORY], 4),
-                           pick(by_role[Role.INTER], 3),
-                           pick(by_role[Role.MOTOR], 3))
-
-
 def test_03_extraction_goldens_and_reference_diff(capsys):
     conn = make_connectome({("S", "I1"): 9, ("S", "I2"): 7, ("S", "S2"): 6,
                             ("S", "M1"): 2, ("I1", "M1"): 4})
@@ -160,7 +149,7 @@ def test_03_extraction_goldens_and_reference_diff(capsys):
     for seed in range(100):
         rng = np.random.default_rng(seed)
         conn = random_connectome(rng)
-        sel = _random_selection(rng, conn)
+        sel = random_selection(rng, conn)
         circuit = extract_circuits(conn, sel, K3)
         validate_circuit(circuit)
         again = extract_circuits(conn, sel, K3)

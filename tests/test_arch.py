@@ -33,8 +33,7 @@ from circuitforge.errors import (
 )
 from circuitforge.extraction import ExtractionConfig, FunctionalCircuit, extract_circuits
 from circuitforge.reference import reference_circuit
-from conftest import circuit_wires, random_connectome
-from test_extraction import _random_selection
+from conftest import circuit_wires, random_connectome, random_selection
 
 CONV = {"kernel": 3, "multiplier": 1, "pad": 1, "pool": 1}
 
@@ -166,7 +165,7 @@ def test_circuit_arch_wire_isomorphism_on_random_circuits():
     for seed in range(40):
         rng = np.random.default_rng(seed)
         conn = random_connectome(rng)
-        circuit = extract_circuits(conn, _random_selection(rng, conn),
+        circuit = extract_circuits(conn, random_selection(rng, conn),
                                    ExtractionConfig(k=3))
         if not _plumbed(circuit):
             continue

@@ -138,10 +138,10 @@ def test_metrics_report_round_trip():
 # --- summarize as a pure function of persisted reports -----------------------
 
 def _fake_report(out: Path, style: str, seed: int, accuracy: float,
-                 wall_time: float = 1.0) -> None:
+                 wall_time: float = 1.0, dataset: str = "toy", c: int = 2) -> None:
     per_cat = {0: accuracy, 1: accuracy}
     report = MetricsReport(
-        dataset="toy", style=style, seed=seed, c=2, param_count=50,
+        dataset=dataset, style=style, seed=seed, c=c, param_count=50,
         accuracy=accuracy, per_category=per_cat,
         consistency_score=consistency(per_cat.values()),
         confusion=np.eye(2, dtype=np.int64),
@@ -198,6 +198,22 @@ def test_summary_ignores_wall_time(tmp_path):
         summarize(out)
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+def test_summarize_refuses_mixed_datasets_or_widths(tmp_path):
+    """Stale runs of another dataset or width in a reused out_dir are
+    refused, naming the first report that differs, not averaged in."""
+    for case, (dataset, c) in enumerate((("cifar10", 2), ("toy", 4), ("cifar10", 4))):
+        out = tmp_path / str(case)
+        _fake_report(out, "circuit", 0, 0.9)
+        _fake_report(out, "randomized", 0, 0.8)
+        _fake_report(out, "sequential", 0, 0.7, dataset=dataset, c=c)
+        _fake_report(out, "sequential", 1, 0.7, dataset="other", c=8)
+        with pytest.raises(InvalidReport, match=rf"sequential_s0/report\.json: dataset "
+                                                rf"'{dataset}' at c = {c} differs from 'toy' "
+                                                r"at c = 2 in .*circuit_s0/report\.json"):
+            summarize(out)
+        assert not (out / "summary.csv").exists()
 
 
 def test_summarize_empty_dir_raises(tmp_path):

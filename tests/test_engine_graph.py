@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -113,6 +114,16 @@ def test_backward_requires_fresh_forward():
         g.forward(np.full((2, 1, 12, 12), np.inf, dtype=np.float32))
     with pytest.raises(StaleActivation):  # a failed forward leaves nothing behind
         g.backward(grad)
+
+
+def test_backward_rejects_misshapen_logits_gradient():
+    g = tiny_graph()
+    x = np.zeros((3, 1, 12, 12), dtype=np.float32)
+    g.forward(x)
+    for shape in ((3, 5), (3,), (2, 4)):
+        with pytest.raises(ShapeMismatch, match=re.escape(f"{shape} does not match logits (3, 4)")):
+            g.backward(np.zeros(shape, dtype=np.float32))
+    g.backward(np.zeros((3, 4), dtype=np.float32))  # the rejects consumed nothing
 
 
 def test_evaluation_forward_keeps_nothing():
@@ -629,16 +640,20 @@ def test_backward_frees_a_group_conv_output_before_its_conv_backward(ref_circuit
 @pytest.mark.parametrize("style", sorted(SPECS))
 def test_a_group_that_reads_the_batch_computes_no_input_gradient(ref_circuit, monkeypatch,
                                                                  style):
+    """A conv group's kernels follow from what it reads: the batch on
+    im2col, with no input gradient, and every other tensor on shifted
+    GEMMs, in plain and pool-offset order alike."""
     g = compile_arch(validate(SPECS[style](ref_circuit, 1)), seed=0)
     x = np.random.default_rng(0).normal(size=(2,) + g.spec.input_shape).astype(np.float32)
-    reads = {"conv2d_backward": [], "conv2d_param_backward": []}
+    reads: dict[str, list[bool]] = {name: [] for name in (
+        *CONVS, "conv2d_backward", "conv2d_param_backward")}
 
     def watch(name):
         real = getattr(K, name)
 
-        def kernel(gy, xin, *rest):
-            reads[name].append(xin is x)
-            return real(gy, xin, *rest)
+        def kernel(*args):
+            reads[name].append(args[0 if name in CONVS else 1] is x)
+            return real(*args)
 
         monkeypatch.setattr(K, name, kernel)
 
@@ -647,5 +662,6 @@ def test_a_group_that_reads_the_batch_computes_no_input_gradient(ref_circuit, mo
     logits = g.forward(x)
     g.backward(softmax_xent(logits, np.array([0, 3]))[1])
     batch_groups = sum(step.src == (0,) for step in g._plan if step.kind is BlockKind.CONV)
+    assert reads["conv2d_pool_ordered"] == [True] * batch_groups
     assert reads["conv2d_param_backward"] == [True] * batch_groups
-    assert True not in reads["conv2d_backward"]
+    assert True not in reads["conv2d"] + reads["conv2d_backward"]

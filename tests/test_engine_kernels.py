@@ -14,7 +14,6 @@ import pytest
 
 from circuitforge.engine import kernels
 from circuitforge.engine.kernels import (
-    SHIFT_MIN_CIN,
     concat_channels,
     concat_channels_backward,
     conv2d,
@@ -35,62 +34,34 @@ from circuitforge.engine.kernels import (
     softmax_xent,
 )
 from circuitforge.errors import LabelOutOfRange, ShapeMismatch
-
-
-def naive_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int) -> np.ndarray:
-    n, _, h, wdt = x.shape
-    cout, _, k, _ = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho, wo = h + 2 * pad - k + 1, wdt + 2 * pad - k + 1
-    out = np.zeros((n, cout, ho, wo), dtype=x.dtype)
-    for ni in range(n):
-        for co in range(cout):
-            for i in range(ho):
-                for j in range(wo):
-                    out[ni, co, i, j] = np.sum(xp[ni, :, i:i + k, j:j + k] * w[co]) + b[co]
-    return out
-
-
-def naive_conv_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, _, h, wdt = x.shape
-    cout, _, k, _ = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    gxp = np.zeros_like(xp)
-    gw = np.zeros_like(w)
-    gb = np.zeros(cout, dtype=gy.dtype)
-    for ni in range(n):
-        for co in range(cout):
-            for i in range(gy.shape[2]):
-                for j in range(gy.shape[3]):
-                    g = gy[ni, co, i, j]
-                    gb[co] += g
-                    gw[co] += g * xp[ni, :, i:i + k, j:j + k]
-                    gxp[ni, :, i:i + k, j:j + k] += g * w[co]
-    return gxp[:, :, pad:pad + h, pad:pad + wdt], gw, gb
+from conftest import naive_conv, naive_conv_backward
 
 
 def test_conv_forward_and_backward_match_naive_oracle():
+    """Both conv layouts against the loop oracle: shifted GEMMs (conv2d
+    and conv2d_backward, whose input gradient is a conv of Cout channels)
+    and plain-order im2col (conv2d_pool_ordered and conv2d_param_backward
+    with p = 1), whatever the channel counts."""
     rng = np.random.default_rng(0)
-    cins = (1, 2, 3, 4, 8, 16)  # both conv paths, and both sides of the switch
-    assert cins[0] < SHIFT_MIN_CIN <= cins[-1]
-    # the input gradient is a conv that reads Cout channels: both paths again
-    couts = (1, 3, 4, 8)
-    assert couts[1] < SHIFT_MIN_CIN <= couts[2]
     # H != W: the shifted path's flat layout depends on the padded width
-    grid = itertools.product((1, 3, 5), (0, 1, 2), cins, ((5, 9), (9, 5), (7, 7)), couts)
+    grid = itertools.product((1, 3, 5), (0, 1, 2), (1, 2, 3, 4, 8, 16),
+                             ((5, 9), (9, 5), (7, 7)), (1, 3, 4, 8))
     for case, (k, pad, cin, (h, wdt), cout) in enumerate(grid):
         n = int(rng.integers(1, 3))
         x = rng.normal(size=(n, cin, h, wdt))
         w = rng.normal(size=(cout, cin, k, k))
         b = rng.normal(size=cout)
-        got = conv2d(x, w, b, pad)
         want = naive_conv(x, w, b, pad)
-        assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.max(np.abs(want))), case
+        for got in (conv2d(x, w, b, pad), conv2d_pool_ordered(x, w, b, pad, 1)):
+            assert got.shape == want.shape, case
+            assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.max(np.abs(want))), case
         gy = rng.normal(size=want.shape)
-        for g, h in zip(conv2d_backward(gy, x, w, pad), naive_conv_backward(gy, x, w, pad)):
-            assert g.shape == h.shape, case
-            assert np.max(np.abs(g - h)) <= 1e-9 * max(1.0, np.max(np.abs(h))), case
+        gx, gw, gb = naive_conv_backward(gy, x, w, pad)
+        for got, want in ((conv2d_backward(gy, x, w, pad), (gx, gw, gb)),
+                          (conv2d_param_backward(gy, x, w, pad, 1), (gw, gb))):
+            for g, h in zip(got, want):
+                assert g.shape == h.shape, case
+                assert np.max(np.abs(g - h)) <= 1e-9 * max(1.0, np.max(np.abs(h))), case
 
 
 def central_diff(f, arr: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -298,13 +269,11 @@ def test_pool_relu_backward_matches_relu_then_maxpool_backward():
 
 
 def test_conv_param_backward_matches_naive_oracle():
-    """Weight and bias gradients from either column order and either
-    conv layout, with no input gradient."""
+    """Weight and bias gradients from either column order, with no input
+    gradient."""
     rng = np.random.default_rng(12)
-    grid = itertools.product((1, 2, 3), (1, 3, SHIFT_MIN_CIN), (3, 5), (0, 1))
+    grid = itertools.product((1, 2, 3), (1, 3, 4), (3, 5), (0, 1))
     for case, (p, cin, k, pad) in enumerate(grid):
-        if p > 1 and cin >= SHIFT_MIN_CIN:  # pool order is an im2col layout
-            continue
         h, w = (int(v) for v in rng.integers(k + p, k + 4 * p, size=2))
         x = rng.normal(size=(2, cin, h, w))
         wt = rng.normal(size=(4, cin, k, k))
@@ -327,7 +296,10 @@ def test_pool_order_is_taken_by_wide_im2col_convs_only():
     assert pool_ordered(stem(27, 3, 3), 2) and not pool_ordered(stem(26, 3, 3), 2)
     assert not pool_ordered(stem(8, 1, 5), 2) and not pool_ordered(stem(8, 3, 5), 2)
     assert not pool_ordered(stem(80, 1, 3), 1)  # nothing to pool
-    assert not pool_ordered(stem(80, SHIFT_MIN_CIN, 3), 2)  # shifted-GEMM layout
+    # every conv of the batch runs on im2col, so Cin decides only through
+    # the column width Cin*k*k
+    assert pool_ordered(stem(80, 4, 3), 2) and pool_ordered(stem(81, 9, 3), 2)
+    assert not pool_ordered(stem(80, 9, 3), 2)
 
 
 def test_maxpool_backward_finite_difference():
@@ -351,8 +323,7 @@ def test_im2col_blocks_match_one_block(monkeypatch):
     gy = rng.normal(size=(37, 8, 28, 28))
 
     def run():
-        return (conv2d(x, w, b, 0), *conv2d_backward(gy, x, w, 0),
-                *conv2d_param_backward(gy, x, w, 0, 1))
+        return conv2d_pool_ordered(x, w, b, 0, 1), *conv2d_param_backward(gy, x, w, 0, 1)
 
     monkeypatch.setattr(kernels, "COLS_BLOCK", 1 << 40)
     assert kernels._col_blocks(x, 5, 0, 1)[0] == [slice(0, 37)]
@@ -362,13 +333,13 @@ def test_im2col_blocks_match_one_block(monkeypatch):
     assert [sl.stop - sl.start for sl in blocks] == [5] * 7 + [2]
     assert kernels._col_blocks(x, 5, 0, 2)[0] == [slice(0, 37)]
     many = run()
-    names = ("y", "gx", "gw", "gb", "param gw", "param gb")
-    for name, a, c in zip(names, one, many):
+    for name, a, c in zip(("y", "gw", "gb"), one, many):
         assert a.shape == c.shape and a.tobytes() == c.tobytes(), name
     monkeypatch.setattr(kernels, "COLS_BLOCK", 1)  # one example per block
     for n in (3, 0):  # an empty batch has one empty block and zero gradients
-        got = (conv2d(x[:n], w, b, 0), *conv2d_backward(gy[:n], x[:n], w, 0))
-        want = (naive_conv(x[:n], w, b, 0), *naive_conv_backward(gy[:n], x[:n], w, 0))
+        got = (conv2d_pool_ordered(x[:n], w, b, 0, 1),
+               *conv2d_param_backward(gy[:n], x[:n], w, 0, 1))
+        want = (naive_conv(x[:n], w, b, 0), *naive_conv_backward(gy[:n], x[:n], w, 0)[1:])
         for g, h_ in zip(got, want):
             assert g.shape == h_.shape, n
             scale = max(1.0, np.max(np.abs(h_), initial=0))
@@ -377,12 +348,9 @@ def test_im2col_blocks_match_one_block(monkeypatch):
 
 def test_hot_kernels_keep_float32(monkeypatch):
     rng = np.random.default_rng(8)
-    # im2col in one block and in one block per example, and shifted GEMMs;
-    # the input gradient's conv reads Cout channels, so it takes im2col
-    # when Cout < SHIFT_MIN_CIN
-    for cin, cout, cols_block in ((SHIFT_MIN_CIN - 1, 4, 1 << 20), (SHIFT_MIN_CIN - 1, 4, 1),
-                                  (SHIFT_MIN_CIN, 4, 1 << 20),
-                                  (SHIFT_MIN_CIN, SHIFT_MIN_CIN - 1, 1 << 20)):
+    # shifted GEMMs, whose input gradient reads Cout channels, and im2col
+    # in one block and in one block per example
+    for cin, cout, cols_block in ((3, 4, 1 << 20), (3, 4, 1), (4, 3, 1 << 20)):
         monkeypatch.setattr(kernels, "COLS_BLOCK", cols_block)
         x = rng.normal(size=(2, cin, 7, 7)).astype(np.float32)
         w = rng.normal(size=(cout, cin, 3, 3)).astype(np.float32)
@@ -390,16 +358,16 @@ def test_hot_kernels_keep_float32(monkeypatch):
         y = conv2d(x, w, b, 1)
         outs = [y, *conv2d_backward(y, x, w, 1), maxpool(x, 2),
                 maxpool_backward(maxpool(x, 2), x, 2)]
-        # the pooled epilogue and the parameter gradients, in plain order
-        # and, on im2col, in pool-offset order
-        layouts = [(y, 1)]
-        if cin < SHIFT_MIN_CIN:
-            layouts.append((conv2d_pool_ordered(x, w, b, 1, 2), 2))
-        for z, order in layouts:
+        # the pooled epilogue of either layout, and the im2col conv's
+        # parameter gradients in plain and in pool-offset order
+        for z, order in ((y, 0), (conv2d_pool_ordered(x, w, b, 1, 1), 1),
+                         (conv2d_pool_ordered(x, w, b, 1, 2), 2)):
             pooled = pool_relu(z, 2)
             gz = np.empty_like(z)
             pool_relu_backward(pooled, pooled, z, 2, gz)
-            outs += [z, pooled, gz, *conv2d_param_backward(gz, x, w, 1, order)]
+            outs += [z, pooled, gz]
+            if order:
+                outs += conv2d_param_backward(gz, x, w, 1, order)
         assert [o.dtype for o in outs] == [np.float32] * len(outs), (cin, cout, cols_block)
 
 
@@ -421,20 +389,18 @@ def test_no_kernel_calls_a_public_kernel(monkeypatch):
     for name in real:
         monkeypatch.setattr(kernels, name, stub(name))
     rng = np.random.default_rng(14)
-    # the input gradient on shifted GEMMs (Cout 8), and on im2col (Cout 2)
-    # with pad >= k
+    # the input gradient with pad < k and with pad >= k
     for cin, cout, k, pad in ((3, 8, 3, 1), (8, 2, 1, 2)):
         x = rng.normal(size=(2, cin, 6, 6))
         w = rng.normal(size=(cout, cin, k, k))
         y = real["conv2d"](x, w, np.zeros(cout), pad)
         real["conv2d_backward"](y, x, w, pad)
-        real["conv2d_param_backward"](y, x, w, pad, 1)
         pooled = real["pool_relu"](y, 2)
         real["pool_relu_backward"](pooled, pooled, y, 2, np.empty_like(y))
         real["maxpool_backward"](real["maxpool"](y, 2), y, 2)
-        if cin < SHIFT_MIN_CIN:  # pool-offset order is an im2col layout
-            z = real["conv2d_pool_ordered"](x, w, np.zeros(cout), pad, 2)
-            real["conv2d_param_backward"](z, x, w, pad, 2)
+        for p in (1, 2):  # im2col, in plain and pool-offset order
+            z = real["conv2d_pool_ordered"](x, w, np.zeros(cout), pad, p)
+            real["conv2d_param_backward"](z, x, w, pad, p)
 
 
 def test_relu_and_backward():

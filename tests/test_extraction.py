@@ -19,7 +19,7 @@ from circuitforge.extraction import (
     sparsity,
     validate_circuit,
 )
-from conftest import make_connectome, random_connectome
+from conftest import make_connectome, random_connectome, random_selection
 
 K3 = ExtractionConfig(k=3)
 
@@ -217,22 +217,11 @@ def test_sparsity_needs_two_nodes():
 
 # --- property tests over random connectomes ----------------------------------
 
-def _random_selection(rng, conn):
-    by_role = {r: sorted(n for n in conn.roles if conn.roles[n] is r)
-               for r in (Role.SENSORY, Role.INTER, Role.MOTOR)}
-    pick = lambda pool, hi: frozenset(
-        str(n) for n in rng.choice(pool, size=min(len(pool), int(rng.integers(1, hi))),
-                                   replace=False))
-    return SelectedNeurons(pick(by_role[Role.SENSORY], 4),
-                           pick(by_role[Role.INTER], 3),
-                           pick(by_role[Role.MOTOR], 3))
-
-
 def test_extraction_invariants_hold_on_random_connectomes():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         conn = random_connectome(rng)
-        sel = _random_selection(rng, conn)
+        sel = random_selection(rng, conn)
         circuit = extract_circuits(conn, sel, K3)
         validate_circuit(circuit)
         # every retained edge sits in a top-3 list of one of its endpoints
@@ -249,7 +238,7 @@ def test_extraction_is_idempotent():
     for seed in range(30):
         rng = np.random.default_rng(1000 + seed)
         conn = random_connectome(rng)
-        sel = _random_selection(rng, conn)
+        sel = random_selection(rng, conn)
         circuit = extract_circuits(conn, sel, K3)
         kept = circuit.nodes
         inner_sel = SelectedNeurons(sel.sensory & kept, sel.inter & kept,
@@ -267,7 +256,7 @@ def test_extraction_monotone_in_k():
     for seed in range(30):
         rng = np.random.default_rng(2000 + seed)
         conn = random_connectome(rng)
-        sel = _random_selection(rng, conn)
+        sel = random_selection(rng, conn)
         previous: set = set()
         for k in (1, 2, 3, 4):
             circuit = extract_circuits(conn, sel, ExtractionConfig(k=k))
