@@ -219,37 +219,33 @@ def run_benchmark(cfg: BenchmarkConfig) -> tuple[list[MetricsReport], dict]:
 
 # --- summarizing ---
 
-def _read_reports(out_dir) -> list[tuple[Path, MetricsReport]]:
-    found = []
-    for path in sorted(Path(out_dir).glob("runs/*/report.json")):
+def load_reports(out_dir) -> list[MetricsReport]:
+    """Every `runs/*/report.json` under `out_dir`, which must share one
+    dataset and one width c; InvalidReport names a bad one, or the first
+    whose dataset or c differs from the first report's."""
+    reports = []
+    paths = sorted(Path(out_dir).glob("runs/*/report.json"))
+    for path in paths:
         try:
-            found.append((path, MetricsReport.from_json(read_input(path))))
+            report = MetricsReport.from_json(read_input(path))
         except InvalidReport as exc:
             raise InvalidReport(f"{path}: {exc}") from None
-    return found
-
-
-def load_reports(out_dir) -> list[MetricsReport]:
-    """Every `runs/*/report.json` under `out_dir`; InvalidReport names a bad one."""
-    return [report for _, report in _read_reports(out_dir)]
+        if reports and (report.dataset, report.c) != (reports[0].dataset, reports[0].c):
+            raise InvalidReport(
+                f"{path}: dataset {report.dataset!r} at c = {report.c} differs from "
+                f"{reports[0].dataset!r} at c = {reports[0].c} in {paths[0]}; "
+                "runs of one dataset and width only")
+        reports.append(report)
+    return reports
 
 
 def summarize(out_dir) -> dict:
     """Aggregate persisted reports into summary.csv / summary.json and the
-    plot CSVs.  Deterministic: identical reports give identical bytes.
-    The reports must share one dataset and one width c: InvalidReport
-    names the first that differs from the first report."""
+    plot CSVs.  Deterministic: identical reports give identical bytes."""
     out = Path(out_dir)
-    found = _read_reports(out)
-    if not found:
+    reports = load_reports(out)
+    if not reports:
         raise EmptyVector(f"no run reports under {out}")
-    first_path, first = found[0]
-    for path, r in found:
-        if (r.dataset, r.c) != (first.dataset, first.c):
-            raise InvalidReport(
-                f"{path}: dataset {r.dataset!r} at c = {r.c} differs from {first.dataset!r} "
-                f"at c = {first.c} in {first_path}; runs of one dataset and width only")
-    reports = [r for _, r in found]
 
     # shared convergence threshold: 120% of the best final epoch loss
     threshold = 1.2 * min(r.epoch_mean_losses[-1] for r in reports)

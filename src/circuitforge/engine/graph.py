@@ -28,9 +28,9 @@ Slot order, initialization, checkpoints and optimizer state are still
 those of separate convs.
 
 A group's conv kernel follows from what it reads.  A group that reads
-the batch runs `K.conv2d_pool_ordered` on im2col and, in backward,
-`K.conv2d_param_backward`: nothing reads the batch's gradient, so none
-is computed.  Every other group runs `K.conv2d` and `K.conv2d_backward`
+the batch runs `K.conv2d_batch` on im2col and, in backward,
+`K.conv2d_batch_param_backward`: nothing reads the batch's gradient, so
+none is computed.  Every other group runs `K.conv2d` and `K.conv2d_backward`
 on shifted GEMMs.  A pooled group's conv writes plain (N, channels, H,
 W) output, or, when the group reads the batch and `K.pool_ordered`
 allows it (the 80-channel circuit stems, not the sequential nets'
@@ -217,7 +217,7 @@ class CompiledGraph:
         if kind is BlockKind.CONV:
             pool = params["pool"]
             z = (K.conv2d(outs[src[0]], p["w"], p["b"], params["pad"]) if src[0]
-                 else K.conv2d_pool_ordered(outs[0], p["w"], p["b"], params["pad"], fold))
+                 else K.conv2d_batch(outs[0], p["w"], p["b"], params["pad"], fold))
             # per member, never over the whole of z (see the module docstring)
             for t, lo, hi in zip(out, bounds, bounds[1:]):
                 outs[t] = K.pool_relu(z[:, lo:hi], pool) if pool > 1 else K.relu(z[:, lo:hi])
@@ -288,7 +288,7 @@ class CompiledGraph:
                     gz, outs[src[0]], p["w"], params["pad"])
                 gins = [gx]
             else:  # nothing reads the batch's gradient
-                g["w"][...], g["b"][...] = K.conv2d_param_backward(
+                g["w"][...], g["b"][...] = K.conv2d_batch_param_backward(
                     gz, outs[0], p["w"], params["pad"], fold)
                 gins = []
         elif kind is BlockKind.MERGE:

@@ -11,8 +11,8 @@ gradient-check path.
 Convolutions (stride 1) take one of two layouts, chosen by what the
 conv reads; each public conv kernel runs one of them:
 
-  * A conv that reads the batch runs on im2col (`conv2d_pool_ordered`
-    and its backward `conv2d_param_backward`).  `_patches` stacks every
+  * A conv that reads the batch runs on im2col (`conv2d_batch` and its
+    backward `conv2d_batch_param_backward`).  `_patches` stacks every
     kxk window into (N, Cin*k*k, Ho*Wo) columns and a batched GEMM
     contracts them, one GEMM per example.  In plain order (p = 1) the
     columns are built and multiplied one block of examples at a time, at
@@ -55,8 +55,8 @@ view; they are reference kernels, which no engine step calls.
 
 Pool-offset order.  `_patches(x, k, pad, p)` can order its columns by
 the offset (a, b) of each output inside its pxp pool window, as in
-space-to-depth: `conv2d_pool_ordered` then writes (N, Cout, p*p, Hq, Wq),
-in which slab a*p + b holds outputs (i*p + a, j*p + b), and rows and
+space-to-depth: `conv2d_batch` then writes (N, Cout, p*p, Hq, Wq), in
+which slab a*p + b holds outputs (i*p + a, j*p + b), and rows and
 columns that no window covers are not computed.  The gather is strided,
 so building these columns costs more than the plain order (4.4 against
 3.0 ms for a 5x5 conv of a 64x3x32x32 batch); it pays when the conv
@@ -67,8 +67,8 @@ least as wide as the columns, Cout >= Cin*k*k (`pool_ordered`): the
 5-10% slower in this order; in plain order the circuit nets trained
 14-18% slower.  Only a conv that reads the batch takes this order, as it
 runs on im2col and its input gradient is never needed:
-`conv2d_param_backward` returns the parameter gradients alone, in either
-order.
+`conv2d_batch_param_backward` returns the parameter gradients alone, in
+either order.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, pad: int) -> np.nd
     return y.reshape(n, cout, ho, wp)[:, :, :, :wo]
 
 
-def conv2d_pool_ordered(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int, p: int
-                        ) -> np.ndarray:
+def conv2d_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int, p: int
+                 ) -> np.ndarray:
     """The conv of a batch, on im2col: (N, Cout, Ho, Wo) when p = 1, else
     in pool-offset order (N, Cout, p*p, Hq, Wq), where [:, :, a*p + b, i, j]
     is output (i*p + a, j*p + b)."""
@@ -198,6 +198,7 @@ def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int
     """Returns (gx, gw, gb) for conv2d, on shifted GEMMs; gx is a forward
     conv of gy (see the module docstring)."""
     n, _, cout, k = _conv_shapes(x, w)
+    gb = gy.sum(axis=(0, 2, 3))
     ho, wo = gy.shape[2:]
     xf, _, _, wp = _flat_padded(x, k, pad)
     span = ho * wp
@@ -213,20 +214,18 @@ def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int
         start = di * wp + dj
         gw[:, :, di, dj] = np.matmul(
             gf, xf[:, :, start:start + span].transpose(0, 2, 1)).sum(axis=0)
-    # xf and gf live through the conv below: freeing them first changed no
-    # byte but moved the gray28 protocol's rates by about 10%, up for circuit
-    # training and down for evaluation (the heap state training leaves)
+    del xf, gf  # before the input-gradient conv pads its own copy of gy
     crop = pad - k + 1  # gy's outer rows and columns that reach no input cell
     g = gy[:, :, crop:-crop, crop:-crop] if crop > 0 else gy
-    gx = _conv(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None, max(-crop, 0))
-    return gx, gw, gy.sum(axis=(0, 2, 3))
+    return _conv(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None, max(-crop, 0)), gw, gb
 
 
-def conv2d_param_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int, p: int
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """(gw, gb) alone for conv2d_pool_ordered, whose input gradient nothing
+def conv2d_batch_param_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
+                                pad: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gw, gb) alone for conv2d_batch, whose input gradient nothing
     reads; gy is laid out as it wrote its output."""
     n, _, cout, k = _conv_shapes(x, w)
+    gb = gy.sum(axis=(0, *range(2, gy.ndim)))
     blocks, hq, wq = _col_blocks(x, k, pad, p)
     g = gy.reshape(n, cout, p * p * hq * wq)
     gw = None
@@ -235,14 +234,14 @@ def conv2d_param_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int
         if gw is not None:  # carried in, so the examples add up in batch order
             part[0] += gw
         gw = part.sum(axis=0)
-    return gw.reshape(w.shape), gy.sum(axis=(0, *range(2, gy.ndim)))
+    return gw.reshape(w.shape), gb
 
 
 def _windows(z: np.ndarray, p: int) -> np.ndarray:
     """A (N, C, p, p, Hq, Wq) view of z's pxp pool windows, whose
     [:, :, a, b, i, j] is conv output (i*p + a, j*p + b).  z is a conv2d
     output (N, C, H, W), whose rows and columns past the last full window
-    the view leaves out, or a conv2d_pool_ordered one (N, C, p*p, Hq, Wq)."""
+    the view leaves out, or a conv2d_batch one (N, C, p*p, Hq, Wq)."""
     if z.ndim == 5:  # splitting one axis always gives a view
         return z.reshape(*z.shape[:2], p, p, *z.shape[3:])
     n, c, h, w = z.shape

@@ -202,7 +202,8 @@ def test_summary_ignores_wall_time(tmp_path):
 
 def test_summarize_refuses_mixed_datasets_or_widths(tmp_path):
     """Stale runs of another dataset or width in a reused out_dir are
-    refused, naming the first report that differs, not averaged in."""
+    refused, naming the first report that differs, not averaged in; the
+    CLI's count of kept runs reads them through load_reports too."""
     for case, (dataset, c) in enumerate((("cifar10", 2), ("toy", 4), ("cifar10", 4))):
         out = tmp_path / str(case)
         _fake_report(out, "circuit", 0, 0.9)
@@ -214,6 +215,8 @@ def test_summarize_refuses_mixed_datasets_or_widths(tmp_path):
                                                 r"at c = 2 in .*circuit_s0/report\.json"):
             summarize(out)
         assert not (out / "summary.csv").exists()
+        with pytest.raises(InvalidReport, match=r"sequential_s0/report\.json: dataset"):
+            load_reports(out)
 
 
 def test_summarize_empty_dir_raises(tmp_path):

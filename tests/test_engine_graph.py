@@ -508,7 +508,8 @@ def test_non_finite_sibling_is_named():
 #          index of the poisoned output, its poisoned rows, block named)
 NAN_PARAM_GRADS = {
     # the stem group's weight gradient, whose rows 2: belong to conv:S2
-    "sibling": (tiny_graph, "conv2d_param_backward", "conv:S1/w", 0, slice(2, None), "conv:S2"),
+    "sibling": (tiny_graph, "conv2d_batch_param_backward", "conv:S1/w", 0, slice(2, None),
+                "conv:S2"),
     "merge_projection": (tiny_graph, "conv2d_backward", "merge:I1/w", 2, slice(None),
                          "merge:I1"),
     "dense_hidden": (lambda: compile_arch(validate(synthesize_sequential_arch(2, (1, 16, 16), 4)),
@@ -545,9 +546,9 @@ def _root(a: np.ndarray) -> np.ndarray:
     return a
 
 
-FORWARD_KERNELS = ("conv2d", "conv2d_pool_ordered", "relu", "pool_relu", "concat_channels",
+FORWARD_KERNELS = ("conv2d", "conv2d_batch", "relu", "pool_relu", "concat_channels",
                    "global_avg_pool", "dense")
-CONVS = ("conv2d", "conv2d_pool_ordered")
+CONVS = ("conv2d", "conv2d_batch")
 
 
 @pytest.mark.parametrize("channels", [1, 3])
@@ -602,7 +603,7 @@ def test_backward_frees_a_group_conv_output_before_its_conv_backward(ref_circuit
                                                                     style):
     """The conv output of a group that reads the batch (the ten sensory
     convs of the circuit net) is dead when that group's
-    `conv2d_param_backward` is entered: only the gradient built from it
+    `conv2d_batch_param_backward` is entered: only the gradient built from it
     lives.  circuit_c3's stem runs in pool-offset order, the others in
     plain order."""
     g = compile_arch(validate(SPECS[style](ref_circuit, 3)), seed=0)
@@ -621,16 +622,16 @@ def test_backward_frees_a_group_conv_output_before_its_conv_backward(ref_circuit
 
         monkeypatch.setattr(K, name, conv)
 
-    real_backward = K.conv2d_param_backward
+    real_backward = K.conv2d_batch_param_backward
 
-    def conv2d_param_backward(gy, xin, w, *rest):
+    def conv2d_batch_param_backward(gy, xin, w, *rest):
         if xin is x:
             dead.extend(ref() is None for kw, ref in made if kw is w)
         return real_backward(gy, xin, w, *rest)
 
     for name in CONVS:
         forward(name)
-    monkeypatch.setattr(K, "conv2d_param_backward", conv2d_param_backward)
+    monkeypatch.setattr(K, "conv2d_batch_param_backward", conv2d_batch_param_backward)
     logits = g.forward(x)
     assert made and all(ref() is not None for _, ref in made)  # kept for backward
     g.backward(softmax_xent(logits, np.array([0, 3]))[1])
@@ -646,7 +647,7 @@ def test_a_group_that_reads_the_batch_computes_no_input_gradient(ref_circuit, mo
     g = compile_arch(validate(SPECS[style](ref_circuit, 1)), seed=0)
     x = np.random.default_rng(0).normal(size=(2,) + g.spec.input_shape).astype(np.float32)
     reads: dict[str, list[bool]] = {name: [] for name in (
-        *CONVS, "conv2d_backward", "conv2d_param_backward")}
+        *CONVS, "conv2d_backward", "conv2d_batch_param_backward")}
 
     def watch(name):
         real = getattr(K, name)
@@ -662,6 +663,6 @@ def test_a_group_that_reads_the_batch_computes_no_input_gradient(ref_circuit, mo
     logits = g.forward(x)
     g.backward(softmax_xent(logits, np.array([0, 3]))[1])
     batch_groups = sum(step.src == (0,) for step in g._plan if step.kind is BlockKind.CONV)
-    assert reads["conv2d_pool_ordered"] == [True] * batch_groups
-    assert reads["conv2d_param_backward"] == [True] * batch_groups
+    assert reads["conv2d_batch"] == [True] * batch_groups
+    assert reads["conv2d_batch_param_backward"] == [True] * batch_groups
     assert True not in reads["conv2d"] + reads["conv2d_backward"]

@@ -18,8 +18,8 @@ from circuitforge.engine.kernels import (
     concat_channels_backward,
     conv2d,
     conv2d_backward,
-    conv2d_param_backward,
-    conv2d_pool_ordered,
+    conv2d_batch,
+    conv2d_batch_param_backward,
     dense,
     dense_backward,
     global_avg_pool,
@@ -40,7 +40,7 @@ from conftest import naive_conv, naive_conv_backward
 def test_conv_forward_and_backward_match_naive_oracle():
     """Both conv layouts against the loop oracle: shifted GEMMs (conv2d
     and conv2d_backward, whose input gradient is a conv of Cout channels)
-    and plain-order im2col (conv2d_pool_ordered and conv2d_param_backward
+    and plain-order im2col (conv2d_batch and conv2d_batch_param_backward
     with p = 1), whatever the channel counts."""
     rng = np.random.default_rng(0)
     # H != W: the shifted path's flat layout depends on the padded width
@@ -52,13 +52,13 @@ def test_conv_forward_and_backward_match_naive_oracle():
         w = rng.normal(size=(cout, cin, k, k))
         b = rng.normal(size=cout)
         want = naive_conv(x, w, b, pad)
-        for got in (conv2d(x, w, b, pad), conv2d_pool_ordered(x, w, b, pad, 1)):
+        for got in (conv2d(x, w, b, pad), conv2d_batch(x, w, b, pad, 1)):
             assert got.shape == want.shape, case
             assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.max(np.abs(want))), case
         gy = rng.normal(size=want.shape)
         gx, gw, gb = naive_conv_backward(gy, x, w, pad)
         for got, want in ((conv2d_backward(gy, x, w, pad), (gx, gw, gb)),
-                          (conv2d_param_backward(gy, x, w, pad, 1), (gw, gb))):
+                          (conv2d_batch_param_backward(gy, x, w, pad, 1), (gw, gb))):
             for g, h in zip(got, want):
                 assert g.shape == h.shape, case
                 assert np.max(np.abs(g - h)) <= 1e-9 * max(1.0, np.max(np.abs(h))), case
@@ -234,7 +234,7 @@ def test_pool_ordered_conv_forward_matches_conv_relu_maxpool():
         wt = rng.normal(size=(5, cin, k, k)).astype(dtype)
         b = rng.normal(size=5).astype(dtype)
         plain = conv2d(x, wt, b, pad)
-        z = conv2d_pool_ordered(x, wt, b, pad, p)
+        z = conv2d_batch(x, wt, b, pad, p)
         assert z.dtype == dtype, case
         tol = 1e-5 if dtype == np.float32 else 1e-12
         assert rel_err(z, to_pool_order(plain, p)) <= tol, case
@@ -281,9 +281,9 @@ def test_conv_param_backward_matches_naive_oracle():
         gy = rng.normal(size=(2, 4, ho, wo))
         if p > 1:  # cells outside every pool window get no gradient
             gy = from_pool_order(to_pool_order(gy, p), ho, wo)
-            got = conv2d_param_backward(to_pool_order(gy, p), x, wt, pad, p)
+            got = conv2d_batch_param_backward(to_pool_order(gy, p), x, wt, pad, p)
         else:
-            got = conv2d_param_backward(gy, x, wt, pad, p)
+            got = conv2d_batch_param_backward(gy, x, wt, pad, p)
         _, *want = naive_conv_backward(gy, x, wt, pad)
         for g, h_ in zip(got, want):
             assert g.shape == h_.shape, case
@@ -323,7 +323,7 @@ def test_im2col_blocks_match_one_block(monkeypatch):
     gy = rng.normal(size=(37, 8, 28, 28))
 
     def run():
-        return conv2d_pool_ordered(x, w, b, 0, 1), *conv2d_param_backward(gy, x, w, 0, 1)
+        return conv2d_batch(x, w, b, 0, 1), *conv2d_batch_param_backward(gy, x, w, 0, 1)
 
     monkeypatch.setattr(kernels, "COLS_BLOCK", 1 << 40)
     assert kernels._col_blocks(x, 5, 0, 1)[0] == [slice(0, 37)]
@@ -337,9 +337,12 @@ def test_im2col_blocks_match_one_block(monkeypatch):
         assert a.shape == c.shape and a.tobytes() == c.tobytes(), name
     monkeypatch.setattr(kernels, "COLS_BLOCK", 1)  # one example per block
     for n in (3, 0):  # an empty batch has one empty block and zero gradients
-        got = (conv2d_pool_ordered(x[:n], w, b, 0, 1),
-               *conv2d_param_backward(gy[:n], x[:n], w, 0, 1))
-        want = (naive_conv(x[:n], w, b, 0), *naive_conv_backward(gy[:n], x[:n], w, 0)[1:])
+        # both layouts: shifted GEMMs, then im2col in one block per example
+        got = (conv2d(x[:n], w, b, 0), *conv2d_backward(gy[:n], x[:n], w, 0),
+               conv2d_batch(x[:n], w, b, 0, 1),
+               *conv2d_batch_param_backward(gy[:n], x[:n], w, 0, 1))
+        y, (gx, gw, gb) = naive_conv(x[:n], w, b, 0), naive_conv_backward(gy[:n], x[:n], w, 0)
+        want = (y, gx, gw, gb, y, gw, gb)
         for g, h_ in zip(got, want):
             assert g.shape == h_.shape, n
             scale = max(1.0, np.max(np.abs(h_), initial=0))
@@ -360,14 +363,14 @@ def test_hot_kernels_keep_float32(monkeypatch):
                 maxpool_backward(maxpool(x, 2), x, 2)]
         # the pooled epilogue of either layout, and the im2col conv's
         # parameter gradients in plain and in pool-offset order
-        for z, order in ((y, 0), (conv2d_pool_ordered(x, w, b, 1, 1), 1),
-                         (conv2d_pool_ordered(x, w, b, 1, 2), 2)):
+        for z, order in ((y, 0), (conv2d_batch(x, w, b, 1, 1), 1),
+                         (conv2d_batch(x, w, b, 1, 2), 2)):
             pooled = pool_relu(z, 2)
             gz = np.empty_like(z)
             pool_relu_backward(pooled, pooled, z, 2, gz)
             outs += [z, pooled, gz]
             if order:
-                outs += conv2d_param_backward(gz, x, w, 1, order)
+                outs += conv2d_batch_param_backward(gz, x, w, 1, order)
         assert [o.dtype for o in outs] == [np.float32] * len(outs), (cin, cout, cols_block)
 
 
@@ -379,7 +382,7 @@ def test_no_kernel_calls_a_public_kernel(monkeypatch):
     real = {name: fn for name, fn in vars(kernels).items()
             if inspect.isfunction(fn) and fn.__module__ == kernels.__name__
             and not name.startswith("_")}
-    assert {"conv2d", "conv2d_param_backward", "maxpool", "dense"} <= real.keys()
+    assert {"conv2d", "conv2d_batch_param_backward", "maxpool", "dense"} <= real.keys()
 
     def stub(name):
         def called(*args, **kwargs):
@@ -399,8 +402,8 @@ def test_no_kernel_calls_a_public_kernel(monkeypatch):
         real["pool_relu_backward"](pooled, pooled, y, 2, np.empty_like(y))
         real["maxpool_backward"](real["maxpool"](y, 2), y, 2)
         for p in (1, 2):  # im2col, in plain and pool-offset order
-            z = real["conv2d_pool_ordered"](x, w, np.zeros(cout), pad, p)
-            real["conv2d_param_backward"](z, x, w, pad, p)
+            z = real["conv2d_batch"](x, w, np.zeros(cout), pad, p)
+            real["conv2d_batch_param_backward"](z, x, w, pad, p)
 
 
 def test_relu_and_backward():
