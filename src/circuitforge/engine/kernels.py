@@ -239,9 +239,10 @@ def conv2d_batch_param_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
 
 def _windows(z: np.ndarray, p: int) -> np.ndarray:
     """A (N, C, p, p, Hq, Wq) view of z's pxp pool windows, whose
-    [:, :, a, b, i, j] is conv output (i*p + a, j*p + b).  z is a conv2d
-    output (N, C, H, W), whose rows and columns past the last full window
-    the view leaves out, or a conv2d_batch one (N, C, p*p, Hq, Wq)."""
+    [:, :, a, b, i, j] is conv output (i*p + a, j*p + b).  z is a conv
+    output in plain order (N, C, H, W), whose rows and columns past the
+    last full window the view leaves out, or in pool-offset order
+    (N, C, p*p, Hq, Wq)."""
     if z.ndim == 5:  # splitting one axis always gives a view
         return z.reshape(*z.shape[:2], p, p, *z.shape[3:])
     n, c, h, w = z.shape
