@@ -28,6 +28,7 @@ from .datasets import DATASET_IDS, LabeledDataset, load_dataset, resolve_data_di
 from .engine.graph import compile_arch
 from .engine.train import TrainConfig, evaluate, fit
 from .errors import (
+    CountMismatch,
     EmptyVector,
     InvalidConfig,
     InvalidReport,
@@ -50,12 +51,12 @@ class BenchmarkConfig:
     c: int = 8
     seeds: tuple[int, ...] = (0, 1, 2)
     epochs: int = 3
-    batch_size: int = 64
+    batch_size: int = TrainConfig.batch_size
     train_subset: int = 10000
     test_subset: int = 10000
     subset_seed: int = 2024
-    optimizer: str = "adam"
-    lr: float = 1e-3
+    optimizer: str = TrainConfig.optimizer
+    lr: float = TrainConfig.lr
     data_dir: str | None = None
     circuit_dir: str | None = None
     out_dir: str = "bench_out"
@@ -102,6 +103,7 @@ class MetricsReport:
     confusion: list[list[int]]  # rows = true, cols = predicted
     step_losses: list[float]
     epoch_mean_losses: list[float]
+    epoch_accuracies: list[float]  # training accuracy of each epoch
     wall_time_s: float
     train_examples: int
     test_examples: int
@@ -117,6 +119,13 @@ class MetricsReport:
             for i, loss in enumerate(getattr(self, name)):
                 if not 0 <= loss < math.inf:  # json.loads reads NaN and Infinity
                     raise InvalidReport(f"{name}[{i}] must be a finite number >= 0, got {loss!r}")
+        if len(self.epoch_accuracies) != len(self.epoch_mean_losses):
+            raise InvalidReport(f"epoch_accuracies must have {len(self.epoch_mean_losses)} "
+                                f"entries, one per epoch, got {len(self.epoch_accuracies)}")
+        for i, acc in enumerate(self.epoch_accuracies):
+            if not 0 <= acc <= 1:
+                raise InvalidReport(f"epoch_accuracies[{i}] must be a finite number in [0, 1], "
+                                    f"got {acc!r}")
 
     to_json = json_text
     from_json = classmethod(partial(read_json, error=InvalidReport, name="run report"))
@@ -163,8 +172,7 @@ def run_one(style: str, seed: int, cfg: BenchmarkConfig, circuit: FunctionalCirc
     g = compile_arch(validated, seed)
     try:
         history = fit(g, train_ds, TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                                               optimizer=cfg.optimizer, lr=cfg.lr, seed=seed),
-                      metrics_path=run_dir / "metrics.csv")
+                                               optimizer=cfg.optimizer, lr=cfg.lr, seed=seed))
         result = evaluate(g, test_ds, cfg.batch_size)
     except NonFiniteActivation as exc:
         exc.args = (f"{style} seed {seed}: {exc}",)
@@ -180,6 +188,7 @@ def run_one(style: str, seed: int, cfg: BenchmarkConfig, circuit: FunctionalCirc
         confusion=result.confusion.tolist(),
         step_losses=[loss for ep in history for loss in ep.step_losses],
         epoch_mean_losses=[ep.mean_loss for ep in history],
+        epoch_accuracies=[ep.accuracy for ep in history],
         wall_time_s=elapsed,
         train_examples=len(train_ds),
         test_examples=len(test_ds),
@@ -198,6 +207,10 @@ def run_benchmark(cfg: BenchmarkConfig) -> tuple[list[MetricsReport], dict]:
     data_dir = resolve_data_dir(cfg.data_dir)
     train_full = load_dataset(data_dir, cfg.dataset, "train")
     test_full = load_dataset(data_dir, cfg.dataset, "test")
+    if test_full.category_names != train_full.category_names:
+        raise CountMismatch(f"{cfg.dataset}: train split names {train_full.num_categories} "
+                            f"categories, test split {test_full.num_categories}; both need "
+                            "the same names")
     train_ds = subset(train_full, cfg.train_subset, cfg.subset_seed) \
         if cfg.train_subset else train_full
     test_ds = subset(test_full, cfg.test_subset, cfg.subset_seed + 1) \

@@ -107,12 +107,15 @@ def _cmd_bench_run(args) -> int:
     try:
         reports, summary = B.run_benchmark(cfg)
     except CircuitForgeError as exc:
-        done = len(B.load_reports(cfg.out_dir))
         print(f"error: {exc}", file=sys.stderr)
-        if done:
-            print(f"{done} completed run(s) kept under {cfg.out_dir}/runs", file=sys.stderr)
-            return 2
-        raise
+        try:  # a stale report that does not read counts no kept run
+            done = len(B.load_reports(cfg.out_dir))
+        except CircuitForgeError:
+            done = 0
+        if not done:
+            return 1
+        print(f"{done} completed run(s) kept under {cfg.out_dir}/runs", file=sys.stderr)
+        return 2
     print(f"{len(reports)} runs complete; ordering flag: {summary['ordering']['flag']}")
     print(f"summary: {Path(cfg.out_dir) / 'summary.csv'}")
     return 0

@@ -65,5 +65,3 @@ class Adam:
             vhat = v / (1.0 - BETA2 ** t)
             value -= self.lr * mhat / (np.sqrt(vhat) + EPS)
 
-
-Optimizer = SGD | Adam

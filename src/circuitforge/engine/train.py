@@ -7,17 +7,16 @@ and epoch index, and every kernel in the stack is tie-deterministic.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..datasets import LabeledDataset, batches
-from ..errors import (EmptyDataset, InvalidConfig, NonFiniteActivation, check_int, check_lr,
-                      seeded_generator)
+from ..errors import (CountMismatch, EmptyDataset, InvalidConfig, NonFiniteActivation,
+                      check_int, check_lr, seeded_generator)
 from . import kernels as K
 from .graph import CompiledGraph
-from .optim import Adam, Optimizer, SGD
+from .optim import Adam, SGD
 
 
 @dataclass(frozen=True)
@@ -38,12 +37,6 @@ class TrainConfig:
         check_lr(self.lr)
 
 
-def make_optimizer(cfg: TrainConfig) -> Optimizer:
-    if cfg.optimizer == "sgd":
-        return SGD(lr=cfg.lr)
-    return Adam(lr=cfg.lr)
-
-
 @dataclass
 class EpochSummary:
     mean_loss: float
@@ -51,49 +44,31 @@ class EpochSummary:
     step_losses: list[float] = field(default_factory=list)
 
 
-def fit(g: CompiledGraph, ds: LabeledDataset, cfg: TrainConfig,
-        metrics_path=None) -> list[EpochSummary]:
+def fit(g: CompiledGraph, ds: LabeledDataset, cfg: TrainConfig) -> list[EpochSummary]:
     """Train for cfg.epochs, reshuffling per epoch from the run seed; each
-    batch runs forward, loss, backward and an optimizer step.  Optionally
-    streams step,epoch,loss,accuracy rows to a CSV.  A NonFiniteActivation
-    names the epoch and the step within it, counted from 0."""
-    opt = make_optimizer(cfg)
+    batch runs forward, loss, backward and an optimizer step.  A
+    NonFiniteActivation names the epoch and the step within it, counted
+    from 0."""
+    opt = SGD(lr=cfg.lr) if cfg.optimizer == "sgd" else Adam(lr=cfg.lr)
     history: list[EpochSummary] = []
-    writer_fh = open(metrics_path, "w", encoding="utf-8", newline="") if metrics_path else None
-    try:
-        writer = None
-        if writer_fh:
-            writer = csv.writer(writer_fh, lineterminator="\n")
-            writer.writerow(["step", "epoch", "loss", "accuracy"])
-        step = 0
-        for epoch in range(cfg.epochs):
-            shuffle_key = (cfg.seed * 100003 + epoch) % 2 ** 63
-            losses: list[float] = []
-            correct = 0
-            # `batches` refuses an empty dataset and covers every example once
-            for xb, yb in batches(ds, cfg.batch_size, shuffle_key):
-                try:
-                    logits = g.forward(xb)
-                    loss, grad = K.softmax_xent(logits, yb)
-                    g.backward(grad)
-                except NonFiniteActivation as exc:
-                    exc.args = (f"epoch {epoch}, step {len(losses)}: {exc}",)
-                    raise
-                opt.step(g)
-                losses.append(loss)
-                correct += int((logits.argmax(axis=1) == yb).sum())
-            summary = EpochSummary(mean_loss=float(np.mean(losses)),
-                                   accuracy=correct / len(ds), step_losses=losses)
-            history.append(summary)
-            if writer:
-                for loss in summary.step_losses:
-                    writer.writerow([step, epoch, f"{loss:.6f}", ""])
-                    step += 1
-                writer.writerow([step - 1, epoch, f"{summary.mean_loss:.6f}",
-                                 f"{summary.accuracy:.4f}"])
-    finally:
-        if writer_fh:
-            writer_fh.close()
+    for epoch in range(cfg.epochs):
+        shuffle_key = (cfg.seed * 100003 + epoch) % 2 ** 63
+        losses: list[float] = []
+        correct = 0
+        # `batches` refuses an empty dataset and covers every example once
+        for xb, yb in batches(ds, cfg.batch_size, shuffle_key):
+            try:
+                logits = g.forward(xb)
+                loss, grad = K.softmax_xent(logits, yb)
+                g.backward(grad)
+            except NonFiniteActivation as exc:
+                exc.args = (f"epoch {epoch}, step {len(losses)}: {exc}",)
+                raise
+            opt.step(g)
+            losses.append(loss)
+            correct += int((logits.argmax(axis=1) == yb).sum())
+        history.append(EpochSummary(mean_loss=float(np.mean(losses)),
+                                    accuracy=correct / len(ds), step_losses=losses))
     return history
 
 
@@ -108,10 +83,14 @@ def evaluate(g: CompiledGraph, ds: LabeledDataset, batch_size: int) -> EvalRepor
     """Accuracy, per-category accuracy and the full confusion matrix, from
     forward passes at `batch_size` (a run passes its training batch, so it
     has one batch shape).  Categories with no test examples are omitted
-    rather than scored 0."""
+    rather than scored 0; a dataset of another category count than the
+    model's is refused with CountMismatch."""
     if len(ds) == 0:
         raise EmptyDataset("cannot evaluate on an empty dataset")
     k = ds.num_categories
+    if k != g.spec.num_categories:
+        raise CountMismatch(f"dataset has {k} categories but the model has "
+                            f"{g.spec.num_categories}")
     confusion = np.zeros((k, k), dtype=np.int64)
     for xb, yb in batches(ds, batch_size, seed=0, shuffle=False):
         pred = g.forward(xb, keep=False).argmax(axis=1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from circuitforge import bench
-from circuitforge.arch import synthesize_sequential_arch
+from circuitforge.arch import ArchitectureSpec, synthesize_sequential_arch
 from circuitforge.bench import (
     STYLES,
     BenchmarkConfig,
@@ -23,10 +23,11 @@ from circuitforge.cri import CriTable, SelectedNeurons, TopK, select_correlated
 from circuitforge.datasets import batches, load_cifar, load_dataset, subset
 from circuitforge.engine.graph import compile_arch
 from circuitforge.engine.optim import SGD, Adam
-from circuitforge.engine.train import TrainConfig
-from circuitforge.errors import EmptyVector, InvalidConfig, InvalidReport, NonFiniteActivation
+from circuitforge.engine.train import TrainConfig, fit
+from circuitforge.errors import (CountMismatch, EmptyVector, InvalidConfig, InvalidReport,
+                                 NonFiniteActivation)
 from circuitforge.extraction import ExtractionConfig, extract_circuits
-from conftest import make_connectome, synthetic_dataset, write_bench_corpus
+from conftest import make_connectome, synthetic_dataset, write_bench_corpus, write_idx_pair
 
 
 def test_consistency_is_population_std():
@@ -121,7 +122,7 @@ def test_metrics_report_round_trip():
         dataset="mnist", style="circuit", seed=1, c=8, param_count=100,
         accuracy=1, per_category={k: k / 12 for k in range(12)},
         consistency_score=0.1, confusion=np.eye(12, dtype=np.int64),
-        step_losses=[2.0, 1.0], epoch_mean_losses=[1.5],
+        step_losses=[2.0, 1.0], epoch_mean_losses=[1.5], epoch_accuracies=[0.5],
         wall_time_s=3.3, train_examples=12, test_examples=12)
     again = MetricsReport.from_json(report.to_json())
     assert again.per_category == report.per_category
@@ -145,7 +146,7 @@ def _fake_report(out: Path, style: str, seed: int, accuracy: float,
         accuracy=accuracy, per_category=per_cat,
         consistency_score=consistency(per_cat.values()),
         confusion=np.eye(2, dtype=np.int64),
-        step_losses=[1.0, 0.5], epoch_mean_losses=[1.0, 0.5],
+        step_losses=[1.0, 0.5], epoch_mean_losses=[1.0, 0.5], epoch_accuracies=[0.5, 1.0],
         wall_time_s=wall_time, train_examples=4, test_examples=4)
     run_dir = out / "runs" / f"{style}_s{seed}"
     run_dir.mkdir(parents=True)
@@ -248,17 +249,20 @@ def _tiny_config(data_dir: Path, out_dir: Path, **overrides) -> BenchmarkConfig:
 def test_run_benchmark_end_to_end(tmp_path):
     data = write_bench_corpus(tmp_path / "data")
     out = tmp_path / "out"
-    reports, summary = run_benchmark(_tiny_config(data, out))
+    cfg = _tiny_config(data, out)
+    reports, summary = run_benchmark(cfg)
 
     assert len(reports) == 6
     assert (out / "bench.json").is_file()
-    for style in ("circuit", "randomized", "sequential"):
-        for seed in (0, 1):
-            run_dir = out / "runs" / f"{style}_s{seed}"
-            assert (run_dir / "arch.json").is_file()
-            assert (run_dir / "report.json").is_file()
-            metrics = (run_dir / "metrics.csv").read_text().splitlines()
-            assert metrics[0] == "step,epoch,loss,accuracy"
+    train = subset(load_dataset(data, "mnist", "train"), cfg.train_subset, cfg.subset_seed)
+    for report in reports:
+        run_dir = out / "runs" / f"{report.style}_s{report.seed}"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["arch.json", "report.json"]
+        # the report keeps every epoch's training accuracy that fit returned
+        spec = ArchitectureSpec.from_json((run_dir / "arch.json").read_bytes())
+        history = fit(compile_arch(spec, report.seed), train,
+                      TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, seed=report.seed))
+        assert report.epoch_accuracies == [ep.accuracy for ep in history]
     assert summary["ordering"]["flag"] in ("PASS", "INCONCLUSIVE")
     assert set(summary["per_style"]) == {"circuit", "randomized", "sequential"}
     for style, stats in summary["per_style"].items():
@@ -281,8 +285,21 @@ def test_run_benchmark_reruns_byte_identical(tmp_path):
     run_benchmark(_tiny_config(data, out_b, **cfg_kwargs))
     assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
-    for rel in ("runs/circuit_s0/metrics.csv", "plots/loss_curves.csv"):
-        assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
+    assert (out_a / "plots/loss_curves.csv").read_bytes() == \
+        (out_b / "plots/loss_curves.csv").read_bytes()
+
+
+def test_run_benchmark_refuses_splits_of_other_categories(tmp_path):
+    """IDX splits name categories up to their highest label; a test split
+    that stops short of the train split's is refused before any run."""
+    data = write_bench_corpus(tmp_path / "data")
+    write_idx_pair(data / "mnist", "t10k", np.zeros((24, 16, 16), dtype=np.uint8),
+                   np.arange(24) % 3)
+    out = tmp_path / "out"
+    with pytest.raises(CountMismatch, match="^mnist: train split names 4 categories, "
+                                            "test split 3; both need the same names$"):
+        run_benchmark(_tiny_config(data, out))
+    assert not (out / "runs").exists()
 
 
 def test_run_benchmark_names_the_run_of_a_non_finite_activation(tmp_path, monkeypatch):

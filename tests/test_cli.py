@@ -169,6 +169,22 @@ def test_bench_run_missing_data_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_bench_run_error_is_not_hidden_by_a_stale_report(tmp_path, capsys):
+    """The run's own error is printed; a kept report that does not read
+    counts no kept run and does not take the error's place."""
+    out = tmp_path / "out"
+    (out / "runs" / "old").mkdir(parents=True)
+    (out / "runs" / "old" / "report.json").write_text("{}")
+    cfg = BenchmarkConfig(dataset="mnist", styles=("circuit",), seeds=(0,),
+                          data_dir=str(tmp_path / "nowhere"), out_dir=str(out))
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(cfg.to_json())
+    assert main(["bench", "run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "train-images-idx3-ubyte" in err[0] and "report.json" not in err[0]
+
+
 @pytest.mark.parametrize("flags", [["--k", "0"], ["--policy", "topk:0"]])
 def test_extract_bad_flag_exits_one_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -228,7 +244,8 @@ def _report_doc() -> dict:
     report = MetricsReport(
         dataset="toy", style="circuit", seed=0, c=2, param_count=50, accuracy=0.5,
         per_category={0: 1.0, 1: 0.0}, consistency_score=0.5, confusion=[[2, 0], [2, 0]],
-        step_losses=[1.0, 0.5], epoch_mean_losses=[0.75], wall_time_s=1.0,
+        step_losses=[1.0, 0.5], epoch_mean_losses=[0.75], epoch_accuracies=[0.5],
+        wall_time_s=1.0,
         train_examples=4, test_examples=4)
     return json.loads(report.to_json())
 
@@ -253,12 +270,17 @@ def _report_doc() -> dict:
      "step_losses[1] must be a finite number >= 0, got -0.5"),
     (lambda doc: doc["epoch_mean_losses"].__setitem__(0, float("nan")),
      "epoch_mean_losses[0] must be a finite number >= 0, got nan"),
+    (lambda doc: doc["epoch_accuracies"].__setitem__(0, 1.5),
+     "epoch_accuracies[0] must be a finite number in [0, 1], got 1.5"),
+    (lambda doc: doc["epoch_accuracies"].append(0.5),
+     "epoch_accuracies must have 1 entries, one per epoch, got 2"),
     (lambda doc: json.dumps(doc)[:-1].encode("utf-8") + b', "seed": 0}',
      "unparsable run report: duplicate key 'seed'"),
 ], ids=["not_utf8", "not_json", "document_list", "missing_seed", "unknown_field",
         "seed_string", "accuracy_null", "category_key_word", "category_key_padded",
         "confusion_float", "step_loss_bool", "style_unknown", "no_epoch_losses",
-        "step_loss_negative", "epoch_loss_nan", "duplicate_key"])
+        "step_loss_negative", "epoch_loss_nan", "epoch_accuracy_above_one",
+        "epoch_accuracies_length", "duplicate_key"])
 def test_bench_summarize_bad_report_exits_one_naming_it(tmp_path, capsys, mutate, message):
     doc = _report_doc()
     replaced = mutate(doc)

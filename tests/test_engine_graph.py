@@ -34,6 +34,7 @@ from circuitforge.engine.train import TrainConfig, evaluate, fit
 from circuitforge.errors import (
     BadMagic,
     CheckpointError,
+    CountMismatch,
     EmptyDataset,
     NonFiniteActivation,
     ShapeMismatch,
@@ -227,20 +228,17 @@ def test_fit_requires_examples():
         fit(tiny_graph(), synthetic_dataset(n=0, side=12), TrainConfig(epochs=1))
 
 
-def test_fit_learns_texture_task(tmp_path):
+def test_fit_learns_texture_task():
     ds = synthetic_dataset(n=120, categories=4, side=8)
     spec = synthesize_circuit_arch(TINY, 4, (1, 8, 8), 4)
     g = compile_arch(validate(spec), seed=0)
     cfg = TrainConfig(epochs=25, batch_size=16, optimizer="adam", lr=3e-3, seed=0)
-    history = fit(g, ds, cfg, metrics_path=tmp_path / "metrics.csv")
+    history = fit(g, ds, cfg)
     assert len(history) == 25
     assert history[-1].mean_loss < history[0].mean_loss
+    assert all(len(ep.step_losses) == 8 for ep in history)  # ceil(120 / 16) steps
     report = evaluate(g, ds, cfg.batch_size)
     assert report.accuracy >= 0.9
-
-    lines = (tmp_path / "metrics.csv").read_text().splitlines()
-    assert lines[0] == "step,epoch,loss,accuracy"
-    assert len(lines) > 25  # per-step rows plus epoch summaries
 
 
 def test_evaluate_confusion_layout():
@@ -252,6 +250,15 @@ def test_evaluate_confusion_layout():
     assert int(report.confusion.sum()) == 40
     assert report.accuracy == pytest.approx(np.trace(report.confusion) / 40)
     assert set(report.per_category) <= set(range(4))
+
+
+def test_evaluate_refuses_a_dataset_of_another_category_count():
+    """A model that predicts a category the dataset does not name is
+    refused by count, not left to index past the confusion matrix."""
+    g = compile_arch(validate(synthesize_sequential_arch(2, (1, 16, 16), 10)), 0)
+    dict((slot, value) for slot, value, _ in g.param_slots())["head/b2"][9] = 100
+    with pytest.raises(CountMismatch, match="^dataset has 4 categories but the model has 10$"):
+        evaluate(g, synthetic_dataset(n=20, categories=4, side=16), 8)
 
 
 @pytest.mark.parametrize("shape", [(1, 28, 28), (3, 32, 32)], ids=["gray28", "rgb32"])
