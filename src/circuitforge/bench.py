@@ -115,17 +115,21 @@ class MetricsReport:
                                 f"got {self.style!r}")
         if not self.epoch_mean_losses:
             raise InvalidReport("epoch_mean_losses must be a non-empty list, got []")
-        for name in ("step_losses", "epoch_mean_losses"):
-            for i, loss in enumerate(getattr(self, name)):
-                if not 0 <= loss < math.inf:  # json.loads reads NaN and Infinity
-                    raise InvalidReport(f"{name}[{i}] must be a finite number >= 0, got {loss!r}")
+        # json.loads reads NaN and Infinity, which neither range below admits
+        losses = [(f"{name}[{i}]", x) for name in ("step_losses", "epoch_mean_losses")
+                  for i, x in enumerate(getattr(self, name))]
+        for name, x in [*losses, ("consistency_score", self.consistency_score)]:
+            if not 0 <= x < math.inf:
+                raise InvalidReport(f"{name} must be a finite number >= 0, got {x!r}")
         if len(self.epoch_accuracies) != len(self.epoch_mean_losses):
             raise InvalidReport(f"epoch_accuracies must have {len(self.epoch_mean_losses)} "
                                 f"entries, one per epoch, got {len(self.epoch_accuracies)}")
-        for i, acc in enumerate(self.epoch_accuracies):
-            if not 0 <= acc <= 1:
-                raise InvalidReport(f"epoch_accuracies[{i}] must be a finite number in [0, 1], "
-                                    f"got {acc!r}")
+        fractions = [("accuracy", self.accuracy),
+                     *((f"per_category.{k}", x) for k, x in self.per_category.items()),
+                     *((f"epoch_accuracies[{i}]", x) for i, x in enumerate(self.epoch_accuracies))]
+        for name, x in fractions:
+            if not 0 <= x <= 1:
+                raise InvalidReport(f"{name} must be a finite number in [0, 1], got {x!r}")
 
     to_json = json_text
     from_json = classmethod(partial(read_json, error=InvalidReport, name="run report"))

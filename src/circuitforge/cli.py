@@ -62,6 +62,7 @@ def _cmd_cri(args) -> int:
     expr = load_expression(args.expression)
     roles = load_roles(args.roles)
     cri = compute_cri(expr, fold, set(roles))
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_cri_table(cri, roles, args.out)
     sel = select_correlated(cri, roles, args.policy)
     print(f"wrote {args.out} ({len(cri.values)} neurons, {cri.n_genes} genes)")
@@ -94,6 +95,7 @@ def _cmd_synthesize(args) -> int:
     circuit = None if style == "sequential" else source_circuit(args.circuit, args.circuit_roles)
     spec = A.synthesize(style, circuit, args.c, args.input, args.categories, args.seed)
     validated = A.validate(spec)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     A.save_arch(spec, args.out)
     print(f"wrote {args.out}: {len(spec.blocks)} blocks, {len(spec.wires)} wires, "
           f"{A.param_count(validated)} parameters")
@@ -106,8 +108,8 @@ def _cmd_bench_run(args) -> int:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     try:
         reports, summary = B.run_benchmark(cfg)
-    except CircuitForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CircuitForgeError, OSError) as exc:
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         try:  # a stale report that does not read counts no kept run
             done = len(B.load_reports(cfg.out_dir))
         except CircuitForgeError:
@@ -181,12 +183,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reason(exc: Exception) -> str:
+    """A CircuitForgeError's message, or an OSError's path and cause (an
+    output that cannot be written: its directory is a file, say)."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"{exc.filename}: {exc.strerror}"
+    return str(exc)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CircuitForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CircuitForgeError, OSError) as exc:
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return 1
 
 

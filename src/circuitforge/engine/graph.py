@@ -1,10 +1,12 @@
 """Compile validated architectures into executable parameterized graphs.
 
-A compiled graph owns one flat namespace of parameter arrays keyed
-"block_id/name", ordered by topological block position then name.  That
-order is the contract for optimizers and for the checkpoint layout; the
-constructor fills `params` in it, and binding a slot to a buffer view
-keeps the slot's place.  The slots, their shapes
+A compiled graph holds every parameter in one vector, `param_vector`,
+and every gradient in one `grad_vector` of the same layout; the
+optimizers update these whole.  `params` and `grads` name each slot's
+view into them, keyed "block_id/name" in canonical order: topological
+block position, then name.  That order is the contract for
+initialization and for the checkpoint layout; the vectors themselves
+are laid out in plan order.  The slots, their shapes
 and fan-ins come from the validated arch (`ValidatedArch.slots`, filled
 from the block-kind table in arch.py); the graph adds no shape rule.
 
@@ -12,7 +14,7 @@ Tensor t is the output of block `v.order[t]`, so tensor 0 is the input
 batch (the stem is the only block without inputs).  Compiling binds every
 block once into a plan of steps, each with the tensors it reads and
 writes, its channel bounds from `ValidatedArch.out_shape`, and per slot
-name one parameter and one gradient buffer that its blocks' slots view.
+name one stretch of each vector that holds its blocks' slots.
 Conv blocks that read the same tensor with the same kernel, pad and pool
 form one sibling group, run as one step at its first member:
 
@@ -24,8 +26,8 @@ form one sibling group, run as one step at its first member:
     channel slice of one gradient buffer, and runs one conv backward, so
     the shared input's columns or padded copy and its gradient are built
     once per group rather than once per member.
-Slot order, initialization, checkpoints and optimizer state are still
-those of separate convs.
+Slot order, initialization and checkpoints are still those of separate
+convs.
 
 A group's conv kernel follows from what it reads.  A group that reads
 the batch runs `K.conv2d_batch` on im2col and, in backward,
@@ -72,13 +74,14 @@ order, so a (spec, seed) pair yields the same parameters in any dtype.
 
 from __future__ import annotations
 
+import math
 import struct
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from ..arch import ArchitectureSpec, BlockKind, ValidatedArch, validate
+from ..arch import ArchitectureSpec, BlockKind, ValidatedArch, param_count, validate
 from ..errors import (
     BadMagic,
     CheckpointError,
@@ -103,8 +106,8 @@ class _Step(NamedTuple):
     out: tuple[int, ...]  # the tensors it writes: one per group member
     # a conv's member channel offsets (0, hi0, hi1, ...); else its sources' widths
     bounds: tuple[int, ...]
-    p: dict[str, np.ndarray]  # slot name -> the buffer its blocks' slots view
-    g: dict[str, np.ndarray]  # slot name -> the gradient buffer, viewed alike
+    p: dict[str, np.ndarray]  # slot name -> its stretch of the parameter vector
+    g: dict[str, np.ndarray]  # slot name -> the same stretch of the gradient vector
     # a conv group's pool when its output is in pool-offset order, else 1
     fold: int
 
@@ -114,28 +117,27 @@ class CompiledGraph:
         self.v = v
         self.spec = v.spec
         self.dtype = np.dtype(dtype)
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
         self._acts: tuple[list, list] | None = None  # forward's tensors and saved values
         rng = seeded_generator("seed", seed, InvalidConfig)
+        self.param_vector = np.zeros(param_count(v), self.dtype)
+        self.grad_vector = np.zeros_like(self.param_vector)
+        self._plan = self._compile_plan()
         for block_id in v.order:
             for name, shape, fan_in in v.slots[block_id]:
-                if fan_in == 0:  # bias
-                    value = np.zeros(shape, dtype=self.dtype)
-                else:
+                if fan_in:  # a bias stays 0
                     bound = np.sqrt(6.0 / fan_in)
-                    value = rng.uniform(-bound, bound, size=shape).astype(self.dtype)
-                self.params[f"{block_id}/{name}"] = value
-        self._plan = self._compile_plan()
+                    self.params[f"{block_id}/{name}"][...] = rng.uniform(-bound, bound, shape)
         # the step that reads each tensor last; forward without `keep` drops
         # the tensor once that step has run
         self._last_read = {t: i for i, step in enumerate(self._plan) for t in step.src}
 
     def _compile_plan(self) -> list[_Step]:
         """One step per block, except that sibling convs share one step at
-        the first member's position.  Per slot name a step gets one buffer,
-        its blocks' values stacked along axis 0, and each block's slot
-        becomes a [lo:hi] view of it."""
+        the first member's position.  The vectors are laid out step by
+        step: per slot name a step's buffer views the next stretch of
+        `param_vector`, its blocks' slots stacked along axis 0, and its
+        gradient buffer the same stretch of `grad_vector`.  `params` and
+        `grads` hold every slot's view, in canonical order."""
         v = self.v
         groups: dict[object, list[str]] = {}
         for block_id in v.order:
@@ -146,34 +148,30 @@ class CompiledGraph:
                 key = (v.inputs[block_id][0], p["kernel"], p["pad"], p["pool"])
             groups.setdefault(key, []).append(block_id)
         tensor = {block_id: t for t, block_id in enumerate(v.order)}
+        shapes = {f"{b}/{name}": shape for b in v.order for name, shape, _ in v.slots[b]}
+        where: dict[str, slice] = {}  # slot -> its stretch of the vectors
+        end = 0
         plan = []
         for ids in groups.values():
             block, srcs = self.spec.block(ids[0]), v.inputs[ids[0]]
             bounds = (tuple(accumulate((v.out_shape[m][0] for m in ids), initial=0))
                       if block.kind is BlockKind.CONV else tuple(v.out_shape[s][0] for s in srcs))
             p, g = {}, {}
-            for name, _, _ in v.slots[ids[0]]:
-                slots = [f"{m}/{name}" for m in ids]
-                p[name] = np.concatenate([self.params[s] for s in slots])
-                g[name] = np.zeros_like(p[name])
-                lo = 0
-                for s in slots:
-                    hi = lo + self.params[s].shape[0]
-                    self.params[s], self.grads[s] = p[name][lo:hi], g[name][lo:hi]
-                    lo = hi
+            for name, shape, _ in v.slots[ids[0]]:
+                start = end
+                for slot in (f"{m}/{name}" for m in ids):
+                    where[slot] = slice(end, end + math.prod(shapes[slot]))
+                    end = where[slot].stop
+                p[name] = self.param_vector[start:end].reshape(-1, *shape[1:])
+                g[name] = self.grad_vector[start:end].reshape(p[name].shape)
             src = tuple(tensor[s] for s in srcs)
             fold = (block.params["pool"] if block.kind is BlockKind.CONV and src == (0,)
                     and K.pool_ordered(p["w"], block.params["pool"]) else 1)
             plan.append(_Step(block.kind, block.params, src, tuple(tensor[m] for m in ids),
                               bounds, p, g, fold))
+        self.params = {s: self.param_vector[where[s]].reshape(shapes[s]) for s in shapes}
+        self.grads = {s: self.grad_vector[where[s]].reshape(shapes[s]) for s in shapes}
         return plan
-
-    # --- parameter access ---
-
-    def param_slots(self):
-        """(slot, value, grad) triples in the canonical checkpoint order."""
-        for slot, value in self.params.items():
-            yield slot, value, self.grads[slot]
 
     # --- execution ---
 
@@ -338,7 +336,7 @@ def save_checkpoint(g: CompiledGraph, path) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(doc)))
         fh.write(doc)
-        for _, value, _ in g.param_slots():
+        for value in g.params.values():
             fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
 
 
@@ -352,7 +350,7 @@ def load_checkpoint(path) -> CompiledGraph:
     spec = ArchitectureSpec.from_json(blob[8:8 + doc_len])
     g = compile_arch(spec, seed=0)
     offset = 8 + doc_len
-    for slot, value, _ in g.param_slots():
+    for value in g.params.values():
         nbytes = value.size * 4
         if len(blob) < offset + nbytes:
             raise TruncatedFile(path, offset + nbytes, len(blob))

@@ -1,9 +1,13 @@
 """Parameter update rules.
 
-Both optimizers mutate graph parameters in place, walking slots in the
-canonical order so that runs are reproducible.  State buffers are
-allocated lazily on the first step and keyed by slot name.  `TrainConfig`
-holds the one default of each setting.
+A compiled graph holds its parameters in one vector and their gradients
+in another (`param_vector`, `grad_vector`), and every slot is a view into
+them.  Both optimizers update the whole parameter vector in place with
+elementwise operations, so no step depends on where a slot lies in it.
+Their state is one vector per running average, as long as the
+parameter vector; it starts as the scalar 0.0, which the first step's
+arithmetic turns into that vector.
+`TrainConfig` holds the one default of each setting.
 """
 
 from __future__ import annotations
@@ -25,19 +29,11 @@ class SGD:
     def __init__(self, lr: float):
         check_lr(lr)
         self.lr = lr
-        self.velocity: dict[str, np.ndarray] = {}
-        self.steps = 0
+        self.velocity = 0.0
 
     def step(self, g) -> None:
-        self.steps += 1
-        for slot, value, grad in g.param_slots():
-            v = self.velocity.get(slot)
-            if v is None:
-                v = np.zeros_like(value)
-                self.velocity[slot] = v
-            v *= MOMENTUM
-            v += grad
-            value -= self.lr * v
+        self.velocity = self.velocity * MOMENTUM + g.grad_vector
+        g.param_vector -= self.lr * self.velocity
 
 
 class Adam:
@@ -46,22 +42,14 @@ class Adam:
     def __init__(self, lr: float):
         check_lr(lr)
         self.lr = lr
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = self.v = 0.0
         self.steps = 0
 
     def step(self, g) -> None:
         self.steps += 1
-        t = self.steps
-        for slot, value, grad in g.param_slots():
-            if slot not in self.m:
-                self.m[slot], self.v[slot] = np.zeros_like(value), np.zeros_like(value)
-            m, v = self.m[slot], self.v[slot]
-            m *= BETA1
-            m += (1.0 - BETA1) * grad
-            v *= BETA2
-            v += (1.0 - BETA2) * np.square(grad)
-            mhat = m / (1.0 - BETA1 ** t)
-            vhat = v / (1.0 - BETA2 ** t)
-            value -= self.lr * mhat / (np.sqrt(vhat) + EPS)
-
+        t, grad = self.steps, g.grad_vector
+        self.m = self.m * BETA1 + (1.0 - BETA1) * grad
+        self.v = self.v * BETA2 + (1.0 - BETA2) * np.square(grad)
+        mhat = self.m / (1.0 - BETA1 ** t)
+        vhat = self.v / (1.0 - BETA2 ** t)
+        g.param_vector -= self.lr * mhat / (np.sqrt(vhat) + EPS)

@@ -24,6 +24,7 @@ from circuitforge.connectome import (
 )
 from circuitforge.cri import CriTable, SelectedNeurons, TopK, load_cri_table, select_correlated
 from circuitforge.datasets import DATA_DIR_ENV, LabeledDataset
+from circuitforge.engine.optim import BETA1, BETA2, EPS, MOMENTUM
 
 ROLE_BY_PREFIX = {"S": Role.SENSORY, "I": Role.INTER, "M": Role.MOTOR}
 
@@ -178,6 +179,53 @@ def naive_conv_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int
                     gw[co] += g * xp[ni, :, i:i + k, j:j + k]
                     gxp[ni, :, i:i + k, j:j + k] += g * w[co]
     return gxp[:, :, pad:pad + h, pad:pad + wdt], gw, gb
+
+
+# --- per-slot optimizer oracles ----------------------------------------------
+
+class SlotSGD:
+    """SGD as it ran slot by slot: a velocity array per slot, made on the
+    slot's first step and keyed by its name, slots walked in canonical
+    order.  The oracle for `optim.SGD`, which updates one vector."""
+
+    def __init__(self, lr: float):
+        self.lr = lr
+        self.velocity: dict[str, np.ndarray] = {}
+
+    def step(self, g) -> None:
+        for slot, value in g.params.items():
+            v = self.velocity.get(slot)
+            if v is None:
+                v = self.velocity[slot] = np.zeros_like(value)
+            v *= MOMENTUM
+            v += g.grads[slot]
+            value -= self.lr * v
+
+
+class SlotAdam:
+    """Adam as it ran slot by slot, the oracle for `optim.Adam`."""
+
+    def __init__(self, lr: float):
+        self.lr = lr
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        self.steps = 0
+
+    def step(self, g) -> None:
+        self.steps += 1
+        t = self.steps
+        for slot, value in g.params.items():
+            grad = g.grads[slot]
+            if slot not in self.m:
+                self.m[slot], self.v[slot] = np.zeros_like(value), np.zeros_like(value)
+            m, v = self.m[slot], self.v[slot]
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(grad)
+            mhat = m / (1.0 - BETA1 ** t)
+            vhat = v / (1.0 - BETA2 ** t)
+            value -= self.lr * mhat / (np.sqrt(vhat) + EPS)
 
 
 # --- image-dataset fixtures -------------------------------------------------

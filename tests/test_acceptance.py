@@ -261,9 +261,9 @@ def test_06_engine_gradient_and_loss_checks(capsys):
     g.backward(softmax_xent(g.forward(x), labels)[1])
     eps = 1e-6
     per_kind: dict[str, float] = {}
-    for slot, value, grad in g.param_slots():
+    for slot, value in g.params.items():
         kind = kind_of[slot.split("/")[0]]
-        flat_v, flat_g = value.reshape(-1), grad.reshape(-1)
+        flat_v, flat_g = value.reshape(-1), g.grads[slot].reshape(-1)
         for i in rng.choice(flat_v.size, size=min(4, flat_v.size), replace=False):
             keep = flat_v[i]
             flat_v[i] = keep + eps

@@ -412,4 +412,4 @@ def test_arch_json_goldens(ref_circuit, shape, style):
     assert hashlib.sha256(spec.to_json().encode("utf-8")).hexdigest().startswith(prefix)
     v = validate(spec)
     assert param_count(v) == n_params
-    assert sum(value.size for _, value, _ in compile_arch(v, 0).param_slots()) == n_params
+    assert sum(value.size for value in compile_arch(v, 0).params.values()) == n_params

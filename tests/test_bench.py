@@ -307,7 +307,7 @@ def test_run_benchmark_names_the_run_of_a_non_finite_activation(tmp_path, monkey
 
     def poisoned(spec, seed):
         g = real(spec, seed)
-        next(value for slot, value, _ in g.param_slots() if slot.endswith("/b"))[0] = np.nan
+        next(value for slot, value in g.params.items() if slot.endswith("/b"))[0] = np.nan
         return g
 
     monkeypatch.setattr(bench, "compile_arch", poisoned)

@@ -240,6 +240,36 @@ def test_directory_input_exits_one_naming_the_path(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, made", [
+    (["synthesize", "--style", "sequential", "--out", "{tmp}/new/arch.json"], "new/arch.json"),
+    (["cri", "--foldchanges", "{tmp}/fold.csv", "--expression", "{tmp}/expr.csv",
+      "--roles", "{tmp}/roles.tsv", "--policy", "topk:1", "--out", "{tmp}/new/cri.csv"],
+     "new/cri.csv"),
+    (["extract", "--out", "{tmp}/file"], None),
+    (["bench", "run", "--config", "{tmp}/bench.json", "--out", "{tmp}/file"], None),
+    (["synthesize", "--style", "sequential", "--out", "{tmp}/file/arch.json"], None),
+], ids=["synthesize_new_dir", "cri_new_dir", "extract_onto_file", "bench_run_onto_file",
+        "synthesize_under_file"])
+def test_output_path_is_made_or_refused_in_one_line(tmp_path, capsys, argv, made):
+    """A missing output directory is made; an output path that a file
+    blocks exits 1 with one line naming the path."""
+    (tmp_path / "file").write_text("kept")
+    (tmp_path / "fold.csv").write_text("gene,fold_change\ng1,10\n")
+    (tmp_path / "expr.csv").write_text("gene,neuron,proportion\ng1,S1,0.5\n")
+    (tmp_path / "roles.tsv").write_text("neuron\trole\nS1\tsensory\n")
+    (tmp_path / "bench.json").write_text(BenchmarkConfig(
+        dataset="mnist", styles=("circuit",), seeds=(0,), data_dir=str(tmp_path)).to_json())
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err.splitlines()
+    if made:
+        assert (code, err) == (0, [])
+        assert (tmp_path / made).is_file()
+    else:
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'file'}: "), err
+    assert (tmp_path / "file").read_text() == "kept"
+
+
 def _report_doc() -> dict:
     report = MetricsReport(
         dataset="toy", style="circuit", seed=0, c=2, param_count=50, accuracy=0.5,
@@ -276,11 +306,24 @@ def _report_doc() -> dict:
      "epoch_accuracies must have 1 entries, one per epoch, got 2"),
     (lambda doc: json.dumps(doc)[:-1].encode("utf-8") + b', "seed": 0}',
      "unparsable run report: duplicate key 'seed'"),
+    (lambda doc: doc.update(accuracy=float("nan")),
+     "accuracy must be a finite number in [0, 1], got nan"),
+    (lambda doc: doc.update(accuracy=1.25), "accuracy must be a finite number in [0, 1], got 1.25"),
+    (lambda doc: doc["per_category"].update({"1": float("inf")}),
+     "per_category.1 must be a finite number in [0, 1], got inf"),
+    (lambda doc: doc["per_category"].update({"0": -0.5}),
+     "per_category.0 must be a finite number in [0, 1], got -0.5"),
+    (lambda doc: doc.update(consistency_score=float("nan")),
+     "consistency_score must be a finite number >= 0, got nan"),
+    (lambda doc: doc.update(consistency_score=-0.1),
+     "consistency_score must be a finite number >= 0, got -0.1"),
 ], ids=["not_utf8", "not_json", "document_list", "missing_seed", "unknown_field",
         "seed_string", "accuracy_null", "category_key_word", "category_key_padded",
         "confusion_float", "step_loss_bool", "style_unknown", "no_epoch_losses",
         "step_loss_negative", "epoch_loss_nan", "epoch_accuracy_above_one",
-        "epoch_accuracies_length", "duplicate_key"])
+        "epoch_accuracies_length", "duplicate_key", "accuracy_nan", "accuracy_above_one",
+        "category_accuracy_inf", "category_accuracy_negative", "consistency_nan",
+        "consistency_negative"])
 def test_bench_summarize_bad_report_exits_one_naming_it(tmp_path, capsys, mutate, message):
     doc = _report_doc()
     replaced = mutate(doc)

@@ -60,27 +60,27 @@ def tiny_graph(seed: int = 0, side: int = 12, dtype=np.float32) -> CompiledGraph
 
 def test_compile_covers_every_kind_and_counts_match():
     g = tiny_graph()
-    assert sum(value.size for _, value, _ in g.param_slots()) == param_count(validate(
-        synthesize_circuit_arch(TINY, 2, (1, 12, 12), 4)))
-    slots = [slot for slot, _, _ in g.param_slots()]
+    n_params = param_count(validate(synthesize_circuit_arch(TINY, 2, (1, 12, 12), 4)))
+    assert sum(value.size for value in g.params.values()) == g.param_vector.size == n_params
+    slots = list(g.params)
     assert any(slot.startswith("merge:I1/") for slot in slots)
     assert any(slot.startswith("head/") for slot in slots)
 
 
 def test_compile_is_deterministic():
     a, b = tiny_graph(seed=5), tiny_graph(seed=5)
-    for (sa, va, _), (sb, vb, _) in zip(a.param_slots(), b.param_slots()):
+    for (sa, va), (sb, vb) in zip(a.params.items(), b.params.items()):
         assert sa == sb
         assert np.array_equal(va, vb)
     c = tiny_graph(seed=6)
-    assert any(not np.array_equal(va, vc) for (_, va, _), (_, vc, _)
-               in zip(a.param_slots(), c.param_slots()))
+    assert any(not np.array_equal(va, vc) for va, vc
+               in zip(a.params.values(), c.params.values()))
 
 
 def test_init_identical_across_dtypes():
     a = tiny_graph(seed=3, dtype=np.float32)
     b = tiny_graph(seed=3, dtype=np.float64)
-    for (sa, va, _), (sb, vb, _) in zip(a.param_slots(), b.param_slots()):
+    for (sa, va), (sb, vb) in zip(a.params.items(), b.params.items()):
         assert sa == sb
         assert np.array_equal(va, vb.astype(np.float32))
 
@@ -159,9 +159,9 @@ def test_whole_graph_gradient_check_float64():
 
     g.backward(softmax_xent(g.forward(x), labels)[1])
     eps = 1e-6
-    for slot, value, grad in g.param_slots():
+    for slot, value in g.params.items():
         flat_v = value.reshape(-1)
-        flat_g = grad.reshape(-1)
+        flat_g = g.grads[slot].reshape(-1)
         picks = rng.choice(flat_v.size, size=min(4, flat_v.size), replace=False)
         for i in picks:
             keep = flat_v[i]
@@ -183,7 +183,7 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(g, path)
     back = load_checkpoint(path)
     assert back.v.spec == g.v.spec
-    for (sa, va, _), (sb, vb, _) in zip(g.param_slots(), back.param_slots()):
+    for (sa, va), (sb, vb) in zip(g.params.items(), back.params.items()):
         assert sa == sb and np.array_equal(va, vb)
     assert np.array_equal(back.forward(x), before)
 
@@ -256,7 +256,7 @@ def test_evaluate_refuses_a_dataset_of_another_category_count():
     """A model that predicts a category the dataset does not name is
     refused by count, not left to index past the confusion matrix."""
     g = compile_arch(validate(synthesize_sequential_arch(2, (1, 16, 16), 10)), 0)
-    dict((slot, value) for slot, value, _ in g.param_slots())["head/b2"][9] = 100
+    g.params["head/b2"][9] = 100
     with pytest.raises(CountMismatch, match="^dataset has 4 categories but the model has 10$"):
         evaluate(g, synthetic_dataset(n=20, categories=4, side=16), 8)
 
@@ -288,7 +288,7 @@ def test_fit_is_deterministic(optimizer):
         spec = synthesize_circuit_arch(TINY, 2, (1, 8, 8), 4)
         g = compile_arch(validate(spec), seed=2)
         fit(g, ds, TrainConfig(epochs=2, batch_size=16, optimizer=optimizer, seed=2))
-        outs.append(np.concatenate([v.reshape(-1) for _, v, _ in g.param_slots()]))
+        outs.append(g.param_vector.copy())
     assert np.array_equal(outs[0], outs[1])
 
 
@@ -296,17 +296,20 @@ def test_fit_is_deterministic(optimizer):
 
 class ReferenceGraph:
     """Per-block executor, one conv at a time: the oracle for the
-    compiled plan, which runs sibling convs as one.  It holds its own
-    copies of a compiled graph's parameters, in the same slots."""
+    compiled plan, which runs sibling convs as one.  It holds a copy of a
+    compiled graph's parameters in its own vector, laid out slot by slot
+    in canonical order, with the same slots viewing it."""
 
     def __init__(self, g: CompiledGraph):
         self.v = g.v
-        self.params = {slot: value.copy() for slot, value, _ in g.param_slots()}
-        self.grads = {slot: np.zeros_like(value) for slot, value in self.params.items()}
-
-    def param_slots(self):
-        for slot, value in self.params.items():
-            yield slot, value, self.grads[slot]
+        self.param_vector = np.concatenate([value.reshape(-1) for value in g.params.values()])
+        self.grad_vector = np.zeros_like(self.param_vector)
+        self.params, self.grads, lo = {}, {}, 0
+        for slot, value in g.params.items():
+            hi = lo + value.size
+            self.params[slot] = self.param_vector[lo:hi].reshape(value.shape)
+            self.grads[slot] = self.grad_vector[lo:hi].reshape(value.shape)
+            lo = hi
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         acts: dict[str, dict] = {}
@@ -455,13 +458,13 @@ def test_grouped_plan_matches_per_block_reference(ref_circuit, style, channels):
         assert rel_diff(logits, want) <= 1e-12
         g.backward(softmax_xent(logits, labels)[1])
         ref.backward(softmax_xent(want, labels)[1])
-        for (slot, _, grad), (ref_slot, _, ref_grad) in zip(g.param_slots(), ref.param_slots()):
+        for (slot, grad), (ref_slot, ref_grad) in zip(g.grads.items(), ref.grads.items()):
             assert slot == ref_slot
             assert rel_diff(grad, ref_grad) <= 1e-12, slot
         g_opt.step(g)
         ref_opt.step(ref)
-    # the updates went through the slot views into the group buffers
-    for (slot, value, _), (_, ref_value, _) in zip(g.param_slots(), ref.param_slots()):
+    # the updates went through the vectors into the slot views
+    for (slot, value), ref_value in zip(g.params.items(), ref.params.values()):
         assert rel_diff(value, ref_value) <= 1e-12, slot
     assert rel_diff(g.forward(x), ref.forward(x)) <= 1e-12
 
