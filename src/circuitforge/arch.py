@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .connectome import Role, json_text, read_json, write_json
 from .errors import (
     ConstraintUnsatisfiable,

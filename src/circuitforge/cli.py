@@ -62,9 +62,9 @@ def _cmd_cri(args) -> int:
     expr = load_expression(args.expression)
     roles = load_roles(args.roles)
     cri = compute_cri(expr, fold, set(roles))
+    sel = select_correlated(cri, roles, args.policy)  # a refused policy writes nothing
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_cri_table(cri, roles, args.out)
-    sel = select_correlated(cri, roles, args.policy)
     print(f"wrote {args.out} ({len(cri.values)} neurons, {cri.n_genes} genes)")
     print(f"selected {len(sel.all)}: "
           f"{len(sel.sensory)} sensory / {len(sel.inter)} inter / {len(sel.motor)} motor")

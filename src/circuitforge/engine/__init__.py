@@ -1,6 +1,6 @@
 """Numpy-backed execution engine for architecture specs."""
 
-from .graph import CompiledGraph, compile_arch, load_checkpoint, save_checkpoint
+from .graph import CompiledGraph, compile_arch
 from .kernels import softmax_xent
 from .optim import SGD, Adam
 from .train import EpochSummary, EvalReport, TrainConfig, evaluate, fit
@@ -15,7 +15,5 @@ __all__ = [
     "compile_arch",
     "evaluate",
     "fit",
-    "load_checkpoint",
-    "save_checkpoint",
     "softmax_xent",
 ]

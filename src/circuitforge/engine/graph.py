@@ -5,10 +5,10 @@ and every gradient in one `grad_vector` of the same layout; the
 optimizers update these whole.  `params` and `grads` name each slot's
 view into them, keyed "block_id/name" in canonical order: topological
 block position, then name.  That order is the contract for
-initialization and for the checkpoint layout; the vectors themselves
-are laid out in plan order.  The slots, their shapes
-and fan-ins come from the validated arch (`ValidatedArch.slots`, filled
-from the block-kind table in arch.py); the graph adds no shape rule.
+initialization; the vectors themselves are laid out in plan order.
+The slots, their shapes and fan-ins come from the validated arch
+(`ValidatedArch.slots`, filled from the block-kind table in arch.py);
+the graph adds no shape rule.
 
 Tensor t is the output of block `v.order[t]`, so tensor 0 is the input
 batch (the stem is the only block without inputs).  Compiling binds every
@@ -26,8 +26,7 @@ form one sibling group, run as one step at its first member:
     channel slice of one gradient buffer, and runs one conv backward, so
     the shared input's columns or padded copy and its gradient are built
     once per group rather than once per member.
-Slot order, initialization and checkpoints are still those of separate
-convs.
+Slot order and initialization are still those of separate convs.
 
 A group's conv kernel follows from what it reads.  A group that reads
 the batch runs `K.conv2d_batch` on im2col and, in backward,
@@ -75,7 +74,6 @@ order, so a (spec, seed) pair yields the same parameters in any dtype.
 from __future__ import annotations
 
 import math
-import struct
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -83,19 +81,13 @@ import numpy as np
 
 from ..arch import ArchitectureSpec, BlockKind, ValidatedArch, param_count, validate
 from ..errors import (
-    BadMagic,
-    CheckpointError,
     InvalidConfig,
     NonFiniteActivation,
     ShapeMismatch,
     StaleActivation,
-    TruncatedFile,
-    read_input,
     seeded_generator,
 )
 from . import kernels as K
-
-CHECKPOINT_MAGIC = b"CFG1"
 
 
 class _Step(NamedTuple):
@@ -320,44 +312,3 @@ def compile_arch(spec: ArchitectureSpec | ValidatedArch, seed: int, *,
                  dtype=np.float32) -> CompiledGraph:
     v = spec if isinstance(spec, ValidatedArch) else validate(spec)
     return CompiledGraph(v, seed, dtype=dtype)
-
-
-# --- checkpointing ---
-
-def save_checkpoint(g: CompiledGraph, path) -> None:
-    """Magic, 4-byte spec-JSON length, spec JSON, then every parameter as
-    little-endian float32 in slot order.  Only float32 graphs are saved,
-    so no parameter loses precision on the way to disk."""
-    if g.dtype != np.float32:
-        raise CheckpointError(
-            f"{path}: checkpoints store float32, graph is {g.dtype}")
-    doc = g.spec.to_json().encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(doc)))
-        fh.write(doc)
-        for value in g.params.values():
-            fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
-
-
-def load_checkpoint(path) -> CompiledGraph:
-    blob = read_input(path)
-    if len(blob) < 8 or blob[:4] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"{path}: not a checkpoint (magic {blob[:4]!r})")
-    (doc_len,) = struct.unpack("<I", blob[4:8])
-    if len(blob) < 8 + doc_len:
-        raise TruncatedFile(path, 8 + doc_len, len(blob))
-    spec = ArchitectureSpec.from_json(blob[8:8 + doc_len])
-    g = compile_arch(spec, seed=0)
-    offset = 8 + doc_len
-    for value in g.params.values():
-        nbytes = value.size * 4
-        if len(blob) < offset + nbytes:
-            raise TruncatedFile(path, offset + nbytes, len(blob))
-        flat = np.frombuffer(blob, dtype="<f4", count=value.size, offset=offset)
-        value[...] = flat.reshape(value.shape)
-        offset += nbytes
-    if offset != len(blob):
-        raise CheckpointError(
-            f"{path}: {len(blob) - offset} trailing bytes after parameters")
-    return g

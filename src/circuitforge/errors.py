@@ -195,10 +195,6 @@ class NonFiniteActivation(CircuitForgeError):
     """NaN/Inf appeared in an activation or gradient; names the block."""
 
 
-class CheckpointError(CircuitForgeError):
-    pass
-
-
 # --- dataset io ---
 
 class BadMagic(CircuitForgeError):

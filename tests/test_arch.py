@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 
 import numpy as np
 import pytest
@@ -19,8 +18,7 @@ from circuitforge.arch import (
     validate,
 )
 from circuitforge.connectome import Role
-from circuitforge.cri import SelectedNeurons
-from circuitforge.engine.graph import compile_arch, load_checkpoint, save_checkpoint
+from circuitforge.engine.graph import compile_arch
 from circuitforge.errors import (
     ConstraintUnsatisfiable,
     CycleDetected,
@@ -347,22 +345,6 @@ def test_malformed_fields_raise_invalid_architecture(case, tmp_path):
     (tmp_path / "arch.json").write_bytes(raw)
     with pytest.raises(InvalidArchitecture, match=names):
         ArchitectureSpec.from_json(read_input(tmp_path / "arch.json"))
-
-    # and as the spec inside a checkpoint
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(compile_arch(_merge_spec(), 0), path)
-    blob = path.read_bytes()
-    (doc_len,) = struct.unpack("<I", blob[4:8])
-    params = blob[8 + doc_len:]
-
-    def write_spec(spec_raw: bytes) -> None:
-        path.write_bytes(blob[:4] + struct.pack("<I", len(spec_raw)) + spec_raw + params)
-
-    write_spec(_merge_spec().to_json().encode("utf-8"))
-    assert param_count(load_checkpoint(path).v) == len(params) // 4  # the rewrite is sound
-    write_spec(raw)
-    with pytest.raises(InvalidArchitecture, match=names):
-        load_checkpoint(path)
 
 
 def test_stem_params_may_be_omitted():

@@ -109,6 +109,20 @@ def test_cri_pipeline(tmp_path, capsys):
     assert out.read_text().splitlines()[1] == "S1,sensory,10"
 
 
+def test_cri_refused_policy_writes_nothing(tmp_path, capsys):
+    (tmp_path / "fold.csv").write_text("gene,fold_change\ng1,10\n")
+    (tmp_path / "expr.csv").write_text("gene,neuron,proportion\ng1,S1,0.5\n")
+    (tmp_path / "roles.tsv").write_text("neuron\trole\nS1\tsensory\n")
+    out = tmp_path / "out" / "cri.csv"
+    # the default policy keeps the top 11, more than the one neuron here
+    assert main(["cri", "--foldchanges", str(tmp_path / "fold.csv"),
+                 "--expression", str(tmp_path / "expr.csv"),
+                 "--roles", str(tmp_path / "roles.tsv"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.parent.exists()
+
+
 def test_policy_argument_rejects_garbage():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["cri", "--foldchanges", "f", "--expression", "e",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from circuitforge.connectome import (
-    Connectome,
     Direction,
     Role,
     aggregate_functional,

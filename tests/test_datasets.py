@@ -24,7 +24,6 @@ from circuitforge.errors import (
     BadRecordLength,
     CorruptGzip,
     CountMismatch,
-    EmptyDataset,
     InsufficientExamples,
     InvalidDataset,
     MalformedRow,

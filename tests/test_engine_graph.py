@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import re
+import struct
 import weakref
 
 import numpy as np
@@ -22,24 +23,16 @@ from circuitforge.arch import (
 from circuitforge.connectome import Role
 from circuitforge.datasets import LabeledDataset, batches
 from circuitforge.engine import kernels as K
-from circuitforge.engine.graph import (
-    CompiledGraph,
-    compile_arch,
-    load_checkpoint,
-    save_checkpoint,
-)
+from circuitforge.engine.graph import CompiledGraph, compile_arch
 from circuitforge.engine.kernels import softmax_xent
 from circuitforge.engine.optim import Adam
 from circuitforge.engine.train import TrainConfig, evaluate, fit
 from circuitforge.errors import (
-    BadMagic,
-    CheckpointError,
     CountMismatch,
     EmptyDataset,
     NonFiniteActivation,
     ShapeMismatch,
     StaleActivation,
-    TruncatedFile,
 )
 from circuitforge.extraction import FunctionalCircuit
 from circuitforge.reference import reference_circuit
@@ -173,52 +166,6 @@ def test_whole_graph_gradient_check_float64():
             numeric = (hi - lo) / (2 * eps)
             denom = max(abs(numeric), abs(flat_g[i]), 1e-8)
             assert abs(numeric - flat_g[i]) / denom <= 1e-4, (slot, i)
-
-
-def test_checkpoint_round_trip(tmp_path):
-    g = tiny_graph(seed=4)
-    x = np.random.default_rng(0).normal(size=(2, 1, 12, 12)).astype(np.float32)
-    before = g.forward(x)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(g, path)
-    back = load_checkpoint(path)
-    assert back.v.spec == g.v.spec
-    for (sa, va), (sb, vb) in zip(g.params.items(), back.params.items()):
-        assert sa == sb and np.array_equal(va, vb)
-    assert np.array_equal(back.forward(x), before)
-
-
-def test_checkpoint_refuses_non_float32(tmp_path):
-    path = tmp_path / "model.ckpt"
-    with pytest.raises(CheckpointError, match=r"model\.ckpt.*float64"):
-        save_checkpoint(tiny_graph(dtype=np.float64), path)
-    assert not path.exists()
-
-
-def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(BadMagic):
-        load_checkpoint(path)
-
-
-def test_checkpoint_truncated(tmp_path):
-    g = tiny_graph()
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(g, path)
-    blob = path.read_bytes()
-    (tmp_path / "cut.ckpt").write_bytes(blob[:len(blob) - 40])
-    with pytest.raises(TruncatedFile):
-        load_checkpoint(tmp_path / "cut.ckpt")
-
-
-def test_checkpoint_trailing_garbage(tmp_path):
-    g = tiny_graph()
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(g, path)
-    path.write_bytes(path.read_bytes() + b"extra")
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
 
 
 # --- training loop -----------------------------------------------------------
@@ -482,8 +429,10 @@ def test_siblings_group_by_source_kernel_pad_and_pool(ref_circuit):
                      "sequential": []}
 
 
-# sha256 prefixes of the seed-0 float32 1x28x28 c=8 checkpoints as written
-# when every conv ran on its own
+# sha256 prefixes of the seed-0 float32 1x28x28 c=8 parameters, as the
+# bytes b"CFG1", the spec JSON's length as a little-endian u32, the spec
+# JSON, then every slot in canonical order as little-endian float32: the
+# checkpoint layout of the time when every conv ran on its own
 GOLDEN_CHECKPOINTS = {
     "circuit": "60b3c7e82be47798",
     "randomized": "72640793b516de3a",
@@ -492,13 +441,15 @@ GOLDEN_CHECKPOINTS = {
 
 
 @pytest.mark.parametrize("style", sorted(GOLDEN_CHECKPOINTS))
-def test_seed0_checkpoints_are_unchanged_by_grouping(ref_circuit, tmp_path, style):
+def test_seed0_checkpoints_are_unchanged_by_grouping(ref_circuit, style):
     spec = {"circuit": lambda: synthesize_circuit_arch(ref_circuit, 8, (1, 28, 28), 10),
             "randomized": lambda: synthesize_randomized_arch(ref_circuit, 8, 0, (1, 28, 28), 10),
             "sequential": lambda: synthesize_sequential_arch(8, (1, 28, 28), 10)}[style]()
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(compile_arch(validate(spec), 0), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest().startswith(GOLDEN_CHECKPOINTS[style])
+    doc = spec.to_json().encode("utf-8")
+    blob = b"CFG1" + struct.pack("<I", len(doc)) + doc + b"".join(
+        np.ascontiguousarray(value, "<f4").tobytes()
+        for value in compile_arch(validate(spec), 0).params.values())
+    assert hashlib.sha256(blob).hexdigest().startswith(GOLDEN_CHECKPOINTS[style])
 
 
 def test_non_finite_sibling_is_named():

@@ -28,7 +28,7 @@ from circuitforge.cri import (
     select_correlated,
     write_cri_table,
 )
-from circuitforge.engine.graph import load_checkpoint
+from circuitforge.datasets import load_idx
 from circuitforge.errors import (
     CircuitForgeError,
     InvalidCircuit,
@@ -135,7 +135,7 @@ def test_malformed_table_names_file_and_line(case, tmp_path):
 
 @pytest.mark.parametrize("load", [lambda p: read_table(p, AGGREGATION_TSV),
                                   lambda p: ArchitectureSpec.from_json(read_input(p)),
-                                  load_checkpoint], ids=["read_table", "arch", "checkpoint"])
+                                  lambda p: load_idx(p, p)], ids=["read_table", "arch", "idx"])
 def test_missing_input_names_the_path(tmp_path, load):
     path = tmp_path / "nope.txt"
     with pytest.raises(MissingInput) as info:
