@@ -219,6 +219,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> tuple[list[MetricsReport], dict]:
         if cfg.train_subset else train_full
     test_ds = subset(test_full, cfg.test_subset, cfg.subset_seed + 1) \
         if cfg.test_subset else test_full
+    del train_full, test_full  # the runs read the subsets alone
 
     circuit = None
     if any(s in ("circuit", "randomized") for s in cfg.styles):

@@ -3,11 +3,24 @@
 Two on-disk formats are supported, byte-exact per their public layouts:
 
   * IDX (big-endian): image files carry magic 2051 and three dims,
-    label files magic 2049 and one dim; .gz copies are detected by the
-    gzip signature and decompressed transparently.
+    label files magic 2049 and one dim.
   * CIFAR binary: fixed-length records of one (or two, for the
     100-category variant) label bytes followed by 3072 channel-major
     pixel bytes.
+
+One streamed reader, `_decoded`, reads every binary file, either format,
+plain or gzipped (detected by the gzip signature).  It reads the file
+once through one reusable CHUNK-byte buffer, inflates a gzip file member
+by member with `zlib.decompressobj`, and writes each split straight into
+its final uint8 array: an IDX split's size comes from its header, a
+CIFAR split's from its files' sizes (a gzipped batch is decoded once
+more to count its bytes).  No whole-file copy is made, and no
+transient buffer as large as a decoded file.
+Every fault raises the typed error that a whole-file decode raised,
+naming the path: the rest of a gzip file is decoded before a format
+error is raised, so damaged gzip data is reported first wherever it
+lies, and the trailer's CRC and length are checked even when the
+header's count ends the read early.
 
 Pixels stay uint8, as stored on disk, until `batches` draws a batch and
 scales it to [0, 1] float32; a split therefore costs one byte per pixel,
@@ -19,11 +32,14 @@ same input statistics.
 
 from __future__ import annotations
 
-import gzip
+import math
 import os
 import zlib
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -39,7 +55,7 @@ from .errors import (
     MissingBatchFile,
     TruncatedFile,
     check_int,
-    read_input,
+    open_input,
     read_text,
     seeded_generator,
 )
@@ -83,63 +99,185 @@ class LabeledDataset:
         return tuple(self.images.shape[1:])
 
 
-def _read_binary(path) -> bytes:
-    raw = read_input(path)
-    if raw[:2] != b"\x1f\x8b":
-        return raw
-    try:
-        return gzip.decompress(raw)
-    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise CorruptGzip(f"{path}: damaged gzip data: {exc}") from None
+GZIP_MAGIC = b"\x1f\x8b"
+# Most bytes read from a file, and most bytes inflated, at once
+CHUNK = 1 << 16
+# deflate's largest ratio of decoded to compressed bytes, so a gzip file
+# of s bytes decodes to at most MAX_RATIO * s
+MAX_RATIO = 1032
 
 
-def _idx_header(blob: bytes, path, n_dims: int) -> tuple[int, list[int]]:
-    need = 4 * (1 + n_dims)
-    if len(blob) < need:
-        raise TruncatedFile(path, need, len(blob))
-    magic = int.from_bytes(blob[0:4], "big")
-    dims = [int.from_bytes(blob[4 + 4 * d:8 + 4 * d], "big") for d in range(n_dims)]
-    return magic, dims
+def _inflate(fh, path) -> Iterator[bytes]:
+    """The decoded bytes of gzip file fh, piece by piece, at most CHUNK at a
+    time: each member in turn, read through one reusable chunk buffer, with
+    the zero bytes that may pad a member skipped as `gzip.decompress` skips
+    them.  A damaged member, a bad CRC or length, a stream that ends inside
+    a member and bytes after a member that start no member raise
+    CorruptGzip naming the path."""
+    chunk = bytearray(CHUNK)
+    data = memoryview(b"")  # read but not yet inflated
+    member = None  # the decoder of the member being read
+    # the last piece filled CHUNK: zlib may then hold more output with no
+    # input left, so the decoder runs again before the file is read on
+    full = False
+    while True:
+        if not data and not full:
+            n = fh.readinto(chunk)
+            if not n:
+                if member is not None:
+                    raise CorruptGzip(f"{path}: damaged gzip data: "
+                                      "the file ends inside a member")
+                return
+            data = memoryview(chunk)[:n]
+        if member is None:
+            data = memoryview(bytes(data).lstrip(b"\0"))
+            if not data:
+                continue
+            member = zlib.decompressobj(wbits=31)
+        try:
+            piece = member.decompress(data, CHUNK)
+        except zlib.error as exc:
+            raise CorruptGzip(f"{path}: damaged gzip data: {exc}") from None
+        full = len(piece) == CHUNK
+        if member.eof:
+            data, member, full = memoryview(member.unused_data), None, False
+        else:
+            data = memoryview(member.unconsumed_tail)
+        if piece:
+            yield piece
+
+
+class _Decoded:
+    """The decoded bytes of one binary input, read once, in order: the
+    file's own bytes, or, when it starts with the gzip signature, its
+    members inflated by `_inflate`."""
+
+    def __init__(self, fh, path):
+        self.path = path
+        self.pos = 0  # bytes read so far
+        self._fh = fh
+        size = os.fstat(fh.fileno()).st_size
+        gzipped = fh.peek(2)[:2] == GZIP_MAGIC
+        self._bound = MAX_RATIO * size if gzipped else size  # most bytes it can hold
+        self._pieces = _inflate(fh, path) if gzipped else None
+        self._piece = memoryview(b"")
+
+    def read(self, out: np.ndarray) -> np.ndarray:
+        """Fills the contiguous uint8 array out with the next bytes, or
+        raises TruncatedFile with the decoded length where they end."""
+        view = memoryview(out.reshape(-1))
+        need = self.pos + len(view)
+        if self._pieces is None:
+            got = self._fh.readinto(view)
+        else:
+            got = 0
+            while got < len(view):
+                if not self._piece:
+                    self._piece = memoryview(next(self._pieces, b""))
+                    if not self._piece:
+                        break
+                n = min(len(self._piece), len(view) - got)
+                view[got:got + n] = self._piece[:n]
+                self._piece = self._piece[n:]
+                got += n
+        self.pos += got
+        if got < len(view):
+            raise TruncatedFile(self.path, need, self.pos)
+        return out
+
+    def rest(self) -> int:
+        """The number of bytes left, all of which a gzip file decodes, so that
+        its checks run."""
+        if self._pieces is None:
+            n = self._bound - self.pos
+        else:
+            n = len(self._piece) + sum(map(len, self._pieces))
+            self._piece = memoryview(b"")
+        self.pos += n
+        return n
+
+    def fail(self, error: Exception) -> NoReturn:
+        """Raises error once the rest is decoded: a damaged gzip stream is
+        reported first, wherever the damage lies, as a whole-file decode
+        would report it."""
+        self.rest()
+        raise error
+
+    def read_new(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next bytes as a new uint8 array of this shape.  A size the file
+        cannot hold is refused before anything is allocated."""
+        need = self.pos + math.prod(shape)
+        if need > self._bound:
+            self.fail(TruncatedFile(self.path, need, self.pos + self.rest()))
+        return self.read(np.empty(shape, np.uint8))
+
+
+@contextmanager
+def _decoded(path) -> Iterator[_Decoded]:
+    """The one reader of every binary input: IDX images and labels, and
+    CIFAR batches.  Missing or unreadable files raise through
+    `open_input`."""
+    with open_input(path) as fh:
+        yield _Decoded(fh, path)
+
+
+def _idx_header(src: _Decoded, n_dims: int, magic: int, what: str) -> list[int]:
+    """The dimensions of an IDX file whose magic must be `magic`."""
+    got, *dims = map(int, src.read_new((4 * (1 + n_dims),)).view(">u4"))
+    if got != magic:
+        src.fail(BadMagic(f"{src.path}: {what} magic {got}, expected {magic}"))
+    return dims
 
 
 def load_idx(images_path, labels_path) -> LabeledDataset:
     """Load an IDX image/label file pair (optionally gzipped); category i
-    is named str(i), one per label up to the largest."""
-    img_blob = _read_binary(images_path)
-    magic, (n, rows, cols) = _idx_header(img_blob, images_path, 3)
-    if magic != IDX_IMAGE_MAGIC:
-        raise BadMagic(f"{images_path}: image magic {magic}, expected {IDX_IMAGE_MAGIC}")
-    expected = 16 + n * rows * cols
-    if len(img_blob) < expected:
-        raise TruncatedFile(images_path, expected, len(img_blob))
-    images = np.frombuffer(img_blob, dtype=np.uint8, count=n * rows * cols,
-                           offset=16).reshape(n, 1, rows, cols)
-
-    lab_blob = _read_binary(labels_path)
-    magic, (n_labels,) = _idx_header(lab_blob, labels_path, 1)
-    if magic != IDX_LABEL_MAGIC:
-        raise BadMagic(f"{labels_path}: label magic {magic}, expected {IDX_LABEL_MAGIC}")
-    if n_labels != n:
-        raise CountMismatch(f"{n} images but {n_labels} labels")
-    expected = 8 + n_labels
-    if len(lab_blob) < expected:
-        raise TruncatedFile(labels_path, expected, len(lab_blob))
-    labels = np.frombuffer(lab_blob, dtype=np.uint8, count=n_labels, offset=8).astype(np.int64)
-
+    is named str(i), one per label up to the largest.  Each file is read
+    once, straight into its array; the rest of a gzip file is decoded for
+    its checks."""
+    with _decoded(images_path) as src:
+        n, rows, cols = _idx_header(src, 3, IDX_IMAGE_MAGIC, "image")
+        images = src.read_new((n, 1, rows, cols))
+        src.rest()
+    with _decoded(labels_path) as src:
+        (n_labels,) = _idx_header(src, 1, IDX_LABEL_MAGIC, "label")
+        if n_labels != n:
+            src.fail(CountMismatch(f"{n} images but {n_labels} labels"))
+        labels = src.read_new((n_labels,)).astype(np.int64)
+        src.rest()
     k = int(labels.max()) + 1 if labels.size else 0
     return LabeledDataset(images=images, labels=labels,
                           category_names=tuple(str(i) for i in range(k)))
 
 
-def _read_cifar_records(path, label_bytes: int) -> tuple[np.ndarray, np.ndarray]:
-    blob = _read_binary(path)
+def _read_cifar(paths: list[Path], label_bytes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The images and labels of CIFAR batch files, records in file order,
+    each file copied through one reusable buffer of whole records straight
+    into the split's arrays.  The split's size comes first, from each
+    file's size, or from a counting decode of a gzipped file."""
     record = label_bytes + 3072
-    if len(blob) == 0 or len(blob) % record != 0:
-        raise BadRecordLength(
-            f"{path}: {len(blob)} bytes is not a multiple of the {record}-byte record")
-    raw = np.frombuffer(blob, dtype=np.uint8).reshape(-1, record)
-    labels = raw[:, label_bytes - 1].astype(np.int64)  # fine label is the last one
-    return raw[:, label_bytes:].reshape(-1, 3, 32, 32), labels
+    counts = []
+    for path in paths:
+        if not path.is_file():
+            raise MissingBatchFile(f"{path} not found")
+        with _decoded(path) as src:
+            size = src.rest()
+        if size == 0 or size % record != 0:
+            raise BadRecordLength(
+                f"{path}: {size} bytes is not a multiple of the {record}-byte record")
+        counts.append(size // record)
+    images = np.empty((sum(counts), 3, 32, 32), np.uint8)
+    labels = np.empty(sum(counts), np.int64)
+    buf = np.empty((max(1, CHUNK // record), record), np.uint8)
+    start = 0
+    for path, count in zip(paths, counts):
+        with _decoded(path) as src:
+            for lo in range(start, start + count, len(buf)):
+                rows = src.read(buf[:min(len(buf), start + count - lo)])
+                images[lo:lo + len(rows)] = rows[:, label_bytes:].reshape(-1, 3, 32, 32)
+                labels[lo:lo + len(rows)] = rows[:, label_bytes - 1]  # the fine label is last
+            src.rest()
+        start += count
+    return images, labels
 
 
 def _category_names_from_meta(directory: Path, meta_file: str, count: int
@@ -176,14 +314,7 @@ def load_cifar(directory, variant: str = "C10", split: str = "train") -> Labeled
         files = ["train.bin"] if split == "train" else ["test.bin"]
         label_bytes = 2
         names = _category_names_from_meta(directory, "fine_label_names.txt", 100)
-    parts = []
-    for name in files:
-        path = directory / name
-        if not path.is_file():
-            raise MissingBatchFile(f"{path} not found")
-        parts.append(_read_cifar_records(path, label_bytes))
-    images = np.concatenate([p[0] for p in parts])
-    labels = np.concatenate([p[1] for p in parts])
+    images, labels = _read_cifar([directory / name for name in files], label_bytes)
     return LabeledDataset(images=images, labels=labels, category_names=names)
 
 

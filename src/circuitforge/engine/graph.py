@@ -23,9 +23,9 @@ form one sibling group, run as one step at its first member:
     that member's channel slice: `K.pool_relu` when the group pools,
     else `K.relu` in place;
   * backward runs each member's epilogue backward into that member's
-    channel slice of one gradient buffer, and runs one conv backward, so
-    the shared input's columns or padded copy and its gradient are built
-    once per group rather than once per member.
+    channel slice of the group's conv output, in place, and runs one
+    conv backward, so the shared input's columns or padded copy and its
+    gradient are built once per group rather than once per member.
 Slot order and initialization are still those of separate convs.
 
 A group's conv kernel follows from what it reads.  A group that reads
@@ -39,7 +39,13 @@ allows it (the 80-channel circuit stems, not the sequential nets'
 step's `fold` is then its pool, else 1.  The epilogue is the same in
 both: `K.pool_relu` takes each window's maximum and then ReLU, and
 `K.pool_relu_backward` routes each member's gradient to its windows'
-first maxima by comparing them with the member's pooled output.
+first maxima by comparing them with the member's pooled output.  It
+reads each window offset of the pre-activation before it writes that
+offset, so a pooled group writes its gradient over its own
+pre-activation: no second buffer of the group's output size (16 MB for
+the 1x28x28 circuit's stem group at batch 64, 21 MB at 3x32x32) is made.  An
+unpooled group of several members writes each member's ReLU gradient
+over its slice the same way; a lone unpooled member's gradient is new.
 
 The epilogue must not run over the whole fused tensor.  The stem
 group of a 1x28x28 circuit at batch 64 is a (64, 80, 28, 28) float32
@@ -62,11 +68,22 @@ activation).  Backward walks the plan in reverse and adds into one
 gradient per tensor.  In reverse every consumer of a
 tensor runs before its producer, so once a step's backward has run
 nothing reads its saved value, its outputs or their gradients again,
-and the step drops them; a conv group drops its conv output before
-its conv backward allocates.  Backward skips the stem's step 0 and never
+and the step drops them; a conv group's output holds only its gradient
+when its conv backward runs.  Backward skips the stem's step 0 and never
 stores tensor 0's gradient, which nothing reads.  An evaluation forward
 (`keep=False`) saves nothing and drops each tensor once the last step
-that reads it has run.  Initialization is Kaiming-uniform over
+that reads it has run.
+
+Memory.  Every array that forward or backward allocates, in a kernel or
+in the graph (conv outputs, padded copies, im2col columns, pooled
+outputs, concats, finiteness masks, gradients and their sums), comes
+from the graph's `K.Workspace`, which both make active while they run;
+the kernels take it through their private allocator, so they keep
+their public names and signatures.  To drop an array is to release its
+buffer for reuse, not to free it: the workspace lends a buffer again
+once no array views it, and dies with the graph.  From the second step
+at a batch shape on, a step maps no memory and takes no page faults
+(CHANGES.md gives the counts).  Initialization is Kaiming-uniform over
 fan-in with zero biases, drawn from a counter-based generator in slot
 order, so a (spec, seed) pair yields the same parameters in any dtype.
 """
@@ -110,6 +127,7 @@ class CompiledGraph:
         self.spec = v.spec
         self.dtype = np.dtype(dtype)
         self._acts: tuple[list, list] | None = None  # forward's tensors and saved values
+        self._workspace = K.Workspace()  # every array forward and backward allocate
         rng = seeded_generator("seed", seed, InvalidConfig)
         self.param_vector = np.zeros(param_count(v), self.dtype)
         self.grad_vector = np.zeros_like(self.param_vector)
@@ -182,17 +200,19 @@ class CompiledGraph:
         outs: list = [None] * len(self.v.order)
         outs[0] = x
         saved: list = []
-        for i, step in enumerate(self._plan):
-            saved.append(self._forward_step(step, outs))
-            for t in step.out:
-                if not np.isfinite(outs[t]).all():
-                    raise NonFiniteActivation(
-                        f"block {self.v.order[t]!r} produced non-finite values")
-            if not keep:  # no backward follows
-                saved.pop()
-                for t in step.src:
-                    if self._last_read[t] == i:
-                        outs[t] = None
+        ws = self._workspace
+        with ws:
+            for i, step in enumerate(self._plan):
+                saved.append(self._forward_step(step, outs))
+                for t in step.out:
+                    if not np.isfinite(outs[t], out=ws.empty(outs[t].shape, bool)).all():
+                        raise NonFiniteActivation(
+                            f"block {self.v.order[t]!r} produced non-finite values")
+                if not keep:  # no backward follows
+                    saved.pop()
+                    for t in step.src:
+                        if self._last_read[t] == i:
+                            outs[t] = None
         if keep:
             self._acts = (outs, saved)
         return outs[-1]
@@ -246,8 +266,9 @@ class CompiledGraph:
         # every consumer of a tensor runs after its producer, so in reverse each
         # tensor's gradient is complete when its producer's step runs; step 0
         # is the stem
-        for i in range(len(self._plan) - 1, 0, -1):
-            self._backward_step(i, outs, grads, saved)
+        with self._workspace:
+            for i in range(len(self._plan) - 1, 0, -1):
+                self._backward_step(i, outs, grads, saved)
 
     def _backward_step(self, i: int, outs: list, grads: list, saved: list) -> None:
         """Write step i's parameter gradients and add its inputs' gradients
@@ -260,18 +281,19 @@ class CompiledGraph:
             outs[t] = grads[t] = None
         if kind is BlockKind.CONV:
             pool = params["pool"]
-            # each member's gradient goes into its channel slice of one
-            # buffer; a lone unpooled member's gradient is the group's
-            gz = np.empty(keep.shape, keep.dtype) if len(out) > 1 or pool > 1 else None
+            # each member's gradient goes into its channel slice of the conv
+            # output, in place (see the module docstring); a lone unpooled
+            # member's gradient is the group's
+            gz = keep if len(out) > 1 or pool > 1 else None
             for lo, hi, y, gy in zip(bounds, bounds[1:], ys, gys):
                 if pool > 1:
-                    K.pool_relu_backward(gy, y, keep[:, lo:hi], pool, gz[:, lo:hi])
+                    K.pool_relu_backward(gy, y, gz[:, lo:hi], pool, gz[:, lo:hi])
                 elif gz is None:
                     gz = K.relu_backward(gy, y)
                 else:
                     gz[:, lo:hi] = K.relu_backward(gy, y)
-            # the conv output (the members' activations may view it) dies
-            # before the conv backward allocates its patches
+            # no forward value of the group (the members' activations may
+            # view its output) lives on into the conv backward
             del keep, ys, gys, y, gy
             if src[0]:
                 gx, g["w"][...], g["b"][...] = K.conv2d_backward(
@@ -305,7 +327,8 @@ class CompiledGraph:
                 f"block {self.v.order[bad]!r} produced a non-finite parameter gradient")
         for t, gin in zip(src, gins):
             if t:  # tensor 0 needs no gradient
-                grads[t] = gin if grads[t] is None else grads[t] + gin
+                grads[t] = gin if grads[t] is None else np.add(
+                    grads[t], gin, out=self._workspace.empty(gin.shape, gin.dtype))
 
 
 def compile_arch(spec: ArchitectureSpec | ValidatedArch, seed: int, *,

@@ -69,9 +69,26 @@ least as wide as the columns, Cout >= Cin*k*k (`pool_ordered`): the
 runs on im2col and its input gradient is never needed:
 `conv2d_batch_param_backward` returns the parameter gradients alone, in
 either order.
+
+Memory.  Every array that scales with the batch and that a kernel
+allocates (outputs, padded copies, im2col columns, masks, GEMM
+partials) comes from the private allocator `_empty`: from the
+`Workspace` that a compiled graph makes active while it runs forward
+or backward, else from `np.empty`.  A kernel's result is thus a
+workspace buffer that the workspace lends again only once no array
+views it.  Parameter-sized results (a weight or bias gradient, the
+conv taps) stay plain arrays.  The buffers come from inside the kernels
+rather than through an `out=` parameter, so every public kernel keeps
+its signature and the graph keeps calling it by its name.
+`pool_relu_backward` may write into its own input z (`out` is z): the
+graph writes a pooled group's gradient over its pre-activation.
 """
 
 from __future__ import annotations
+
+import math
+import weakref
+from contextvars import ContextVar
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -85,6 +102,87 @@ from ..errors import LabelOutOfRange, ShapeMismatch
 # blocks, 4.4 ms in 1 MiB blocks and 4.6 ms in 256 KiB blocks; the
 # 1-channel 5x5 stem at 28x28, 1.6 ms whole and 1.3 ms in 1 MiB blocks.
 COLS_BLOCK = 1 << 20
+
+
+class Workspace:
+    """The buffers of one compiled graph's forward and backward passes.
+
+    `empty(shape, dtype)` lends an array over a buffer of exactly its byte
+    size.  The array is a reshape of a 1-D `np.frombuffer` array over a
+    memoryview of the buffer, and numpy points every view of it, views
+    of views included, at that 1-D array, which stops at the memoryview.
+    So the 1-D array dies only once no array views the buffer; a weakref
+    callback then puts the buffer back on its byte size's free list, and
+    the next request of that size takes the most recently released
+    buffer.  A buffer is lent again only after that, so an array that a
+    caller still holds (logits, an activation view) keeps its bytes.
+    Nothing else frees a buffer: the workspace holds what it lent at most
+    at once per size, and dies with its graph.  After the first step at a
+    given batch shape every request finds a free buffer, so no step maps
+    or faults in memory.
+
+    `with workspace:` makes it the one that the kernels' private allocator
+    `_empty` lends from; without one active, `_empty` is `np.empty`.  The
+    kernels keep their signatures and the graph keeps calling them by
+    their public names.
+    """
+
+    def __init__(self) -> None:
+        self._free: dict[int, list[np.ndarray]] = {}  # nbytes -> released buffers
+        self._lent: dict[int, tuple[weakref.ref, np.ndarray]] = {}  # id(ref) -> (ref, buffer)
+        self._tokens: list = []
+        me = weakref.ref(self)  # the callback must not keep the workspace alive
+
+        def release(ref: weakref.ref) -> None:
+            ws = me()
+            if ws is not None:
+                _, buf = ws._lent.pop(id(ref))
+                ws._free.setdefault(buf.size, []).append(buf)
+
+        self._release = release
+
+    def empty(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        free = self._free.get(count * dtype.itemsize)
+        buf = free.pop() if free else _aligned(count * dtype.itemsize)
+        lease = np.frombuffer(memoryview(buf), dtype, count)
+        ref = weakref.ref(lease, self._release)
+        self._lent[id(ref)] = ref, buf
+        return lease.reshape(shape)
+
+    def __enter__(self) -> Workspace:
+        self._tokens.append(_ACTIVE.set(self))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _ACTIVE.reset(self._tokens.pop())
+
+
+_ACTIVE: ContextVar[Workspace | None] = ContextVar("workspace", default=None)
+
+
+def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialized array from the active workspace, else np.empty."""
+    ws = _ACTIVE.get()
+    return np.empty(shape, dtype) if ws is None else ws.empty(shape, dtype)
+
+
+def _aligned(nbytes: int) -> np.ndarray:
+    """A new uint8 buffer of nbytes that starts on a 64-byte cache line.
+    malloc puts a large block 16 bytes past a page boundary, and numpy's
+    vector loops over such arrays ran up to 30% slower (an in-place add of
+    two 458 KB float32 arrays: 19.9 against 15.4 us)."""
+    raw = np.empty(nbytes + 63, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes]
+
+
+def _zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zeroed array from the active workspace, else np.zeros."""
+    out = _empty(shape, dtype)
+    out.fill(0)
+    return out
 
 
 def _col_blocks(x: np.ndarray, k: int, pad: int, p: int
@@ -111,13 +209,17 @@ def _patches(x: np.ndarray, k: int, pad: int, p: int, hq: int, wq: int) -> np.nd
     Column (a*p + b)*Hq*Wq + i*Wq + j holds the kxk window of output
     (i*p + a, j*p + b), so p = 1 is plain row-major order with
     (Hq, Wq) = (Ho, Wo)."""
+    n, c, h, w = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    n, c = x.shape[:2]
+        padded = _zeros((n, c, h + 2 * pad, w + 2 * pad), x.dtype)
+        padded[:, :, pad:pad + h, pad:pad + w] = x
+        x = padded
     sn, sc, sh, sw = x.strides
     windows = as_strided(x, (n, c, k, k, p, p, hq, wq),
                          (sn, sc, sh, sw, sh, sw, p * sh, p * sw), writeable=False)
-    return windows.reshape(n, c * k * k, p * p * hq * wq)  # the one copy
+    cols = _empty((n, c * k * k, p * p * hq * wq), x.dtype)
+    np.copyto(cols.reshape(windows.shape), windows)  # the one copy
+    return cols
 
 
 def _flat_padded(x: np.ndarray, k: int, pad: int) -> tuple[np.ndarray, int, int, int]:
@@ -133,7 +235,7 @@ def _flat_padded(x: np.ndarray, k: int, pad: int) -> tuple[np.ndarray, int, int,
         raise ShapeMismatch(f"{k}x{k} kernel does not fit {hp}x{wp} input")
     if k == 1 and not pad:  # already in the flat layout
         return x.reshape(n, c, h * w), ho, wo, wp
-    xf = np.zeros((n, c, hp * wp + k - 1), dtype=x.dtype)
+    xf = _zeros((n, c, hp * wp + k - 1), x.dtype)
     xf[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, pad:pad + h, pad:pad + w] = x
     return xf, ho, wo, wp
 
@@ -157,8 +259,8 @@ def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, pad: int) -> np.nd
     xf, ho, wo, wp = _flat_padded(x, k, pad)
     span = ho * wp
     taps = w.transpose(2, 3, 0, 1).copy()  # (k, k, Cout, Cin)
-    y = np.empty((n, cout, span), dtype=np.result_type(x, w))
-    part = np.empty_like(y) if k > 1 else None
+    y = _empty((n, cout, span), np.result_type(x, w))
+    part = _empty(y.shape, y.dtype) if k > 1 else None
     for t in range(k * k):
         di, dj = divmod(t, k)
         start = di * wp + dj
@@ -177,7 +279,7 @@ def conv2d_batch(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: int, p: int
     is output (i*p + a, j*p + b)."""
     n, _, cout, k = _conv_shapes(x, w)
     blocks, hq, wq = _col_blocks(x, k, pad, p)
-    y = np.empty((n, cout, p * p * hq * wq), dtype=np.result_type(x, w))
+    y = _empty((n, cout, p * p * hq * wq), np.result_type(x, w))
     for sl in blocks:
         # one GEMM per example: W (Co, C*k*k) @ cols (C*k*k, p*p*Hq*Wq)
         np.matmul(w.reshape(cout, -1), _patches(x[sl], k, pad, p, hq, wq), out=y[sl])
@@ -205,16 +307,17 @@ def conv2d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, pad: int
     if wo == wp:
         gf = gy.reshape(n, cout, span)
     else:  # zero junk columns keep them out of gw
-        gf = np.zeros((n, cout, ho, wp), dtype=gy.dtype)
+        gf = _zeros((n, cout, ho, wp), gy.dtype)
         gf[:, :, :, :wo] = gy
         gf = gf.reshape(n, cout, span)
     gw = np.empty(w.shape, dtype=gy.dtype)
+    part = _empty((n, cout, x.shape[1]), np.result_type(gy, x))
     for t in range(k * k):
         di, dj = divmod(t, k)
         start = di * wp + dj
         gw[:, :, di, dj] = np.matmul(
-            gf, xf[:, :, start:start + span].transpose(0, 2, 1)).sum(axis=0)
-    del xf, gf  # before the input-gradient conv pads its own copy of gy
+            gf, xf[:, :, start:start + span].transpose(0, 2, 1), out=part).sum(axis=0)
+    del xf, gf, part  # before the input-gradient conv pads its own copy of gy
     crop = pad - k + 1  # gy's outer rows and columns that reach no input cell
     g = gy[:, :, crop:-crop, crop:-crop] if crop > 0 else gy
     return _conv(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None, max(-crop, 0)), gw, gb
@@ -230,7 +333,8 @@ def conv2d_batch_param_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
     g = gy.reshape(n, cout, p * p * hq * wq)
     gw = None
     for sl in blocks:
-        part = np.matmul(g[sl], _patches(x[sl], k, pad, p, hq, wq).transpose(0, 2, 1))
+        part = np.matmul(g[sl], _patches(x[sl], k, pad, p, hq, wq).transpose(0, 2, 1),
+                         out=_empty((sl.stop - sl.start, cout, w[0].size), np.result_type(gy, x)))
         if gw is not None:  # carried in, so the examples add up in batch order
             part[0] += gw
         gw = part.sum(axis=0)
@@ -254,7 +358,8 @@ def _windows(z: np.ndarray, p: int) -> np.ndarray:
 
 def _window_max(z: np.ndarray, p: int) -> np.ndarray:
     win = _windows(z, p)
-    y = win[:, :, 0, 0].copy()
+    y = _empty(win[:, :, 0, 0].shape, z.dtype)
+    np.copyto(y, win[:, :, 0, 0])
     for o in range(1, p * p):
         np.maximum(y, win[:, :, o // p, o % p], out=y)
     return y
@@ -265,10 +370,11 @@ def _route(g: np.ndarray, y: np.ndarray, z: np.ndarray, p: int, out: np.ndarray)
     into out (z's shape and layout) at each window's first cell, in
     row-major order, that equals y, so ties break identically on every
     run.  The window's other cells get g * 0 (NaN where g is not finite),
-    and cells that no window covers get 0."""
+    and cells that no window covers get 0.  Each window offset of z is
+    read before that offset of out is written, so out may be z."""
     zw, ow = _windows(z, p), _windows(out, p)
-    taken = np.zeros(y.shape, dtype=bool)
-    hit = np.empty(y.shape, dtype=bool)
+    taken = _zeros(y.shape, bool)
+    hit = _empty(y.shape, bool)
     for o in range(p * p):
         np.equal(zw[:, :, o // p, o % p], y, out=hit)
         np.greater(hit, taken, out=hit)  # a hit in a window not yet taken
@@ -305,8 +411,14 @@ def pool_relu_backward(gy: np.ndarray, y: np.ndarray, z: np.ndarray, p: int,
     """Writes the gradient of pool_relu's input z into out, z's shape and
     layout, given y = pool_relu(z, p): gy * (y > 0) routed as `_route`
     does.  A window whose y is 0 gets gy * 0 in every cell, whichever
-    cell matches."""
-    _route(gy * (y > 0), y, z, p, out)
+    cell matches.  out may be z itself, which the gradient overwrites."""
+    _route(_masked(gy, y), y, z, p, out)
+
+
+def _masked(gy: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """gy * (x > 0), with both arrays from the workspace."""
+    mask = np.greater(x, 0, out=_empty(x.shape, bool))
+    return np.multiply(gy, mask, out=_empty(gy.shape, gy.dtype))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -317,14 +429,16 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(gy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return gy * (x > 0)
+    return _masked(gy, x)
 
 
 def concat_channels(parts: list[np.ndarray]) -> np.ndarray:
     hw = {p.shape[2:] for p in parts}
     if len(hw) != 1:
         raise ShapeMismatch(f"cannot concat differing spatial sizes {sorted(hw)}")
-    return np.concatenate(parts, axis=1)
+    n, _, h, w = parts[0].shape
+    out = _empty((n, sum(p.shape[1] for p in parts), h, w), np.result_type(*parts))
+    return np.concatenate(parts, axis=1, out=out)
 
 
 def concat_channels_backward(gy: np.ndarray, channel_counts: list[int]) -> list[np.ndarray]:
@@ -333,24 +447,29 @@ def concat_channels_backward(gy: np.ndarray, channel_counts: list[int]) -> list[
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    return x.mean(axis=(2, 3), keepdims=True)
+    return x.mean(axis=(2, 3), keepdims=True, out=_empty((*x.shape[:2], 1, 1), x.dtype))
 
 
 def global_avg_pool_backward(gy: np.ndarray, x_shape: tuple) -> np.ndarray:
     n, c, h, w = x_shape
-    return np.broadcast_to(gy / (h * w), x_shape).astype(gy.dtype, copy=False).copy()
+    gx = _empty(x_shape, gy.dtype)
+    np.copyto(gx, gy / (h * w))
+    return gx
 
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x (N,F) @ w (F,O) + b (O,)."""
     if x.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"dense input {x.shape} vs weight {w.shape}")
-    return x @ w + b
+    y = np.matmul(x, w, out=_empty((x.shape[0], w.shape[1]), np.result_type(x, w, b)))
+    y += b
+    return y
 
 
 def dense_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return gy @ w.T, x.T @ gy, gy.sum(axis=0)
+    gx = np.matmul(gy, w.T, out=_empty((gy.shape[0], w.shape[0]), np.result_type(gy, w)))
+    return gx, x.T @ gy, gy.sum(axis=0)
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray

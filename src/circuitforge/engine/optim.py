@@ -5,8 +5,10 @@ in another (`param_vector`, `grad_vector`), and every slot is a view into
 them.  Both optimizers update the whole parameter vector in place with
 elementwise operations, so no step depends on where a slot lies in it.
 Their state is one vector per running average, as long as the
-parameter vector; it starts as the scalar 0.0, which the first step's
-arithmetic turns into that vector.
+parameter vector, plus scratch vectors for the update; the first step
+makes them, the averages zeroed, and every step writes into them, so a
+step allocates nothing.  Each operation is the one the update's formula
+names, in its order, so the bytes match the formula evaluated afresh.
 `TrainConfig` holds the one default of each setting.
 """
 
@@ -29,11 +31,16 @@ class SGD:
     def __init__(self, lr: float):
         check_lr(lr)
         self.lr = lr
-        self.velocity = 0.0
+        self.velocity: np.ndarray | None = None
 
     def step(self, g) -> None:
-        self.velocity = self.velocity * MOMENTUM + g.grad_vector
-        g.param_vector -= self.lr * self.velocity
+        if self.velocity is None:
+            self.velocity = np.zeros_like(g.grad_vector)
+            self._delta = np.empty_like(g.grad_vector)
+        v, delta = self.velocity, self._delta
+        v *= MOMENTUM
+        v += g.grad_vector
+        g.param_vector -= np.multiply(v, self.lr, out=delta)
 
 
 class Adam:
@@ -42,14 +49,22 @@ class Adam:
     def __init__(self, lr: float):
         check_lr(lr)
         self.lr = lr
-        self.m = self.v = 0.0
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
         self.steps = 0
 
     def step(self, g) -> None:
         self.steps += 1
         t, grad = self.steps, g.grad_vector
-        self.m = self.m * BETA1 + (1.0 - BETA1) * grad
-        self.v = self.v * BETA2 + (1.0 - BETA2) * np.square(grad)
-        mhat = self.m / (1.0 - BETA1 ** t)
-        vhat = self.v / (1.0 - BETA2 ** t)
-        g.param_vector -= self.lr * mhat / (np.sqrt(vhat) + EPS)
+        if self.m is None:
+            self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
+            self._scratch = np.empty_like(grad), np.empty_like(grad)
+        m, v, (a, b) = self.m, self.v, self._scratch
+        m *= BETA1  # m <- m * BETA1 + (1 - BETA1) * grad
+        m += np.multiply(grad, 1.0 - BETA1, out=a)
+        v *= BETA2  # v <- v * BETA2 + (1 - BETA2) * grad^2
+        v += np.multiply(np.square(grad, out=a), 1.0 - BETA2, out=a)
+        # p <- p - lr * mhat / (sqrt(vhat) + EPS)
+        step = np.multiply(np.divide(m, 1.0 - BETA1 ** t, out=a), self.lr, out=a)
+        denom = np.add(np.sqrt(np.divide(v, 1.0 - BETA2 ** t, out=b), out=b), EPS, out=b)
+        g.param_vector -= np.divide(step, denom, out=a)

@@ -1,13 +1,17 @@
 """Exception types raised across the pipeline.
 
 Every error the library raises deliberately derives from CircuitForgeError,
-so callers can catch one base class at CLI boundaries; `read_input` and
-`read_text` turn an input file that cannot be read or decoded into one.
+so callers can catch one base class at CLI boundaries; `open_input`,
+`read_input` and `read_text` turn an input file that cannot be read or
+decoded into one.
 Loader errors carry enough context (line numbers, byte offsets, field
 paths) to point at the offending input.
 """
 
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
+from typing import BinaryIO
 
 import numpy as np
 
@@ -52,15 +56,24 @@ class UnreadableInput(CircuitForgeError, OSError):
     """A caller-given input file that exists but cannot be read; names the path."""
 
 
-def read_input(path) -> bytes:
-    """The bytes of a caller-given input file, or MissingInput / UnreadableInput."""
+@contextmanager
+def open_input(path) -> Iterator[BinaryIO]:
+    """A caller-given input file opened for binary reading; a file that is
+    missing, or that cannot be opened or read in the block, raises
+    MissingInput / UnreadableInput naming the path."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            yield fh
     except FileNotFoundError:
         raise MissingInput(f"{path}: no such file") from None
     except OSError as exc:
         raise UnreadableInput(f"{path}: {exc.strerror or exc}") from None
+
+
+def read_input(path) -> bytes:
+    """The bytes of a caller-given input file, or MissingInput / UnreadableInput."""
+    with open_input(path) as fh:
+        return fh.read()
 
 
 def read_text(path) -> str:

@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from circuitforge import datasets
 from circuitforge.datasets import (
     CIFAR10_NAMES,
     DATA_DIR_ENV,
@@ -200,6 +201,140 @@ def test_cifar_meta_not_utf8_names_the_file(tmp_path):
     meta.write_bytes(b"airplane\n\xffcar\n")
     with pytest.raises(MalformedRow, match=f"^{re.escape(str(meta))}:2: not UTF-8: byte 0xff"):
         load_cifar(d, "C10", "train")
+
+
+# --- the streamed reader ---------------------------------------------------
+
+def _members(blob: bytes, cuts: list[int]) -> bytes:
+    """blob gzipped as one member per stretch between cuts."""
+    bounds = [0, *cuts, len(blob)]
+    return b"".join(gzip.compress(blob[a:b], mtime=0) for a, b in zip(bounds, bounds[1:]))
+
+
+def _idx_blobs(n: int = 30, side: int = 7) -> tuple[bytes, bytes]:
+    rng = np.random.default_rng(5)
+    images = rng.integers(0, 256, size=(n, side, side), dtype=np.uint8)
+    labels = (np.arange(n) % 10).astype(np.uint8)
+    return (struct.pack(">IIII", 2051, n, side, side) + images.tobytes(),
+            struct.pack(">II", 2049, n) + labels.tobytes())
+
+
+def _idx_from_bytes(img: bytes, lbl: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle: a whole-file decode, parsed by hand."""
+    n, rows, cols = struct.unpack(">III", img[4:16])
+    return (np.frombuffer(img, np.uint8, n * rows * cols, 16).reshape(n, 1, rows, cols),
+            np.frombuffer(lbl, np.uint8, n, 8).astype(np.int64))
+
+
+ENCODINGS = {  # how a file's bytes are stored
+    "plain": lambda blob: blob,
+    "gzip": lambda blob: gzip.compress(blob, mtime=0),
+    # the IDX header itself straddles the two members
+    "members": lambda blob: _members(blob, [5, len(blob) // 2]),
+    "zero_padding": lambda blob: _members(blob, [len(blob) // 3]) + bytes(9),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+@pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+def test_streamed_idx_matches_a_whole_file_decode(tmp_path, monkeypatch, encoding, chunk):
+    """Plain, gzipped, multi-member and zero-padded files read the same at
+    any chunk size; at 1 and 7 bytes every header and member boundary
+    straddles a chunk."""
+    monkeypatch.setattr(datasets, "CHUNK", chunk)
+    img_blob, lbl_blob = _idx_blobs()
+    img, lbl = tmp_path / "img", tmp_path / "lbl"
+    img.write_bytes(ENCODINGS[encoding](img_blob))
+    lbl.write_bytes(ENCODINGS[encoding](lbl_blob))
+    want_img, want_lbl = _idx_from_bytes(gzip.decompress(img.read_bytes())
+                                         if encoding != "plain" else img_blob, lbl_blob)
+    ds = load_idx(img, lbl)
+    assert ds.images.dtype == np.uint8 and ds.images.flags.c_contiguous
+    assert np.array_equal(ds.images, want_img) and np.array_equal(ds.labels, want_lbl)
+
+
+def test_a_member_header_straddling_the_read_chunk(tmp_path):
+    """The second member's gzip header starts 5 bytes before the end of the
+    first 64 KiB read."""
+    img_blob, lbl_blob = _idx_blobs(n=2000, side=28)
+    first = gzip.compress(img_blob[:100], mtime=0)
+    blob = first + bytes(datasets.CHUNK - 5 - len(first)) + gzip.compress(img_blob[100:], mtime=0)
+    assert gzip.decompress(blob) == img_blob
+    img, lbl = tmp_path / "img.gz", tmp_path / "lbl"
+    img.write_bytes(blob)
+    lbl.write_bytes(lbl_blob)
+    want_img, want_lbl = _idx_from_bytes(img_blob, lbl_blob)
+    ds = load_idx(img, lbl)
+    assert np.array_equal(ds.images, want_img) and np.array_equal(ds.labels, want_lbl)
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 16])
+@pytest.mark.parametrize("encoding", ["plain", "gzip", "members"])
+def test_streamed_cifar_matches_a_whole_file_decode(tmp_path, monkeypatch, encoding, chunk):
+    monkeypatch.setattr(datasets, "CHUNK", chunk)
+    d = _write_cifar10(tmp_path, per_batch=7)
+    blobs = {}
+    for path in d.iterdir():
+        blobs[path.name] = path.read_bytes()
+        path.write_bytes(ENCODINGS[encoding](blobs[path.name]))
+    records = np.concatenate([np.frombuffer(blobs[f"data_batch_{i}.bin"], np.uint8)
+                              for i in range(1, 6)]).reshape(-1, 3073)
+    train = load_cifar(d, "C10", "train")
+    assert np.array_equal(train.images, records[:, 1:].reshape(-1, 3, 32, 32))
+    assert train.labels.tolist() == records[:, 0].tolist()
+
+
+STREAM_FAULTS = {  # each fault, its bare gzip.decompress error (None: it decodes), our error
+    "cut_mid_deflate": (lambda blob: blob[:len(blob) // 2], EOFError, CorruptGzip),
+    "bad_crc": (lambda blob: blob[:-8] + bytes([blob[-8] ^ 1]) + blob[-7:],
+                gzip.BadGzipFile, CorruptGzip),
+    "bad_isize": (lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]), gzip.BadGzipFile,
+                  CorruptGzip),
+    "trailing_garbage": (lambda blob: blob + b"garbage", gzip.BadGzipFile, CorruptGzip),
+    "trailing_byte": (lambda blob: blob + b"\x01", gzip.BadGzipFile, CorruptGzip),
+    "truncated_record": (lambda blob: gzip.compress(gzip.decompress(blob)[:-3], mtime=0),
+                         None, TruncatedFile),
+}
+
+
+@pytest.mark.parametrize("which", ["images", "labels"])
+@pytest.mark.parametrize("fault", sorted(STREAM_FAULTS))
+def test_a_damaged_stream_raises_the_typed_error_naming_the_file(tmp_path, fault, which):
+    damage, bare, typed = STREAM_FAULTS[fault]
+    img, lbl = tmp_path / "img.gz", tmp_path / "lbl.gz"
+    for path, blob in zip((img, lbl), _idx_blobs()):
+        path.write_bytes(gzip.compress(blob, mtime=0))
+    bad = img if which == "images" else lbl
+    bad.write_bytes(damage(bad.read_bytes()))
+    if bare is None:
+        gzip.decompress(bad.read_bytes())
+    else:
+        with pytest.raises(bare):
+            gzip.decompress(bad.read_bytes())
+    with pytest.raises(typed, match=f"^{re.escape(str(bad))}: "):
+        load_idx(img, lbl)
+
+
+@pytest.mark.parametrize("encoding", ["plain", "gzip"])
+def test_a_cifar_batch_of_partial_records_names_the_file(tmp_path, encoding):
+    d = _write_cifar10(tmp_path)
+    batch = d / "data_batch_4.bin"
+    batch.write_bytes(ENCODINGS[encoding](batch.read_bytes()[:-100]))
+    with pytest.raises(BadRecordLength, match=f"^{re.escape(str(batch))}: "):
+        load_cifar(d, "C10", "train")
+
+
+def test_a_header_claiming_more_than_the_file_holds_is_refused_before_allocating(tmp_path):
+    """An image count no file of this size could decode to raises
+    TruncatedFile with the decoded length, as the whole-file decode did."""
+    img_blob, lbl_blob = _idx_blobs()
+    huge = struct.pack(">IIII", 2051, 2 ** 31, 2 ** 15, 2 ** 15) + img_blob[16:]
+    img, lbl = tmp_path / "img.gz", tmp_path / "lbl"
+    img.write_bytes(gzip.compress(huge, mtime=0))
+    lbl.write_bytes(lbl_blob)
+    with pytest.raises(TruncatedFile, match=f"truncated at byte {len(huge)}, "
+                                            f"need {16 + 2 ** 61}$"):
+        load_idx(img, lbl)
 
 
 # --- stratified subsetting ---------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import re
+import resource
 import struct
 import weakref
 
@@ -501,10 +502,18 @@ def test_non_finite_parameter_gradient_is_named(monkeypatch, case):
 # --- liveness ----------------------------------------------------------------
 
 def _root(a: np.ndarray) -> np.ndarray:
-    """The array that owns a view's memory."""
+    """The array that every view of a's memory keeps alive.  For an array
+    the graph's workspace lent, that is the 1-D array over the buffer's
+    memoryview, which dies when the buffer is released for reuse: a weakref
+    to it reads "released", not "freed"."""
     while isinstance(a.base, np.ndarray):
         a = a.base
     return a
+
+
+def _lent(a: np.ndarray) -> bool:
+    """Whether a views a workspace buffer."""
+    return isinstance(_root(a).base, memoryview)
 
 
 FORWARD_KERNELS = ("conv2d", "conv2d_batch", "relu", "pool_relu", "concat_channels",
@@ -516,13 +525,14 @@ CONVS = ("conv2d", "conv2d_batch")
 @pytest.mark.parametrize("style", sorted(SPECS))
 def test_evaluation_drops_each_tensor_after_its_last_reader(ref_circuit, monkeypatch, style,
                                                            channels):
-    """When a step starts, every conv or pool output still alive is read
-    by this kernel call or a later one.
+    """When a step starts, every conv or pool output not yet released to
+    the workspace is read by this kernel call or a later one, and after
+    the pass every one is released.
     graph.py looks kernels up as `K.<name>` at call time, so the wrappers
     see every call."""
     g = compile_arch(validate(SPECS[style](ref_circuit, channels)), seed=0)
     x = np.random.default_rng(0).normal(size=(2,) + g.spec.input_shape).astype(np.float32)
-    made: list = []  # a weakref to the memory of each conv and pool output
+    made: list = []  # a weakref to the buffer lease of each conv and pool output
     last_read: dict[int, int] = {}  # index into made -> the last call that read it
     alive_at: list = []  # (call, indices into made still alive) at each step's start
     calls = itertools.count()
@@ -545,6 +555,7 @@ def test_evaluation_drops_each_tensor_after_its_last_reader(ref_circuit, monkeyp
                 alive_at.append((call, [i for i, ref in enumerate(made) if ref() is not None]))
             out = real(*args)
             if name in (*CONVS, "pool_relu"):
+                assert _lent(out)
                 made.append(weakref.ref(_root(out)))
             return out
 
@@ -563,14 +574,17 @@ def test_evaluation_drops_each_tensor_after_its_last_reader(ref_circuit, monkeyp
 def test_backward_frees_a_group_conv_output_before_its_conv_backward(ref_circuit, monkeypatch,
                                                                     style):
     """The conv output of a group that reads the batch (the ten sensory
-    convs of the circuit net) is dead when that group's
-    `conv2d_batch_param_backward` is entered: only the gradient built from it
-    lives.  circuit_c3's stem runs in pool-offset order, the others in
-    plain order."""
+    convs of the circuit net) holds no forward value when that group's
+    `conv2d_batch_param_backward` is entered: only the gradient built from
+    it lives.  A pooled group writes that gradient over its output in
+    place, so the output's buffer is the one gy views; an unpooled
+    group's buffer is released for reuse.  After backward every one is
+    released.  circuit_c3's stem runs in pool-offset order, the others in
+    plain order; siblings has a pooled and an unpooled group."""
     g = compile_arch(validate(SPECS[style](ref_circuit, 3)), seed=0)
     x = np.random.default_rng(0).normal(size=(2,) + g.spec.input_shape).astype(np.float32)
-    made: list = []  # (kernel buffer, weakref to the output) per conv that reads the batch
-    dead: list[bool] = []
+    made: list = []  # (kernel buffer, weakref to the output's lease) per conv that reads the batch
+    states: list[str] = []
 
     def forward(name):
         real = getattr(K, name)
@@ -578,6 +592,7 @@ def test_backward_frees_a_group_conv_output_before_its_conv_backward(ref_circuit
         def conv(xin, w, *rest):
             out = real(xin, w, *rest)
             if xin is x:
+                assert _lent(out)
                 made.append((w, weakref.ref(_root(out))))
             return out
 
@@ -587,7 +602,9 @@ def test_backward_frees_a_group_conv_output_before_its_conv_backward(ref_circuit
 
     def conv2d_batch_param_backward(gy, xin, w, *rest):
         if xin is x:
-            dead.extend(ref() is None for kw, ref in made if kw is w)
+            states.extend("released" if ref() is None else
+                          "holds gy" if ref() is _root(gy) else "alive"
+                          for kw, ref in made if kw is w)
         return real_backward(gy, xin, w, *rest)
 
     for name in CONVS:
@@ -596,7 +613,77 @@ def test_backward_frees_a_group_conv_output_before_its_conv_backward(ref_circuit
     logits = g.forward(x)
     assert made and all(ref() is not None for _, ref in made)  # kept for backward
     g.backward(softmax_xent(logits, np.array([0, 3]))[1])
-    assert dead == [True] * len(made)
+    pooled = [step.params["pool"] > 1 for step in g._plan
+              if step.kind is BlockKind.CONV and step.src == (0,)]
+    assert states == ["holds gy" if p else "released" for p in reversed(pooled)]
+    assert len(states) == len(made) and all(ref() is None for _, ref in made)
+
+
+# --- workspace ---------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(1, 28, 28), (3, 32, 32)], ids=["1x28x28", "3x32x32"])
+@pytest.mark.parametrize("style", ["circuit", "randomized", "sequential"])
+def test_steps_after_the_first_fault_in_no_memory(ref_circuit, style, shape):
+    """After 2 warm-up steps at batch 64, 4 training steps (forward, loss,
+    backward and an Adam step) and 4 evaluation passes take fewer than
+    100 minor page faults each: every buffer comes back from the graph's
+    workspace, so no step maps memory afresh."""
+    g = compile_arch(validate(synthesize(style, ref_circuit, 8, shape, 10, seed=0)), seed=0)
+    opt = Adam(lr=1e-3)
+    rng = np.random.default_rng(0)
+    x = rng.random((64,) + shape).astype(np.float32)
+    labels = rng.integers(0, 10, 64)
+
+    def train():
+        g.backward(softmax_xent(g.forward(x), labels)[1])
+        opt.step(g)
+
+    for _ in range(2):
+        train()
+        g.forward(x, keep=False)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(4):
+        train()
+    for _ in range(4):
+        g.forward(x, keep=False)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 100 * 8, faults
+
+
+def test_arrays_a_caller_holds_keep_their_bytes_through_the_next_pass(ref_circuit,
+                                                                      monkeypatch):
+    """The workspace lends a buffer again only once no array views it:
+    logits and activation views kept from one pass (a pooled output's
+    channel, an unpooled member's slice of its group's conv output) keep
+    their bytes through a training step and an evaluation pass on other
+    input, and through the graph's death, which takes the workspace with
+    it."""
+    g = compile_arch(validate(SPECS["siblings"](ref_circuit, 3)), seed=0)
+    x1, x2 = np.random.default_rng(0).normal(size=(2, 4) + g.spec.input_shape)
+    held: list = []
+
+    def hold(real):
+        def kernel(*args):
+            out = real(*args)
+            held.append(out[:, :1])
+            return out
+        return kernel
+
+    for name in ("pool_relu", "relu"):
+        monkeypatch.setattr(K, name, hold(getattr(K, name)))
+    held.append(g.forward(x1, keep=False))
+    held.append(g.forward(x1))
+    monkeypatch.undo()
+    assert len(held) > 4 and all(_lent(a) for a in held)
+    want = [a.tobytes() for a in held]
+    g.backward(softmax_xent(held[-1], np.array([0, 3, 1, 2]))[1])
+    g.backward(softmax_xent(g.forward(x2), np.array([1, 2, 0, 3]))[1])
+    g.forward(x2, keep=False)
+    assert [a.tobytes() for a in held] == want
+    workspace = weakref.ref(g._workspace)
+    del g
+    assert workspace() is None
+    assert [a.tobytes() for a in held] == want
 
 
 @pytest.mark.parametrize("style", sorted(SPECS))

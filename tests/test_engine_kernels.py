@@ -249,7 +249,8 @@ def test_pool_relu_backward_matches_relu_then_maxpool_backward():
     in either layout: the gradient, un-permuted, has the bytes of the loop
     oracle of the plain epilogue (ReLU backward on the pooled gradient,
     then maxpool backward against relu(z)), non-finite upstream gradients
-    included, and exact zeros in the cells no window covers."""
+    included, and exact zeros in the cells no window covers.  Written over
+    z itself, as the graph writes it, it has the same bytes."""
     rng = np.random.default_rng(7)
     for case, (p, inputs) in enumerate(POOL_CASES):
         z = pool_inputs(rng, p, inputs)
@@ -266,6 +267,10 @@ def test_pool_relu_backward_matches_relu_then_maxpool_backward():
                     want = naive_maxpool_backward(relu_backward(g, pooled), a, p)
                 got = out if out.ndim == 4 else from_pool_order(out, *z.shape[2:])
                 assert got.tobytes() == want.tobytes(), (case, layout.ndim)
+                over = layout.copy()
+                with np.errstate(invalid="ignore"):
+                    pool_relu_backward(g, y, over, p, over)
+                assert over.tobytes() == out.tobytes(), (case, layout.ndim)
 
 
 def test_conv_param_backward_matches_naive_oracle():
