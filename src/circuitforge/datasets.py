@@ -9,13 +9,13 @@ Two on-disk formats are supported, byte-exact per their public layouts:
     pixel bytes.
 
 One streamed reader, `_decoded`, reads every binary file, either format,
-plain or gzipped (detected by the gzip signature).  It reads the file
-once through one reusable CHUNK-byte buffer, inflates a gzip file member
-by member with `zlib.decompressobj`, and writes each split straight into
-its final uint8 array: an IDX split's size comes from its header, a
-CIFAR split's from its files' sizes (a gzipped batch is decoded once
-more to count its bytes).  No whole-file copy is made, and no
-transient buffer as large as a decoded file.
+plain or gzipped (detected by the gzip signature), once, in one fill
+loop straight into the split's final uint8 array: a plain file through
+`readinto`, a gzip file inflated member by member with
+`zlib.decompressobj`, at most CHUNK bytes per call.  An IDX split's size
+comes from its header, a CIFAR split's from its files' sizes (a gzipped
+batch is decoded once more to count its bytes).  No whole-file copy is
+made, and no transient buffer larger than CHUNK.
 Every fault raises the typed error that a whole-file decode raised,
 naming the path: the rest of a gzip file is decoded before a format
 error is raised, so damaged gzip data is reported first wherever it
@@ -52,6 +52,7 @@ from .errors import (
     InsufficientExamples,
     InvalidConfig,
     InvalidDataset,
+    LabelOutOfRange,
     MissingBatchFile,
     TruncatedFile,
     check_int,
@@ -79,6 +80,9 @@ class LabeledDataset:
         if self.images.dtype != np.uint8 or self.images.ndim != 4:
             raise InvalidDataset(f"images must be uint8 (n, channels, h, w), "
                                  f"got {self.images.dtype} {self.images.shape}")
+        if self.labels.ndim != 1 or not np.issubdtype(self.labels.dtype, np.integer):
+            raise InvalidDataset(f"labels must be a 1-D integer array, "
+                                 f"got {self.labels.dtype} {self.labels.shape}")
         if self.images.shape[0] != self.labels.shape[0]:
             raise CountMismatch(
                 f"{self.images.shape[0]} images vs {self.labels.shape[0]} labels")
@@ -107,94 +111,75 @@ CHUNK = 1 << 16
 MAX_RATIO = 1032
 
 
-def _inflate(fh, path) -> Iterator[bytes]:
-    """The decoded bytes of gzip file fh, piece by piece, at most CHUNK at a
-    time: each member in turn, read through one reusable chunk buffer, with
-    the zero bytes that may pad a member skipped as `gzip.decompress` skips
-    them.  A damaged member, a bad CRC or length, a stream that ends inside
-    a member and bytes after a member that start no member raise
-    CorruptGzip naming the path."""
-    chunk = bytearray(CHUNK)
-    data = memoryview(b"")  # read but not yet inflated
-    member = None  # the decoder of the member being read
-    # the last piece filled CHUNK: zlib may then hold more output with no
-    # input left, so the decoder runs again before the file is read on
-    full = False
-    while True:
-        if not data and not full:
-            n = fh.readinto(chunk)
-            if not n:
-                if member is not None:
-                    raise CorruptGzip(f"{path}: damaged gzip data: "
-                                      "the file ends inside a member")
-                return
-            data = memoryview(chunk)[:n]
-        if member is None:
-            data = memoryview(bytes(data).lstrip(b"\0"))
-            if not data:
-                continue
-            member = zlib.decompressobj(wbits=31)
-        try:
-            piece = member.decompress(data, CHUNK)
-        except zlib.error as exc:
-            raise CorruptGzip(f"{path}: damaged gzip data: {exc}") from None
-        full = len(piece) == CHUNK
-        if member.eof:
-            data, member, full = memoryview(member.unused_data), None, False
-        else:
-            data = memoryview(member.unconsumed_tail)
-        if piece:
-            yield piece
-
-
 class _Decoded:
     """The decoded bytes of one binary input, read once, in order: the
     file's own bytes, or, when it starts with the gzip signature, its
-    members inflated by `_inflate`."""
+    members inflated in turn, the zero bytes that may pad a member skipped
+    as `gzip.decompress` skips them.  A damaged member, a bad CRC or
+    length, a file that ends inside a member and bytes after a member that
+    start no member raise CorruptGzip naming the path."""
 
     def __init__(self, fh, path):
         self.path = path
         self.pos = 0  # bytes read so far
         self._fh = fh
-        size = os.fstat(fh.fileno()).st_size
-        gzipped = fh.peek(2)[:2] == GZIP_MAGIC
-        self._bound = MAX_RATIO * size if gzipped else size  # most bytes it can hold
-        self._pieces = _inflate(fh, path) if gzipped else None
-        self._piece = memoryview(b"")
+        self._gzipped = fh.peek(2)[:2] == GZIP_MAGIC
+        # the most bytes it can hold
+        self._bound = (MAX_RATIO if self._gzipped else 1) * os.fstat(fh.fileno()).st_size
+        self._data = b""  # read but not yet inflated
+        self._member = None  # the decoder of the member being inflated
+
+    def _inflate(self, view: memoryview) -> int:
+        """Inflates the next bytes, at most len(view) and CHUNK of them, into
+        view and returns their count: 0 only at the end of the file."""
+        while True:
+            if self._member is None:
+                self._data = self._data.lstrip(b"\0")
+                self._member = zlib.decompressobj(wbits=31) if self._data else None
+            if self._member is not None:
+                try:
+                    piece = self._member.decompress(self._data, min(len(view), CHUNK))
+                except zlib.error as exc:
+                    raise CorruptGzip(f"{self.path}: damaged gzip data: {exc}") from None
+                if self._member.eof:
+                    self._data, self._member = self._member.unused_data, None
+                else:
+                    self._data = self._member.unconsumed_tail
+                if piece:
+                    view[:len(piece)] = piece
+                    return len(piece)
+            if not self._data:  # every byte read so far is inflated
+                self._data = self._fh.read(CHUNK)
+                if not self._data:
+                    if self._member is None:
+                        return 0
+                    raise CorruptGzip(f"{self.path}: damaged gzip data: "
+                                      "the file ends inside a member")
 
     def read(self, out: np.ndarray) -> np.ndarray:
         """Fills the contiguous uint8 array out with the next bytes, or
         raises TruncatedFile with the decoded length where they end."""
         view = memoryview(out.reshape(-1))
-        need = self.pos + len(view)
-        if self._pieces is None:
-            got = self._fh.readinto(view)
-        else:
-            got = 0
-            while got < len(view):
-                if not self._piece:
-                    self._piece = memoryview(next(self._pieces, b""))
-                    if not self._piece:
-                        break
-                n = min(len(self._piece), len(view) - got)
-                view[got:got + n] = self._piece[:n]
-                self._piece = self._piece[n:]
-                got += n
+        fill = self._inflate if self._gzipped else self._fh.readinto
+        got = 0
+        while got < len(view) and (n := fill(view[got:])):
+            got += n
         self.pos += got
         if got < len(view):
-            raise TruncatedFile(self.path, need, self.pos)
+            raise TruncatedFile(self.path, self.pos - got + len(view), self.pos)
         return out
 
     def rest(self) -> int:
         """The number of bytes left, all of which a gzip file decodes, so that
         its checks run."""
-        if self._pieces is None:
-            n = self._bound - self.pos
+        start = self.pos
+        if self._gzipped:
+            scratch = memoryview(bytearray(CHUNK))
+            while n := self._inflate(scratch):
+                self.pos += n
         else:
-            n = len(self._piece) + sum(map(len, self._pieces))
-            self._piece = memoryview(b"")
-        self.pos += n
-        return n
+            self.pos = self._bound  # a plain file's size
+        return self.pos - start
 
     def fail(self, error: Exception) -> NoReturn:
         """Raises error once the rest is decoded: a damaged gzip stream is
@@ -241,7 +226,8 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     with _decoded(labels_path) as src:
         (n_labels,) = _idx_header(src, 1, IDX_LABEL_MAGIC, "label")
         if n_labels != n:
-            src.fail(CountMismatch(f"{n} images but {n_labels} labels"))
+            src.fail(CountMismatch(
+                f"{labels_path}: {n_labels} labels but {images_path} has {n} images"))
         labels = src.read_new((n_labels,)).astype(np.int64)
         src.rest()
     k = int(labels.max()) + 1 if labels.size else 0
@@ -249,11 +235,14 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
                           category_names=tuple(str(i) for i in range(k)))
 
 
-def _read_cifar(paths: list[Path], label_bytes: int) -> tuple[np.ndarray, np.ndarray]:
+def _read_cifar(paths: list[Path], label_bytes: int, num_categories: int
+                ) -> tuple[np.ndarray, np.ndarray]:
     """The images and labels of CIFAR batch files, records in file order,
     each file copied through one reusable buffer of whole records straight
     into the split's arrays.  The split's size comes first, from each
-    file's size, or from a counting decode of a gzipped file."""
+    file's size, or from a counting decode of a gzipped file.  A label of
+    num_categories or more raises LabelOutOfRange naming the file and the
+    record."""
     record = label_bytes + 3072
     counts = []
     for path in paths:
@@ -276,6 +265,10 @@ def _read_cifar(paths: list[Path], label_bytes: int) -> tuple[np.ndarray, np.nda
                 images[lo:lo + len(rows)] = rows[:, label_bytes:].reshape(-1, 3, 32, 32)
                 labels[lo:lo + len(rows)] = rows[:, label_bytes - 1]  # the fine label is last
             src.rest()
+        bad = np.flatnonzero(labels[start:start + count] >= num_categories)
+        if bad.size:
+            raise LabelOutOfRange(f"{path}: record {bad[0]} has label {labels[start + bad[0]]}, "
+                                  f"outside [0, {num_categories})")
         start += count
     return images, labels
 
@@ -314,7 +307,7 @@ def load_cifar(directory, variant: str = "C10", split: str = "train") -> Labeled
         files = ["train.bin"] if split == "train" else ["test.bin"]
         label_bytes = 2
         names = _category_names_from_meta(directory, "fine_label_names.txt", 100)
-    images, labels = _read_cifar([directory / name for name in files], label_bytes)
+    images, labels = _read_cifar([directory / name for name in files], label_bytes, len(names))
     return LabeledDataset(images=images, labels=labels, category_names=names)
 
 

@@ -197,6 +197,8 @@ class CompiledGraph:
         if x.ndim != 4 or x.shape[1:] != tuple(self.spec.input_shape):
             raise ShapeMismatch(
                 f"batch shape {x.shape} does not match input {self.spec.input_shape}")
+        if not len(x):
+            raise ShapeMismatch(f"batch shape {x.shape} holds no examples")
         outs: list = [None] * len(self.v.order)
         outs[0] = x
         saved: list = []

@@ -482,10 +482,12 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray
     if logits.ndim != 2:
         raise ShapeMismatch(f"expected (batch, categories) logits, got {logits.shape}")
     n, k = logits.shape
+    if not n:
+        raise ShapeMismatch(f"logits shape {logits.shape} holds no examples")
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ShapeMismatch(f"labels {labels.shape} do not match batch of {n}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
+    if labels.min() < 0 or labels.max() >= k:
         bad = int(labels[(labels < 0) | (labels >= k)][0])
         raise LabelOutOfRange(f"label {bad} outside [0, {k})")
     shifted = logits - logits.max(axis=1, keepdims=True)

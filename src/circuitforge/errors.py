@@ -220,7 +220,9 @@ class CorruptGzip(CircuitForgeError):
 
 class InvalidDataset(CircuitForgeError):
     """Images that are not uint8 (n, channels, h, w), so that no scaled
-    float array can reach `batches` and be divided by 255 a second time."""
+    float array can reach `batches` and be divided by 255 a second time,
+    or labels that are not a 1-D integer array, which could not index the
+    loss's probabilities."""
 
 
 class TruncatedFile(CircuitForgeError):

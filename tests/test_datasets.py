@@ -3,6 +3,7 @@ from __future__ import annotations
 import gzip
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -23,10 +24,12 @@ from circuitforge.datasets import (
 from circuitforge.errors import (
     BadMagic,
     BadRecordLength,
+    CircuitForgeError,
     CorruptGzip,
     CountMismatch,
     InsufficientExamples,
     InvalidDataset,
+    LabelOutOfRange,
     MalformedRow,
     MissingBatchFile,
     TruncatedFile,
@@ -130,7 +133,8 @@ def test_load_idx_count_mismatch(tmp_path):
     img, _ = write_idx_pair(tmp_path, "train", images, np.zeros(4, dtype=np.uint8))
     short = tmp_path / "short-labels"
     short.write_bytes(struct.pack(">II", 2049, 3) + bytes(3))
-    with pytest.raises(CountMismatch):
+    with pytest.raises(CountMismatch, match=f"^{re.escape(str(short))}: 3 labels but "
+                                            f"{re.escape(str(img))} has 4 images$"):
         load_idx(img, short)
 
 
@@ -170,6 +174,18 @@ def test_load_cifar100_uses_fine_label(tmp_path):
         (d / name).write_bytes(records)
     train = load_cifar(d, "C100", "train")
     assert train.labels.tolist() == [(r * 7) % 100 for r in range(8)]
+
+
+@pytest.mark.parametrize("variant", ["C10", "C100"])
+def test_a_cifar_label_outside_the_categories_names_the_file_and_record(tmp_path, variant):
+    label_bytes, k, name = (1, 10, "data_batch_2.bin") if variant == "C10" else (2, 100, "train.bin")
+    d = _write_cifar10(tmp_path) if variant == "C10" else tmp_path
+    records = np.zeros((6, label_bytes + 3072), np.uint8)
+    records[3, label_bytes - 1] = 200  # the fine label of a C100 record is its second byte
+    (d / name).write_bytes(records.tobytes())
+    with pytest.raises(LabelOutOfRange, match=f"^{re.escape(str(d / name))}: record 3 has "
+                                              rf"label 200, outside \[0, {k}\)$"):
+        load_cifar(d, variant, "train")
 
 
 def test_load_cifar_bad_record_length(tmp_path):
@@ -337,6 +353,77 @@ def test_a_header_claiming_more_than_the_file_holds_is_refused_before_allocating
         load_idx(img, lbl)
 
 
+def _mutate(blob: bytes, rng: np.random.Generator) -> bytes:
+    """blob truncated, with a bit flipped, a byte set, bytes appended or a
+    stretch cut out; one position in three lies in the first 24 bytes and
+    one in three in the last 12, where headers and gzip trailers are."""
+    n = len(blob)
+    at = int(rng.choice([rng.integers(min(24, n)), n - 1 - rng.integers(min(12, n)),
+                         rng.integers(n)]))
+    kind = rng.integers(5)
+    if kind == 0:
+        return blob[:at]
+    if kind == 1:
+        return blob[:at] + bytes([blob[at] ^ (1 << int(rng.integers(8)))]) + blob[at + 1:]
+    if kind == 2:
+        return blob[:at] + bytes([int(rng.integers(256))]) + blob[at + 1:]
+    if kind == 3:
+        return blob + rng.integers(0, 256, int(rng.integers(1, 9)), dtype=np.uint8).tobytes()
+    return blob[:at] + blob[at + int(rng.integers(1, 9)):]
+
+
+@pytest.mark.parametrize("encoding", ["plain", "gzip"])
+@pytest.mark.parametrize("fmt", ["idx", "cifar"])
+def test_a_mutated_file_loads_or_raises_a_typed_error_naming_it(tmp_path, fmt, encoding):
+    """400 seeded mutations of valid files: each either loads or raises a
+    CircuitForgeError whose message names the mutated file."""
+    rng = np.random.default_rng(["idx", "cifar"].index(fmt) * 2 + (encoding == "gzip"))
+    if fmt == "idx":
+        files = dict(zip((tmp_path / "img", tmp_path / "lbl"), _idx_blobs(n=12, side=4)))
+        load = lambda: load_idx(tmp_path / "img", tmp_path / "lbl")
+    else:
+        d = _write_cifar10(tmp_path, per_batch=2)
+        files = {d / f"data_batch_{i}.bin": (d / f"data_batch_{i}.bin").read_bytes()
+                 for i in range(1, 6)}
+        load = lambda: load_cifar(d, "C10", "train")
+    files = {path: ENCODINGS[encoding](blob) for path, blob in files.items()}
+    for path, blob in files.items():
+        path.write_bytes(blob)
+    refused = 0
+    for trial in range(400):
+        bad = list(files)[trial % len(files)]
+        bad.write_bytes(_mutate(files[bad], rng))
+        try:
+            load()
+        except CircuitForgeError as exc:
+            assert str(bad) in str(exc), f"mutation {trial} of {bad.name}: {exc}"
+            refused += 1
+        bad.write_bytes(files[bad])
+    assert refused >= 100
+
+
+def test_a_gzipped_split_decodes_through_transients_of_a_few_chunks(tmp_path):
+    """The traced peak of loading a gzipped 3.9 MB split exceeds its final
+    arrays by at most 8 CHUNKs; a whole-file decode's buffers are as large
+    as the file it decodes.  Every other image is blank, so stretches of
+    the file inflate up to 1000-fold."""
+    img_blob, lbl_blob = _idx_blobs(n=5000, side=28)
+    img_blob = bytearray(img_blob)
+    for start in range(16, len(img_blob), 2 * 784):
+        img_blob[start:start + 784] = bytes(784)
+    img, lbl = tmp_path / "img.gz", tmp_path / "lbl.gz"
+    img.write_bytes(gzip.compress(img_blob, mtime=0))
+    lbl.write_bytes(gzip.compress(lbl_blob, mtime=0))
+    tracemalloc.start()
+    try:
+        ds = load_idx(img, lbl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.images.tobytes() == img_blob[16:]
+    assert peak - ds.images.nbytes - ds.labels.nbytes <= 8 * datasets.CHUNK
+
+
 # --- stratified subsetting ---------------------------------------------------
 
 def _imbalanced_dataset(counts: dict[int, int]) -> LabeledDataset:
@@ -402,6 +489,16 @@ def test_batches_validates_inputs():
     ds = _imbalanced_dataset({0: 4})
     with pytest.raises(ValueError):
         list(batches(ds, 0, seed=0))
+
+
+@pytest.mark.parametrize("labels", [np.zeros(3, dtype=np.float64), np.zeros(3, dtype=np.float32),
+                                    np.zeros(3, dtype=bool), np.zeros((3, 1), dtype=np.int64)],
+                         ids=["float64", "float32", "bool", "two_dims"])
+def test_dataset_refuses_labels_not_1d_integers(labels):
+    """Float labels could not index the loss's probabilities."""
+    with pytest.raises(InvalidDataset, match="labels must be a 1-D integer array"):
+        LabeledDataset(images=np.zeros((3, 1, 2, 2), dtype=np.uint8), labels=labels,
+                       category_names=("a",))
 
 
 def test_dataset_rejects_mismatched_lengths():

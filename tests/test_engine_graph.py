@@ -88,6 +88,15 @@ def test_forward_shapes_and_input_check():
         g.forward(np.zeros((3, 1, 10, 10), dtype=np.float32))
 
 
+@pytest.mark.parametrize("style", ["circuit", "randomized", "sequential"])
+def test_forward_refuses_an_empty_batch_before_any_kernel_runs(monkeypatch, style):
+    g = compile_arch(validate(synthesize(style, TINY, 2, (1, 16, 16), 4, seed=0)), seed=0)
+    for name in ("conv2d", "conv2d_batch"):
+        monkeypatch.setattr(K, name, lambda *args, **kwargs: pytest.fail("a kernel ran"))
+    with pytest.raises(ShapeMismatch, match=r"^batch shape \(0, 1, 16, 16\) holds no examples$"):
+        g.forward(np.zeros((0, 1, 16, 16), dtype=np.float32))
+
+
 def test_forward_rejects_non_finite():
     g = tiny_graph()
     x = np.full((1, 1, 12, 12), np.inf, dtype=np.float32)

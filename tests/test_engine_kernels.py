@@ -494,6 +494,12 @@ def test_softmax_xent_validates_inputs():
         softmax_xent(np.zeros(3), np.array([0]))
 
 
+def test_softmax_xent_refuses_an_empty_batch():
+    """A mean over no rows would be a NaN loss."""
+    with pytest.raises(ShapeMismatch, match=r"^logits shape \(0, 3\) holds no examples$"):
+        softmax_xent(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
