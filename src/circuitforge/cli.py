@@ -28,7 +28,7 @@ from .cri import (
     select_correlated,
     write_cri_table,
 )
-from .errors import CircuitForgeError, read_input
+from .errors import CircuitForgeError, InvalidConfig, read_input
 from .extraction import ExtractionConfig, export_circuit, sparsity
 from .reference import extract_from_tables, source_circuit
 
@@ -103,7 +103,10 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_bench_run(args) -> int:
-    cfg = B.BenchmarkConfig.from_json(read_input(args.config))
+    try:
+        cfg = B.BenchmarkConfig.from_json(read_input(args.config))
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{args.config}: {exc}") from None
     if args.out:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     try:
@@ -141,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cri", help="compute correlation indexes and select neurons")
     p.add_argument("--foldchanges", required=True, help="fold-change table (CSV)")
     p.add_argument("--expression", required=True, help="expression table (CSV)")
-    p.add_argument("--roles", required=True, help="role table (TSV) or cri CSV with roles")
+    p.add_argument("--roles", required=True, help="role table (TSV: neuron, role)")
     p.add_argument("--policy", type=_parse_policy, default=TopK())
     p.add_argument("--out", required=True, help="output cri_table.csv")
     p.set_defaults(func=_cmd_cri)

@@ -340,7 +340,7 @@ def load_connectome(path, roles_path) -> Connectome:
             roles[pre], roles[post] = role_table[pre], role_table[post]
         except KeyError as exc:
             raise UnknownRole(
-                f"{path}:{line_no}: neuron {exc.args[0]!r} absent from role table") from None
+                f"{path}:{line_no}: neuron {exc.args[0]!r} absent from {roles_path}") from None
         if c > 0:
             chem[(pre, post)] = c
         if e > 0:

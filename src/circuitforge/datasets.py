@@ -10,7 +10,8 @@ Two on-disk formats are supported, byte-exact per their public layouts:
 
 One streamed reader, `_decoded`, reads every binary file, either format,
 plain or gzipped (detected by the gzip signature), once, in one fill
-loop straight into the split's final uint8 array: a plain file through
+loop straight into the split's final uint8 array (for CIFAR, an array of
+whole records, which the images view): a plain file through
 `readinto`, a gzip file inflated member by member with
 `zlib.decompressobj`, at most CHUNK bytes per call.  An IDX split's size
 comes from its header, a CIFAR split's from its files' sizes (a gzipped
@@ -55,6 +56,7 @@ from .errors import (
     LabelOutOfRange,
     MissingBatchFile,
     TruncatedFile,
+    UnreadableInput,
     check_int,
     open_input,
     read_text,
@@ -190,11 +192,21 @@ class _Decoded:
 
     def read_new(self, shape: tuple[int, ...]) -> np.ndarray:
         """The next bytes as a new uint8 array of this shape.  A size the file
-        cannot hold is refused before anything is allocated."""
+        cannot hold is refused before anything is allocated; one that cannot
+        be allocated raises TruncatedFile with the decoded length if the file
+        holds fewer bytes, else UnreadableInput, both naming the path."""
         need = self.pos + math.prod(shape)
         if need > self._bound:
             self.fail(TruncatedFile(self.path, need, self.pos + self.rest()))
-        return self.read(np.empty(shape, np.uint8))
+        try:
+            out = np.empty(shape, np.uint8)
+        except MemoryError:
+            start = self.pos
+            if start + self.rest() < need:
+                raise TruncatedFile(self.path, need, self.pos) from None
+            raise UnreadableInput(f"{self.path}: {need - start} bytes from byte {start} "
+                                  "do not fit in memory") from None
+        return self.read(out)
 
 
 @contextmanager
@@ -238,11 +250,11 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
 def _read_cifar(paths: list[Path], label_bytes: int, num_categories: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The images and labels of CIFAR batch files, records in file order,
-    each file copied through one reusable buffer of whole records straight
-    into the split's arrays.  The split's size comes first, from each
-    file's size, or from a counting decode of a gzipped file.  A label of
-    num_categories or more raises LabelOutOfRange naming the file and the
-    record."""
+    each file read straight into its rows of one (n, record) array: the
+    images are a view of its pixel bytes, and only the labels are copied.
+    The split's size comes first, from each file's size, or from a
+    counting decode of a gzipped file.  A label of num_categories or more
+    raises LabelOutOfRange naming the file and the record."""
     record = label_bytes + 3072
     counts = []
     for path in paths:
@@ -254,23 +266,19 @@ def _read_cifar(paths: list[Path], label_bytes: int, num_categories: int
             raise BadRecordLength(
                 f"{path}: {size} bytes is not a multiple of the {record}-byte record")
         counts.append(size // record)
-    images = np.empty((sum(counts), 3, 32, 32), np.uint8)
-    labels = np.empty(sum(counts), np.int64)
-    buf = np.empty((max(1, CHUNK // record), record), np.uint8)
+    records = np.empty((sum(counts), record), np.uint8)
+    labels = records[:, label_bytes - 1]  # the fine label is last
     start = 0
     for path, count in zip(paths, counts):
         with _decoded(path) as src:
-            for lo in range(start, start + count, len(buf)):
-                rows = src.read(buf[:min(len(buf), start + count - lo)])
-                images[lo:lo + len(rows)] = rows[:, label_bytes:].reshape(-1, 3, 32, 32)
-                labels[lo:lo + len(rows)] = rows[:, label_bytes - 1]  # the fine label is last
+            src.read(records[start:start + count])
             src.rest()
         bad = np.flatnonzero(labels[start:start + count] >= num_categories)
         if bad.size:
             raise LabelOutOfRange(f"{path}: record {bad[0]} has label {labels[start + bad[0]]}, "
                                   f"outside [0, {num_categories})")
         start += count
-    return images, labels
+    return records[:, label_bytes:].reshape(-1, 3, 32, 32), labels.astype(np.int64)
 
 
 def _category_names_from_meta(directory: Path, meta_file: str, count: int

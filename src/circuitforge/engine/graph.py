@@ -80,8 +80,9 @@ outputs, concats, finiteness masks, gradients and their sums), comes
 from the graph's `K.Workspace`, which both make active while they run;
 the kernels take it through their private allocator, so they keep
 their public names and signatures.  To drop an array is to release its
-buffer for reuse, not to free it: the workspace lends a buffer again
-once no array views it, and dies with the graph.  From the second step
+buffer for reuse, not to free it: once no array views a buffer, a
+finalizer puts it back on the workspace's free list to be lent again,
+and the workspace dies with the graph.  From the second step
 at a batch shape on, a step maps no memory and takes no page faults
 (CHANGES.md gives the counts).  Initialization is Kaiming-uniform over
 fan-in with zero biases, drawn from a counter-based generator in slot

@@ -111,15 +111,16 @@ class Workspace:
     size.  The array is a reshape of a 1-D `np.frombuffer` array over a
     memoryview of the buffer, and numpy points every view of it, views
     of views included, at that 1-D array, which stops at the memoryview.
-    So the 1-D array dies only once no array views the buffer; a weakref
-    callback then puts the buffer back on its byte size's free list, and
-    the next request of that size takes the most recently released
-    buffer.  A buffer is lent again only after that, so an array that a
-    caller still holds (logits, an activation view) keeps its bytes.
-    Nothing else frees a buffer: the workspace holds what it lent at most
-    at once per size, and dies with its graph.  After the first step at a
-    given batch shape every request finds a free buffer, so no step maps
-    or faults in memory.
+    So the 1-D array dies only once no array views the buffer; a finalizer
+    then puts the buffer back on its byte size's free list, and the next
+    request of that size takes the most recently released buffer.  A
+    buffer is lent again only after that, so an array that a caller still
+    holds (logits, an activation view) keeps its bytes.  Nothing else
+    frees a buffer: the workspace holds what it lent at most at once per
+    size.  The finalizer holds the free list, not the workspace, so the
+    workspace dies with its graph.  After the first step at a given batch
+    shape every request finds a free buffer, so no step maps or faults in
+    memory.
 
     `with workspace:` makes it the one that the kernels' private allocator
     `_empty` lends from; without one active, `_empty` is `np.empty`.  The
@@ -129,26 +130,15 @@ class Workspace:
 
     def __init__(self) -> None:
         self._free: dict[int, list[np.ndarray]] = {}  # nbytes -> released buffers
-        self._lent: dict[int, tuple[weakref.ref, np.ndarray]] = {}  # id(ref) -> (ref, buffer)
         self._tokens: list = []
-        me = weakref.ref(self)  # the callback must not keep the workspace alive
-
-        def release(ref: weakref.ref) -> None:
-            ws = me()
-            if ws is not None:
-                _, buf = ws._lent.pop(id(ref))
-                ws._free.setdefault(buf.size, []).append(buf)
-
-        self._release = release
 
     def empty(self, shape: tuple[int, ...], dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
         count = math.prod(shape)
-        free = self._free.get(count * dtype.itemsize)
+        free = self._free.setdefault(count * dtype.itemsize, [])
         buf = free.pop() if free else _aligned(count * dtype.itemsize)
         lease = np.frombuffer(memoryview(buf), dtype, count)
-        ref = weakref.ref(lease, self._release)
-        self._lent[id(ref)] = ref, buf
+        weakref.finalize(lease, free.append, buf)  # holds the free list, not the workspace
         return lease.reshape(shape)
 
     def __enter__(self) -> Workspace:

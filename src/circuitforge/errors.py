@@ -64,6 +64,8 @@ def open_input(path) -> Iterator[BinaryIO]:
     try:
         with open(path, "rb") as fh:
             yield fh
+    except CircuitForgeError:  # raised in the block, naming its path already
+        raise
     except FileNotFoundError:
         raise MissingInput(f"{path}: no such file") from None
     except OSError as exc:

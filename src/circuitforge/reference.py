@@ -19,7 +19,7 @@ from .connectome import (
     load_connectome,
 )
 from .cri import SelectedNeurons, SelectionPolicy, TopK, load_cri_table, select_correlated
-from .errors import InvalidConfig
+from .errors import InvalidConfig, MixedRoleGroup, UnmappedNeuron
 from .extraction import ExtractionConfig, FunctionalCircuit, extract_circuits, load_circuit
 
 
@@ -43,7 +43,10 @@ def extract_from_tables(connectome=None, roles=None, aggregation=None, cri=None,
     if aggregation is None and connectome is None:
         aggregation = bundled_data_path("aggregation.tsv")
     if aggregation:
-        conn = aggregate_functional(conn, load_aggregation(aggregation))
+        try:
+            conn = aggregate_functional(conn, load_aggregation(aggregation))
+        except (UnmappedNeuron, MixedRoleGroup) as exc:  # the map does not fit the connectome
+            raise type(exc)(f"{aggregation}: {exc}") from None
     cri_table, cri_roles = load_cri_table(cri or bundled_data_path("cri_table.csv"))
     sel = select_correlated(cri_table, cri_roles or conn.roles, policy)
     return sel, extract_circuits(conn, sel, cfg)

@@ -6,6 +6,7 @@ import pytest
 
 from circuitforge.bench import BenchmarkConfig, MetricsReport
 from circuitforge.cli import build_parser, main
+from circuitforge.connectome import bundled_data_path
 from circuitforge.extraction import export_circuit
 from circuitforge.reference import reference_circuit
 from conftest import write_bench_corpus
@@ -217,6 +218,27 @@ def test_extract_empty_path_exits_one_naming_the_argument(tmp_path, capsys, name
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, edit, message", [
+    ("aggregation", ("ADAR\tADA\n", ""), "{aggregation}: neurons absent from aggregation map: ADAR"),
+    ("aggregation", ("ADAR\tADA\n", "ADAR\tASH\n"),
+     "{aggregation}: group 'ASH' mixes roles inter and sensory"),
+    ("roles", ("PVPR\tinter\n", ""), "{connectome}:598: neuron 'PVPR' absent from {roles}"),
+], ids=["aggregation_unmapped", "aggregation_mixed_roles", "roles_missing"])
+def test_extract_table_that_does_not_fit_names_the_file(tmp_path, capsys, name, edit, message):
+    """A map or role table that does not fit the connectome is named."""
+    paths = {table: bundled_data_path(f"{table}.tsv")
+             for table in ("connectome", "roles", "aggregation")}
+    paths[name] = tmp_path / f"{name}.tsv"
+    text = bundled_data_path(f"{name}.tsv").read_text()
+    assert edit[0] in text
+    paths[name].write_text(text.replace(*edit))
+    out = tmp_path / "out"
+    argv = [a for table, path in paths.items() for a in (f"--{table}", str(path))]
+    assert main(["extract", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: " + message.format(**paths)]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc,message", [
     ({"seeds": []}, "seeds must be a non-empty list"),
     ({"styles": "circuit"}, "styles must be a list"),
@@ -239,7 +261,7 @@ def test_bench_run_bad_config_exits_one_before_writing(tmp_path, capsys, doc, me
     out = tmp_path / "out"
     assert main(["bench", "run", "--config", str(cfg_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg_path}: {message}")
     assert not out.exists()
 
 

@@ -9,7 +9,11 @@ import zlib
 import numpy as np
 import pytest
 
-from circuitforge import datasets
+from circuitforge import bench, datasets
+from circuitforge.bench import BenchmarkConfig, MetricsReport
+from circuitforge.cli import main
+from circuitforge.connectome import bundled_data_path, load_connectome
+from circuitforge.cri import load_cri_table, load_expression, load_fold_changes
 from circuitforge.datasets import (
     CIFAR10_NAMES,
     DATA_DIR_ENV,
@@ -33,7 +37,10 @@ from circuitforge.errors import (
     MalformedRow,
     MissingBatchFile,
     TruncatedFile,
+    UnreadableInput,
 )
+from circuitforge.extraction import export_circuit, load_circuit
+from circuitforge.reference import extract_from_tables, reference_circuit
 from conftest import write_idx_pair
 
 
@@ -353,6 +360,33 @@ def test_a_header_claiming_more_than_the_file_holds_is_refused_before_allocating
         load_idx(img, lbl)
 
 
+@pytest.mark.parametrize("claimed, error, message", [
+    (100, TruncatedFile, "truncated at byte 1486, need 4916$"),
+    (30, UnreadableInput, "1470 bytes from byte 16 do not fit in memory$"),
+], ids=["more_than_it_holds", "what_it_holds"])
+def test_a_split_too_large_to_allocate_names_the_file(tmp_path, monkeypatch, claimed, error,
+                                                      message):
+    """A count within MAX_RATIO of a gzip file's size may still be more than
+    the process can allocate: the file is decoded to its end, and a file
+    holding fewer bytes than its header claims raises TruncatedFile with
+    the decoded length, one holding them all an error naming the path."""
+    img_blob, lbl_blob = _idx_blobs(n=30, side=7)
+    img, lbl = tmp_path / "img.gz", tmp_path / "lbl"
+    img.write_bytes(gzip.compress(struct.pack(">I", claimed).join(
+        (img_blob[:4], img_blob[8:])), mtime=0))
+    lbl.write_bytes(struct.pack(">II", 2049, claimed) + lbl_blob[8:])
+    real = np.empty
+
+    def empty(shape, dtype=float):
+        if shape == (claimed, 1, 7, 7):
+            raise MemoryError("more than this process may allocate")
+        return real(shape, dtype)
+
+    monkeypatch.setattr(np, "empty", empty)
+    with pytest.raises(error, match=f"^{re.escape(str(img))}: {message}"):
+        load_idx(img, lbl)
+
+
 def _mutate(blob: bytes, rng: np.random.Generator) -> bytes:
     """blob truncated, with a bit flipped, a byte set, bytes appended or a
     stretch cut out; one position in three lies in the first 24 bytes and
@@ -372,34 +406,137 @@ def _mutate(blob: bytes, rng: np.random.Generator) -> bytes:
     return blob[:at] + blob[at + int(rng.integers(1, 9)):]
 
 
-@pytest.mark.parametrize("encoding", ["plain", "gzip"])
-@pytest.mark.parametrize("fmt", ["idx", "cifar"])
-def test_a_mutated_file_loads_or_raises_a_typed_error_naming_it(tmp_path, fmt, encoding):
-    """400 seeded mutations of valid files: each either loads or raises a
-    CircuitForgeError whose message names the mutated file."""
-    rng = np.random.default_rng(["idx", "cifar"].index(fmt) * 2 + (encoding == "gzip"))
-    if fmt == "idx":
-        files = dict(zip((tmp_path / "img", tmp_path / "lbl"), _idx_blobs(n=12, side=4)))
-        load = lambda: load_idx(tmp_path / "img", tmp_path / "lbl")
-    else:
-        d = _write_cifar10(tmp_path, per_batch=2)
-        files = {d / f"data_batch_{i}.bin": (d / f"data_batch_{i}.bin").read_bytes()
+# a value no numeric field takes, in the forms TSV, CSV and JSON spell it
+ODD_VALUES = [b"nan", b"NaN", b"inf", b"-Infinity", b"1e400", str(2 ** 128).encode(), b"-1",
+              b"true", b"null", b'""']
+
+
+def _mutate_text(blob: bytes, rng: np.random.Generator) -> bytes | None:
+    """blob mutated as `_mutate` mutates bytes (which covers a byte that is
+    not UTF-8), or with a line repeated or dropped (a row or key twice or
+    missing), a field or token set to one of ODD_VALUES, or emptied; None
+    stands for a directory in the file's place."""
+    kind = int(rng.integers(16))
+    if kind < 6:
+        return _mutate(blob, rng)
+    lines = blob.splitlines(keepends=True)
+    at = int(rng.integers(len(lines)))
+    if kind < 8:
+        return b"".join(lines[:at + 1] + lines[at:])
+    if kind < 10:
+        return b"".join(lines[:at] + lines[at + 1:])
+    if kind < 15:
+        tokens = list(re.finditer(rb'[^\s,"{}\[\]:]+', blob))
+        token = tokens[int(rng.integers(len(tokens)))]
+        return blob[:token.start()] + ODD_VALUES[int(rng.integers(len(ODD_VALUES)))] \
+            + blob[token.end():]
+    return None if rng.integers(2) else b""
+
+
+def _command(capsys, argv: list[str]):
+    """A call that runs the CLI and raises its one `error:` line as a
+    CircuitForgeError when it exits 1."""
+    def run() -> None:
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert code == 1 and len(err) == 1 and err[0].startswith("error: "), (code, err)
+            raise CircuitForgeError(err[0])
+    return run
+
+
+def _mutation_inputs(fmt: str, d, monkeypatch, capsys):
+    """The valid files of one input format and the call that reads them."""
+    bundled = lambda *names: {d / name: bundled_data_path(name).read_bytes() for name in names}
+    if fmt in ("idx-plain", "idx-gzip"):
+        files = dict(zip((d / "img", d / "lbl"), _idx_blobs(n=12, side=4)))
+        load = lambda: load_idx(d / "img", d / "lbl")
+    elif fmt in ("cifar-plain", "cifar-gzip"):
+        c = _write_cifar10(d, per_batch=2)
+        files = {c / f"data_batch_{i}.bin": (c / f"data_batch_{i}.bin").read_bytes()
                  for i in range(1, 6)}
-        load = lambda: load_cifar(d, "C10", "train")
-    files = {path: ENCODINGS[encoding](blob) for path, blob in files.items()}
+        load = lambda: load_cifar(c, "C10", "train")
+    elif fmt == "connectome":
+        files = bundled("connectome.tsv", "roles.tsv")
+        load = lambda: load_connectome(d / "connectome.tsv", d / "roles.tsv")
+    elif fmt == "aggregation":
+        files = bundled("aggregation.tsv")
+        load = lambda: extract_from_tables(aggregation=d / "aggregation.tsv")
+    elif fmt == "cri_table":
+        files = bundled("cri_table.csv")
+        load = lambda: load_cri_table(d / "cri_table.csv")
+    elif fmt == "circuit":
+        paths = export_circuit(reference_circuit(), d)
+        files = {paths[key]: paths[key].read_bytes() for key in ("edges", "roles")}
+        load = lambda: load_circuit(paths["edges"], paths["roles"])
+    elif fmt == "fold_changes":
+        files = {d / "fold.csv": b"gene,fold_change\nodr-10,12.5\nstr-2,-60\nsrx-9,0.25\n"
+                                 b"unc-7,-3\nglr-1,1e2\n"}
+        load = lambda: load_fold_changes(d / "fold.csv")
+    elif fmt == "expression":
+        files = {d / "expr.csv": b"#units=percent\ngene,neuron,proportion\nodr-10,ADL,50\n"
+                                 b"odr-10,ASK,12.5\nstr-2,ADL,0\nunc-7,AVA,100\n"}
+        load = lambda: load_expression(d / "expr.csv")
+    elif fmt == "bench_json":
+        monkeypatch.setattr(bench, "run_benchmark", lambda cfg: ([], {"ordering": {"flag": "-"}}))
+        config = BenchmarkConfig(seeds=(0, 1), epochs=2, data_dir=str(d / "data"),
+                                 out_dir=str(d / "out"))
+        files = {d / "bench.json": config.to_json().encode("utf-8")}
+        load = _command(capsys, ["bench", "run", "--config", str(d / "bench.json")])
+    else:  # report_json
+        report = MetricsReport(
+            dataset="fashion_mnist", style="circuit", seed=0, c=2, param_count=50,
+            accuracy=0.5, per_category={0: 1.0, 1: 0.0}, consistency_score=0.5,
+            confusion=[[2, 0], [2, 0]], step_losses=[1.0, 0.5], epoch_mean_losses=[0.75],
+            epoch_accuracies=[0.5], wall_time_s=1.0, train_examples=4, test_examples=4)
+        (d / "runs" / "circuit-0").mkdir(parents=True)
+        files = {d / "runs" / "circuit-0" / "report.json": report.to_json().encode("utf-8")}
+        load = _command(capsys, ["bench", "summarize", "--dir", str(d)])
+    return files, load
+
+
+MUTATED_FORMATS = ["idx-plain", "idx-gzip", "cifar-plain", "cifar-gzip", "connectome",
+                   "aggregation", "cri_table", "circuit", "fold_changes", "expression",
+                   "bench_json", "report_json"]
+
+
+@pytest.mark.parametrize("fmt", MUTATED_FORMATS)
+def test_a_mutated_file_loads_or_raises_a_typed_error_naming_it(tmp_path, monkeypatch, capsys,
+                                                                fmt):
+    """Seeded mutations of valid files, read by their loader or command:
+    each either loads or raises a CircuitForgeError whose message names
+    the mutated file, or, for a pair of text files read together, one of
+    the pair.  A binary file takes 400 mutations of its bytes, a text or
+    JSON file 100 of its bytes, lines and fields (`_mutate_text`)."""
+    rng = np.random.default_rng(MUTATED_FORMATS.index(fmt))
+    files, load = _mutation_inputs(fmt, tmp_path, monkeypatch, capsys)
+    binary = fmt.endswith(("-plain", "-gzip"))
+    if fmt.endswith("-gzip"):
+        files = {path: ENCODINGS["gzip"](blob) for path, blob in files.items()}
     for path, blob in files.items():
         path.write_bytes(blob)
+    load()
+    trials = 400 if binary else 100
     refused = 0
-    for trial in range(400):
+    for trial in range(trials):
         bad = list(files)[trial % len(files)]
-        bad.write_bytes(_mutate(files[bad], rng))
+        blob = _mutate(files[bad], rng) if binary else _mutate_text(files[bad], rng)
+        if blob is None:
+            bad.unlink()
+            bad.mkdir()
+        else:
+            bad.write_bytes(blob)
+        named = [bad] if binary else list(files)
         try:
             load()
         except CircuitForgeError as exc:
-            assert str(bad) in str(exc), f"mutation {trial} of {bad.name}: {exc}"
+            assert any(str(path) in str(exc) for path in named), \
+                f"mutation {trial} of {bad.name}: {exc}"
             refused += 1
+        if blob is None:
+            bad.rmdir()
         bad.write_bytes(files[bad])
-    assert refused >= 100
+    assert refused >= trials // 4
 
 
 def test_a_gzipped_split_decodes_through_transients_of_a_few_chunks(tmp_path):
